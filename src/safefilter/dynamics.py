@@ -24,8 +24,13 @@ class InputDomainError(ValueError):
 class SystemModel:
     """Discrete-time uncertain system with box-bounded inputs.
 
-    ``step`` must be deterministic and broadcast over leading state axes
-    (states of shape (..., state_dim)); the built-in models do. ``interval_step``
+    ``step`` must be deterministic and broadcast over the leading axes of
+    ``x``, ``u`` and ``d`` together: states (..., state_dim), controls
+    (..., control_dim) and disturbances (..., disturbance_dim) whose leading
+    axes broadcast against each other, returning (..., state_dim). Value-grid
+    queries rely on this to step a whole candidate lattice at once, and raise
+    ``ValueError`` naming the model when the returned shape is wrong; the
+    built-in models satisfy it. ``interval_step``
     takes (state Box, control point or Box, disturbance Box) and must return a
     superset of the true one-step image. ``continuous_affine`` is an optional
     (drift, input-matrix) pair f(x), g(x) for control-affine models; when
@@ -363,12 +368,11 @@ def margin_keepout_ball(center, radius: float) -> MarginFunction:
     def fn(x):
         return np.linalg.norm(x - c, axis=-1) - radius
 
-    def grad(x):
+    def grad(x):  # per-row unit direction; zero subgradient at the center
         diff = x - c
-        nrm = np.linalg.norm(diff)
-        if nrm == 0.0:  # subgradient at the center
-            return np.zeros_like(diff)
-        return diff / nrm
+        nrm = np.linalg.norm(diff, axis=-1, keepdims=True)
+        with np.errstate(invalid="ignore"):
+            return np.where(nrm > 0.0, diff / nrm, 0.0)
 
     def box_lower(box: Box) -> float:
         nearest = np.clip(c, box.lower, box.upper)
@@ -392,9 +396,11 @@ def margin_min(margins: list[MarginFunction]) -> MarginFunction:
     grad = None
     if all(m.has_gradient for m in margins):
 
-        def grad(x):  # noqa: F811 - gradient of the first active margin
-            vals = [float(m(x)) for m in margins]
-            return margins[int(np.argmin(vals))].gradient(x)
+        def grad(x):  # noqa: F811 - per row, gradient of the first active margin
+            vals = np.stack([np.broadcast_to(m(x), x.shape[:-1]) for m in margins])
+            grads = np.stack([m.gradient(x) for m in margins])
+            active = np.argmin(vals, axis=0)[None, ..., None]
+            return np.take_along_axis(grads, active, axis=0)[0]
 
     box_lower = None
     if all(m.has_box_lower for m in margins):

@@ -23,7 +23,7 @@ from .filters import (
     SafetyFilter,
     decide,
 )
-from .reachability import ValueGrid, value_at
+from .reachability import ValueGrid, stack_candidates, successor_values
 
 TaskPolicy = Callable[[np.ndarray, np.random.Generator], np.ndarray]
 DisturbancePolicy = Callable[[np.ndarray, np.ndarray, np.random.Generator], np.ndarray]
@@ -213,17 +213,12 @@ def adversarial_disturbance(
 ) -> DisturbancePolicy:
     """Worst-case-within-lattice disturbance: picks the candidate minimizing the
     value at the next state given the applied control (lowest index on ties)."""
-    cands = [np.atleast_1d(np.asarray(d, dtype=np.float64)) for d in d_candidates]
+    d_lattice = stack_candidates(d_candidates)
 
     def policy(x, u, rng):
-        best = cands[0]
-        best_val = math.inf
-        for d in cands:
-            val = value_at(grid, model.step(x, u, d))
-            if val < best_val:
-                best_val = val
-                best = d
-        return best.copy()
+        u_lattice = np.atleast_1d(np.asarray(u, dtype=np.float64))[None]
+        vals = successor_values(model, grid, x, u_lattice, d_lattice)[0]
+        return d_lattice[int(np.argmin(vals))].copy()
 
     return policy
 

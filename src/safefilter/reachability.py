@@ -154,17 +154,22 @@ def _eval_on_nodes(fn: Callable, nodes: np.ndarray) -> np.ndarray:
     return np.array([float(fn(x)) for x in nodes], dtype=np.float64)
 
 
-def _batch_next_states(model: SystemModel, nodes: np.ndarray, u, d) -> np.ndarray:
-    """f(x, u, d) for every node, batched when the model's step supports it."""
-    u = np.asarray(u, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    try:
-        out = np.asarray(model.step(nodes, u, d), dtype=np.float64)
-        if out.shape == nodes.shape:
-            return out
-    except Exception:
-        pass
-    return np.stack([np.asarray(model.step(x, u, d), dtype=np.float64) for x in nodes])
+def _batch_next_states(model: SystemModel, x: np.ndarray, u, d) -> np.ndarray:
+    """f(x, u, d) for a batch of states of shape (..., n) in one ``step`` call.
+
+    ``u`` and ``d`` are single inputs or batches whose leading axes broadcast
+    against those of ``x`` (the ``SystemModel`` contract).
+    """
+    out = np.asarray(
+        model.step(x, np.asarray(u, dtype=np.float64), np.asarray(d, dtype=np.float64)),
+        dtype=np.float64,
+    )
+    if out.shape != x.shape:
+        raise ValueError(
+            f"model {model.name!r}: step returned shape {out.shape} for states of "
+            f"shape {x.shape}; step must broadcast over leading axes of x, u and d"
+        )
+    return out
 
 
 def _candidate_plans(model, grid, u_candidates, d_candidates):
@@ -344,6 +349,30 @@ def solve(
     )
 
 
+def successor_values(
+    model: SystemModel,
+    grid: ValueGrid,
+    x,
+    u_lattice: np.ndarray,
+    d_lattice: np.ndarray,
+) -> np.ndarray:
+    """Interpolated value at f(x, u, d) for every row pair, shape (|U|, |D|).
+
+    ``u_lattice`` and ``d_lattice`` stack the candidates as rows. All |U|*|D|
+    successors go through one ``step`` call, on x broadcast to (|U|, |D|, n),
+    and one ``values_at`` call.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    xs = np.broadcast_to(x, (len(u_lattice), len(d_lattice), x.size))
+    nxt = _batch_next_states(model, xs, u_lattice[:, None], d_lattice[None])
+    return grid.values_at(nxt.reshape(-1, x.size)).reshape(xs.shape[:2])
+
+
+def stack_candidates(candidates: Sequence[np.ndarray]) -> np.ndarray:
+    """Candidate list as a float lattice with one candidate per row."""
+    return np.stack([np.atleast_1d(np.asarray(c, dtype=np.float64)) for c in candidates])
+
+
 def worst_case_next_value(
     model: SystemModel,
     grid: ValueGrid,
@@ -352,18 +381,8 @@ def worst_case_next_value(
     d_candidates: Sequence[np.ndarray],
 ) -> float:
     """min over disturbance candidates of the interpolated value at f(x, u, d)."""
-    x = np.asarray(x, dtype=np.float64)
-    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    if len(d_candidates) > 1:
-        try:
-            ds = np.stack([np.atleast_1d(d) for d in d_candidates])
-            xs = np.broadcast_to(x, (len(d_candidates), x.size))
-            nxt = np.asarray(model.step(xs, u, ds), dtype=np.float64)
-            if nxt.shape == xs.shape:
-                return float(grid.values_at(nxt).min())
-        except Exception:
-            pass
-    return min(value_at(grid, model.step(x, u, d)) for d in d_candidates)
+    u_lattice = np.atleast_1d(np.asarray(u, dtype=np.float64))[None]
+    return float(successor_values(model, grid, x, u_lattice, stack_candidates(d_candidates)).min())
 
 
 def optimal_safety_policy(
@@ -374,23 +393,17 @@ def optimal_safety_policy(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """argmax over control candidates of the worst-case next value.
 
-    Ties break to the lowest candidate index, so the policy is deterministic.
+    Ties break to the lowest candidate index, so the policy is deterministic;
+    a state from which every candidate leaves the domain gets the first one.
     """
     if not len(u_candidates) or not len(d_candidates):
         raise ValueError("candidate lists must be nonempty")
-    u_candidates = [np.atleast_1d(np.asarray(u, dtype=np.float64)) for u in u_candidates]
-    d_candidates = [np.atleast_1d(np.asarray(d, dtype=np.float64)) for d in d_candidates]
+    u_lattice = stack_candidates(u_candidates)
+    d_lattice = stack_candidates(d_candidates)
 
     def policy(x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        best_u = u_candidates[0]
-        best_val = -math.inf
-        for u in u_candidates:
-            worst = worst_case_next_value(model, grid, x, u, d_candidates)
-            if worst > best_val:
-                best_val = worst
-                best_u = u
-        return best_u.copy()
+        worst = successor_values(model, grid, x, u_lattice, d_lattice).min(axis=1)
+        return u_lattice[int(np.argmax(worst))].copy()
 
     return policy
 

@@ -253,3 +253,26 @@ def test_discretize_box_errors_and_zero_dim():
         discretize_box(Box([-1.0], [1.0]), [2, 2])
     pts = discretize_box(Box([], []), [])
     assert len(pts) == 1 and pts[0].shape == (0,)
+
+
+def test_margin_gradients_batched_per_row():
+    ball = margin_keepout_ball([0.0, 0.0], 1.0)
+    pts = np.array([[2.0, 0.0], [0.0, 3.0], [0.0, 0.0], [3.0, 4.0]])
+    grads = ball.gradient(pts)
+    # each row is normalized on its own; the center gets a zero subgradient
+    assert np.array_equal(grads, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.6, 0.8]])
+    for x, gr in zip(pts, grads):
+        assert np.array_equal(ball.gradient(x), gr)
+
+    wall = margin_halfspace([1.0, 0.0], 0.0)
+    both = margin_min([wall, ball])
+    # per row, the gradient of the active (smallest) child margin; ties go to
+    # the first child
+    rows = np.array([[0.5, 0.0], [3.0, 4.0], [0.0, 2.0], [2.0, 0.0], [4.0, 3.0]])
+    assert wall(rows[4]) == ball(rows[4])
+    want = np.array([ball.gradient(rows[0]), wall.gradient(rows[1]),
+                     wall.gradient(rows[2]), ball.gradient(rows[3]),
+                     wall.gradient(rows[4])])
+    assert np.array_equal(both.gradient(rows), want)
+    for x, gr in zip(rows, want):
+        assert np.array_equal(both.gradient(x), gr)
