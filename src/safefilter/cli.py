@@ -145,9 +145,10 @@ def cmd_run(args) -> int:
         bundle.filter.plan_log_dir = out
 
     def factory():
+        # a fresh filter per worker around the one solved or loaded grid
         fresh = build_filter(
             cfg.get("filter", {"kind": "none"}), model, _margin, margin_cfg,
-            grid_settings, base_dir,
+            grid_settings, base_dir, grid=bundle.grid,
         )
         return fresh.filter
 

@@ -252,7 +252,10 @@ def solve_or_load_grid(
     value_grid_path: Optional[str] = None,
 ):
     if value_grid_path is not None:
-        return load_value_grid(value_grid_path), None
+        try:
+            return load_value_grid(value_grid_path), None
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"cannot load value grid {value_grid_path}: {e}") from e
     grid, report = solve(
         model, margin, (settings.domain, settings.shape),
         settings.u_counts, settings.d_counts, settings.tolerance, settings.max_iters,
@@ -287,19 +290,27 @@ def build_filter(
     margin_cfg: dict,
     grid_settings: Optional[GridSettings],
     base_dir: str = ".",
+    grid: Optional[ValueGrid] = None,
 ) -> FilterBundle:
+    """Build the configured filter.
+
+    A filter that needs a value grid solves it, or loads ``filter.value_grid``,
+    once; pass ``grid`` to build around an already solved or loaded one.
+    """
     kind = _require(cfg, "kind", "filter")
     if kind not in _FILTER_KEYS:
         raise ConfigError(f"unknown filter.kind {kind!r}")
     _check_keys(cfg, _FILTER_KEYS[kind], "filter")
 
     def _grid():
-        if grid_settings is None:
-            raise ConfigError("this filter kind needs a [grid] section")
-        path = cfg.get("value_grid")
-        if path is not None:
-            path = os.path.join(base_dir, path)
-        grid, _ = solve_or_load_grid(model, margin, grid_settings, path)
+        nonlocal grid
+        if grid is None:
+            if grid_settings is None:
+                raise ConfigError("this filter kind needs a [grid] section")
+            path = cfg.get("value_grid")
+            if path is not None:
+                path = os.path.join(base_dir, path)
+            grid, _ = solve_or_load_grid(model, margin, grid_settings, path)
         return grid
 
     try:
@@ -325,7 +336,6 @@ def build_filter(
             horizon = int(_number(cfg, "horizon", "filter"))
             fb_cfg = _require(cfg, "fallback", "filter")
             term_cfg = _require(cfg, "terminal", "filter")
-            grid = None
             fb_kind = _require(fb_cfg, "kind", "filter.fallback")
             if fb_kind == "braking":
                 _check_keys(fb_cfg, {"kind", "v_tol"}, "filter.fallback")
@@ -356,9 +366,7 @@ def build_filter(
                 )
             elif term_kind == "value_grid":
                 _check_keys(term_cfg, {"kind"}, "filter.terminal")
-                if grid is None:
-                    grid = _grid()
-                terminal = value_grid_terminal_set(grid)
+                terminal = value_grid_terminal_set(_grid())
             else:
                 raise ConfigError(f"unknown filter.terminal.kind {term_kind!r}")
             return FilterBundle(

@@ -17,7 +17,8 @@ from .dynamics import MarginFunction, SystemModel, step
 from .reachability import (
     ValueGrid,
     optimal_safety_policy,
-    worst_case_next_value,
+    stack_candidates,
+    successor_values,
 )
 
 
@@ -105,18 +106,20 @@ def least_restrictive_filter(
         raise ValueError("grid dimension does not match model state dimension")
     if not len(u_candidates) or not len(d_candidates):
         raise ValueError("candidate lists must be nonempty")
-    d_candidates = [np.atleast_1d(np.asarray(d, dtype=np.float64)) for d in d_candidates]
     fallback = optimal_safety_policy(model, grid, u_candidates, d_candidates)
+    d_lattice = stack_candidates(d_candidates)
     last = {}
 
     def evaluate(x, u):
         # decide() evaluates the monitor and then intervenes on the same
         # (x, u) pair, so cache the last query
-        key = (np.asarray(x, dtype=np.float64).tobytes(),
-               np.atleast_1d(np.asarray(u, dtype=np.float64)).tobytes())
+        x = np.asarray(x, dtype=np.float64)
+        u = np.atleast_1d(np.asarray(u, dtype=np.float64))
+        key = (x.tobytes(), u.tobytes())
         if last.get("key") != key:
             last["key"] = key
-            last["value"] = worst_case_next_value(model, grid, x, u, d_candidates)
+            # worst_case_next_value, on the lattice stacked once above
+            last["value"] = float(successor_values(model, grid, x, u[None], d_lattice).min())
         return last["value"]
 
     monitor = Monitor(evaluate, name="worst_case_next_value")

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable
 
 import numpy as np
 
@@ -149,16 +148,6 @@ class Box:
         return float(np.sum(np.where(d >= 0, d * self.upper, d * self.lower)))
 
 
-def hull_of(boxes: Iterable[Box]) -> Box:
-    boxes = list(boxes)
-    if not boxes:
-        raise ValueError("hull of no boxes")
-    out = boxes[0]
-    for b in boxes[1:]:
-        out = out.hull(b)
-    return out
-
-
 def as_box(u) -> Box:
     """Coerce a point or Box to a Box (points become degenerate boxes)."""
     return u if isinstance(u, Box) else Box.point(u)
@@ -170,12 +159,6 @@ def linear_image(M: np.ndarray, box: Box) -> Box:
     lo_terms = np.minimum(M * box.lower, M * box.upper)
     hi_terms = np.maximum(M * box.lower, M * box.upper)
     return Box(lo_terms.sum(axis=1), hi_terms.sum(axis=1))
-
-
-def scale_interval(c: float, lo: float, hi: float) -> tuple[float, float]:
-    """Interval product c * [lo, hi] for scalar c."""
-    a, b = c * lo, c * hi
-    return (a, b) if a <= b else (b, a)
 
 
 def _has_critical_point(lo: float, hi: float, phase: float) -> bool:

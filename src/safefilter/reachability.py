@@ -14,10 +14,10 @@ domain forfeits the certificate, so it is treated as unsafe.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -66,10 +66,15 @@ class ValueGrid:
         mesh = np.meshgrid(*self.axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
+    @cached_property
+    def corners(self) -> "_CornerLayout":
+        """Interpolation constants of this grid's axes, computed once."""
+        return _CornerLayout(self.axes, self.shape)
+
     def values_at(self, pts: np.ndarray) -> np.ndarray:
         """Multilinear interpolation at points of shape (N, dim)."""
-        ci, w, oob = _interp_weights(self.axes, self.shape, pts)
-        return _apply_interp(self.values, ci, w, oob, self.out_of_domain_value)
+        ci, w, outside = _interp_weights(self.corners, pts)
+        return _apply_interp(self.values, ci, w, outside, self.out_of_domain_value)
 
     def with_values(self, values: np.ndarray) -> "ValueGrid":
         return ValueGrid(self.domain, self.shape, values, self.out_of_domain_value)
@@ -83,52 +88,99 @@ class SolveReport:
     wall_time: float
 
 
-def _interp_weights(axes, shape, pts):
+class _CornerLayout:
+    """Per-axis tables and cell-corner offsets of one grid, built once per grid.
+
+    The 2^dim corners of a cell are ordered with the first dimension as the
+    most significant bit; ``offsets`` are their flat node-index offsets.
+    """
+
+    def __init__(self, axes: Sequence[np.ndarray], shape: tuple[int, ...]):
+        self.axes = axes
+        self.shape = shape
+        # searchsorted over the interior nodes is the cell index clipped to
+        # [0, n - 2], so no separate clip is needed
+        self.interior = [c[1:-1] for c in axes]
+        self.spacing = [np.diff(c) for c in axes]  # c[i + 1] - c[i]
+        strides = np.cumprod((shape[1:] + (1,))[::-1])[::-1]
+        offsets = np.zeros(1, dtype=np.int64)
+        for s in strides:
+            offsets = (offsets[:, None] + np.array([0, s], dtype=np.int64)).ravel()
+        self.offsets = offsets[:, None]
+        # all weight on corner 0 for out-of-domain points, whose value is replaced
+        self.outside_weights = np.zeros((offsets.size, 1))
+        self.outside_weights[0] = 1.0
+
+
+def _interp_weights(layout: _CornerLayout, pts):
     """Corner indices, weights, and out-of-domain mask for multilinear interpolation.
 
     Uses searchsorted so that queries at node coordinates produce exact 0/1
-    weights (node values are reproduced bit-for-bit).
+    weights (node values are reproduced bit-for-bit). A corner weight is the
+    product of its per-dimension factors taken in dimension order. Indices
+    and weights have one row per corner and one column per point; ``outside``
+    masks the points outside the domain, or is None when there are none.
     """
     pts = np.asarray(pts, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != len(shape):
+    if pts.ndim != 2 or pts.shape[1] != len(layout.shape):
         raise ValueError("query points must have shape (N, dim)")
-    n_pts, k = pts.shape
-    idx = np.empty((n_pts, k), dtype=np.int64)
-    frac = np.empty((n_pts, k), dtype=np.float64)
-    oob = np.zeros(n_pts, dtype=bool)
-    for j, c in enumerate(axes):
-        q = pts[:, j]
-        with np.errstate(invalid="ignore"):
-            oob |= ~((q >= c[0]) & (q <= c[-1]))
-        i = np.clip(np.searchsorted(c, q, side="right") - 1, 0, len(c) - 2)
-        idx[:, j] = i
-        with np.errstate(invalid="ignore"):
-            frac[:, j] = (q - c[i]) / (c[i + 1] - c[i])
-    frac[oob] = 0.0
-    strides = np.ones(k, dtype=np.int64)
-    for j in range(k - 2, -1, -1):
-        strides[j] = strides[j + 1] * shape[j + 1]
-    base = idx @ strides
-    corner_idx = np.empty((n_pts, 1 << k), dtype=np.int64)
-    weights = np.empty((n_pts, 1 << k), dtype=np.float64)
-    for m, bits in enumerate(product((0, 1), repeat=k)):
-        offset = int(sum(b * s for b, s in zip(bits, strides)))
-        w = np.ones(n_pts)
-        for j, b in enumerate(bits):
-            w = w * (frac[:, j] if b else 1.0 - frac[:, j])
-        corner_idx[:, m] = base + offset
-        weights[:, m] = w
-    return corner_idx, weights, oob
-
-
-def _apply_interp(values, corner_idx, weights, oob, oodv):
-    # zero-weight corners are masked so a -inf sentinel next to a cell cannot
-    # poison finite interpolation through 0 * inf = nan
+    n_pts = pts.shape[0]
     with np.errstate(invalid="ignore"):
-        terms = np.where(weights > 0.0, weights * values[corner_idx], 0.0)
-    out = terms.sum(axis=1)
-    if oob.any():
-        out = np.where(oob, oodv, out)
+        for j, (c, n) in enumerate(zip(layout.axes, layout.shape)):
+            q = pts[:, j]
+            i = np.searchsorted(layout.interior[j], q, side="right")
+            pair = np.empty((2, n_pts))
+            np.divide(q - c[i], layout.spacing[j][i], out=pair[1])
+            np.subtract(1.0, pair[1], out=pair[0])
+            if j == 0:
+                inside = (q >= c[0]) & (q <= c[-1])
+                base, weights = i, pair
+            else:
+                inside &= (q >= c[0]) & (q <= c[-1])
+                base = base * n + i
+                weights = (weights[:, None] * pair[None]).reshape(2 << j, n_pts)
+    outside = None
+    if np.count_nonzero(inside) < n_pts:
+        outside = ~inside
+        weights[:, outside] = layout.outside_weights
+    return layout.offsets + base, weights, outside
+
+
+def _sum_corners(terms: np.ndarray) -> np.ndarray:
+    """Sum over the corner rows, bit for bit equal to numpy's row sums of the
+    (points, corners) array.
+
+    numpy sums a row of 2 or 4 doubles left to right and a row of 8 as
+    ((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7)), both starting from +0.0 (so a row
+    of -0.0 sums to +0.0); tests pin this order. Other widths go to numpy.
+    """
+    k = terms.shape[0]
+    if k == 8:
+        t = terms
+        out = ((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7]))
+    elif k in (2, 4):
+        out = terms[0] + terms[1]
+        for row in terms[2:]:
+            out += row
+    else:
+        return np.ascontiguousarray(terms.T).sum(axis=1)
+    out += 0.0
+    return out
+
+
+def _apply_interp(values, corner_idx, weights, outside, oodv, unweighted=None):
+    """Interpolated values; ``unweighted`` selects, in the flattened terms, the
+    corners whose weight is not positive (computed here when not given)."""
+    # zero-weight corner terms are set to +0.0 so a -inf sentinel next to a
+    # cell cannot poison finite interpolation through 0 * inf = nan
+    if unweighted is None:
+        unweighted = ~(weights > 0.0).reshape(-1)
+    with np.errstate(invalid="ignore"):
+        terms = weights * values[corner_idx]
+    terms.reshape(-1)[unweighted] = 0.0
+    out = _sum_corners(terms)
+    if outside is not None:
+        out[outside] = oodv
     return out
 
 
@@ -179,7 +231,9 @@ def _candidate_plans(model, grid, u_candidates, d_candidates):
         per_u = []
         for d in d_candidates:
             pts = _batch_next_states(model, grid.nodes, u, d)
-            per_u.append(_interp_weights(grid.axes, grid.shape, pts))
+            ci, w, outside = _interp_weights(grid.corners, pts)
+            # weights are fixed across backups; index their zero terms once
+            per_u.append((ci, w, outside, np.flatnonzero(~(w > 0.0))))
         plans.append(per_u)
     return plans
 
@@ -188,8 +242,8 @@ def _backward_kernel(values, g_values, plans, oodv):
     best = None
     for per_u in plans:
         worst = None
-        for ci, w, oob in per_u:
-            vals = _apply_interp(values, ci, w, oob, oodv)
+        for ci, w, outside, unweighted in per_u:
+            vals = _apply_interp(values, ci, w, outside, oodv, unweighted)
             worst = vals if worst is None else np.minimum(worst, vals)
         best = worst if best is None else np.maximum(best, worst)
     return np.minimum(g_values, best)
@@ -477,7 +531,15 @@ def save_value_grid(grid: ValueGrid, path) -> None:
         f.write(np.ascontiguousarray(grid.values, dtype="<f8").tobytes())
 
 
+def _header_numbers(fields, kind, what):
+    try:
+        return [kind(v) for v in fields]
+    except ValueError:
+        raise ValueError(f"grid file header: {what} must be numbers") from None
+
+
 def load_value_grid(path) -> ValueGrid:
+    """Read a grid file; a malformed file raises ``ValueError`` naming the problem."""
     with open(path, "rb") as f:
         header = bytearray()
         while True:
@@ -487,23 +549,32 @@ def load_value_grid(path) -> ValueGrid:
             if b == b"\n":
                 break
             header += b
-        fields = header.decode("ascii").split(" ")
+        try:
+            fields = header.decode("ascii").split(" ")
+        except UnicodeDecodeError:
+            raise ValueError("grid file header is not ASCII text") from None
         if fields[0] != _MAGIC:
-            raise ValueError(f"not a value grid file (magic {fields[0]!r})")
-        if int(fields[1]) != _FORMAT_VERSION:
-            raise ValueError(f"unsupported grid file version {fields[1]}")
-        dim = int(fields[2])
-        pos = 3
-        shape = tuple(int(v) for v in fields[pos : pos + dim])
-        pos += dim
-        lower = [float(v) for v in fields[pos : pos + dim]]
-        pos += dim
-        upper = [float(v) for v in fields[pos : pos + dim]]
-        pos += dim
-        oodv = float(fields[pos])
-        count = int(np.prod(shape))
+            raise ValueError(f"not a value grid file (magic {fields[0][:40]!r})")
+        if len(fields) < 4:
+            raise ValueError(f"grid file header has only {len(fields)} fields")
+        version, dim = _header_numbers(fields[1:3], int, "version and dimension")
+        if version != _FORMAT_VERSION:
+            raise ValueError(f"unsupported grid file version {version}")
+        if dim < 1 or len(fields) != 4 + 3 * dim:
+            raise ValueError(
+                f"grid file header has {len(fields)} fields; dimension {dim} needs "
+                f"{4 + 3 * max(dim, 1)}"
+            )
+        shape = tuple(_header_numbers(fields[3 : 3 + dim], int, "shape"))
+        bounds = _header_numbers(fields[3 + dim :], float, "bounds and sentinel")
+        if any(n < 2 for n in shape):
+            raise ValueError(f"grid file shape {shape} needs at least 2 nodes per dimension")
+        count = math.prod(shape)
+        # check the size first, so a corrupt shape cannot ask for a huge read
+        if 8 * count > os.fstat(f.fileno()).st_size - f.tell():
+            raise ValueError("truncated grid file: missing node values")
         raw = f.read(8 * count)
         if len(raw) != 8 * count:
             raise ValueError("truncated grid file: missing node values")
         values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return ValueGrid(Box(lower, upper), shape, values, oodv)
+    return ValueGrid(Box(bounds[:dim], bounds[dim : 2 * dim]), shape, values, bounds[-1])

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from safefilter.cli import (
@@ -172,3 +173,53 @@ def test_run_other_stock_configs(tmp_path, capsys):
         )
         assert code == EXIT_OK, name
         assert summary["violations"] == 0, name
+
+
+def test_threaded_run_solves_once_and_matches_serial(tmp_path, capsys, wall_cfg, monkeypatch):
+    import safefilter.config as config
+
+    calls = []
+    solve = config.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(config, "solve", counting_solve)
+    serial, threaded = tmp_path / "serial", tmp_path / "threaded"
+    assert main(["run", "--config", wall_cfg, "--out", str(serial), "--threads", "1"]) == EXIT_OK
+    assert len(calls) == 1
+    assert main(["run", "--config", wall_cfg, "--out", str(threaded), "--threads", "2"]) == EXIT_OK
+    assert len(calls) == 2  # one solve per run, not one per seed
+    capsys.readouterr()
+    names = sorted(p.name for p in serial.glob("*.csv"))
+    assert names == sorted(p.name for p in threaded.glob("*.csv"))
+    assert "metrics.csv" in names and "episode_4.csv" in names
+    for name in names:
+        assert (serial / name).read_bytes() == (threaded / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"SAFEFILTER-VALUEGRID 1 2 61\n",  # truncated header
+        None,  # missing file
+        bytes(np.random.default_rng(0).integers(0, 256, 512, dtype=np.uint8)),  # garbage
+    ],
+    ids=["truncated_header", "missing", "garbage"],
+)
+def test_unreadable_value_grid_is_config_error(tmp_path, capsys, wall_cfg, content):
+    import yaml
+
+    cfg = yaml.safe_load(Path(wall_cfg).read_text())
+    cfg["filter"] = {"kind": "least_restrictive", "value_grid": "v.grid"}
+    path = tmp_path / "grid_file.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    if content is not None:
+        (tmp_path / "v.grid").write_bytes(content)
+    code, summary = run_cli(
+        capsys, "run", "--config", str(path), "--out", str(tmp_path / "o"), "--seed", "0"
+    )
+    assert code == EXIT_CONFIG
+    assert summary["error"] == "config"
+    assert "v.grid" in summary["message"]

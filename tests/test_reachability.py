@@ -337,3 +337,24 @@ def test_grid_box_min_edge_cases():
     assert grid_box_min(grid, Box([0.5], [2.0])) == grid.out_of_domain_value
     assert grid_box_min(grid, Box([0.0], [1.0], empty=True)) == math.inf
     assert grid_box_min(grid, Box([0.0], [1.0])) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "header, match",
+    [
+        (b"SAFEFILTER-VALUEGRID 1 2 61\n", "fields"),
+        (b"SAFEFILTER-VALUEGRID\n", "fields"),
+        (b"SAFEFILTER-VALUEGRID 1 x 2 0.0 1.0 -inf\n", "version and dimension"),
+        (b"SAFEFILTER-VALUEGRID 1 1 two 0.0 1.0 -inf\n", "shape"),
+        (b"SAFEFILTER-VALUEGRID 1 1 2 0.0 one -inf\n", "bounds"),
+        (b"SAFEFILTER-VALUEGRID 1 1 1 0.0 1.0 -inf\n", "2 nodes"),
+        (b"SAFEFILTER-VALUEGRID 1 1 2 0.0 1.0 -inf\n", "missing node values"),
+        (b"SAFEFILTER-VALUEGRID 1 1 99999999999999 0.0 1.0 -inf\n", "missing node values"),
+        (b"\xff\xfe 1 1 2\n", "ASCII"),
+    ],
+)
+def test_grid_file_rejects_malformed_header(tmp_path, header, match):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(header + b"\x00" * 8)
+    with pytest.raises(ValueError, match=match):
+        load_value_grid(path)
