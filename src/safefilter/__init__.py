@@ -97,7 +97,6 @@ from .harness import (
     replay_states,
     run_episode,
     run_scenario,
-    run_scenario_parallel,
     separation_experiment,
     write_decisions_csv,
     zero_disturbance,

@@ -5,23 +5,23 @@ the control for control-affine models, so the minimal-deviation program
 
     min 0.5 ||u - u_task||^2   s.t.  decrease condition,  u in control box
 
-is solved exactly by enumerating active sets over the box faces combined with
-the single halfspace (fine for the low control dimensions used here).
+is solved exactly by the dual active-set QP solver of ``qp.py`` over the
+halfspace row and the box rows, after a support check for infeasibility and a
+pass-through for candidates that already satisfy every row.
 
 The condition is enforced at discrete control cycles; the integration error of
 h between cycles is not compensated, only bounded: see euler_slack_bound.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable
 
 import numpy as np
 
 from .dynamics import SystemModel
 from .filters import Monitor, SafetyFilter
+from .qp import InfeasibleQP, solve_qp
 
 _FEAS_TOL = 1e-9
 
@@ -80,10 +80,9 @@ def cbf_constraint(model: SystemModel, b: BarrierFunction, x, u) -> float:
 def _project_halfspace_box(u_task, a, rhs, lo, hi):
     """Exact solution of min 0.5||u - u_task||^2 s.t. a.u >= rhs, lo <= u <= hi.
 
-    Enumerates all box-face patterns with the halfspace active or inactive;
-    the true optimum's active set is among them, so the best feasible
-    candidate is the optimum. Returns None when the program is infeasible.
-    Returns u_task itself (same object) when it is already feasible.
+    Solved with the dual active-set QP over the halfspace row and the box rows.
+    Returns None when the program is infeasible. Returns u_task itself (same
+    object) when it is already feasible.
     """
     m = u_task.size
     support = float(np.sum(np.where(a >= 0, a * hi, a * lo)))
@@ -91,48 +90,13 @@ def _project_halfspace_box(u_task, a, rhs, lo, hi):
         return None
     if np.all(u_task >= lo) and np.all(u_task <= hi) and float(a @ u_task) >= rhs - _FEAS_TOL:
         return u_task
-
-    def feasible(u):
-        return (
-            np.all(u >= lo - _FEAS_TOL)
-            and np.all(u <= hi + _FEAS_TOL)
-            and float(a @ u) >= rhs - _FEAS_TOL
-        )
-
-    best = None
-    best_obj = math.inf
-    for pattern in product((0, 1, 2), repeat=m):  # 0 free, 1 at lower, 2 at upper
-        u = np.empty(m)
-        free = []
-        for j, p in enumerate(pattern):
-            if p == 0:
-                free.append(j)
-            else:
-                u[j] = lo[j] if p == 1 else hi[j]
-        free = np.asarray(free, dtype=int)
-        # halfspace inactive: free coordinates sit at the unconstrained optimum
-        u_a = u.copy()
-        u_a[free] = u_task[free]
-        for cand in (u_a,):
-            if feasible(cand):
-                obj = float(np.sum((cand - u_task) ** 2))
-                if obj < best_obj - 1e-15:
-                    best_obj, best = obj, cand
-        # halfspace active: project the free block onto a.u = rhs
-        if free.size:
-            a_f = a[free]
-            denom = float(a_f @ a_f)
-            if denom > 0.0:
-                fixed = np.asarray([j for j in range(m) if j not in set(free.tolist())], dtype=int)
-                residual = rhs - (float(a[fixed] @ u[fixed]) if fixed.size else 0.0)
-                lam = (residual - float(a_f @ u_task[free])) / denom
-                u_b = u.copy()
-                u_b[free] = u_task[free] + lam * a_f
-                if feasible(u_b):
-                    obj = float(np.sum((u_b - u_task) ** 2))
-                    if obj < best_obj - 1e-15:
-                        best_obj, best = obj, u_b
-    return best
+    eye = np.eye(m)
+    rows = np.vstack([a, eye, -eye])
+    offsets = np.concatenate([[rhs], lo, -hi])
+    try:
+        return solve_qp(eye, -u_task, rows, offsets)
+    except InfeasibleQP:
+        return None
 
 
 class CBFQPFilter(SafetyFilter):
@@ -166,7 +130,7 @@ class CBFQPFilter(SafetyFilter):
         box = self.model.control_set
         return np.where(a > 0, box.upper, np.where(a < 0, box.lower, box.center))
 
-    def intervene(self, x, u_task) -> np.ndarray:
+    def intervene(self, x, u_task, monitor_value=None) -> np.ndarray:
         self.last_degraded = False
         x = np.asarray(x, dtype=np.float64)
         u_task = np.atleast_1d(np.asarray(u_task, dtype=np.float64))

@@ -11,8 +11,7 @@ Exit codes (stable contract):
 
 The last stdout line of every command is a single machine-readable JSON
 object summarizing the outcome. All inputs come from files and flags; there
-is no network access. Thread count comes from --threads or the
-SAFEFILTER_THREADS environment variable.
+is no network access.
 """
 from __future__ import annotations
 
@@ -37,7 +36,7 @@ from .config import (
 )
 from .dynamics import discretize_box
 from .filters import BudgetExceededError, DeploymentRejected, verify_monitor_soundness
-from .harness import Scenario, compare_filters, run_scenario_parallel, write_decisions_csv
+from .harness import Scenario, compare_filters, run_scenario, write_decisions_csv
 from .reachability import save_value_grid, solve
 from .tube_mpc import TubeMPCFilter
 
@@ -58,13 +57,6 @@ def _out_dir(cfg: dict, args) -> str:
     out = args.out or cfg.get("output", {}).get("directory", "out")
     os.makedirs(out, exist_ok=True)
     return out
-
-
-def _thread_count(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("SAFEFILTER_THREADS")
-    return max(1, int(env)) if env else 1
 
 
 def _build_common(cfg: dict, config_path: str):
@@ -135,27 +127,14 @@ def _build_run_pieces(cfg: dict, config_path: str):
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    model, _margin, margin_cfg, grid_settings, base_dir, hs, bundle, scenario = (
+    model, _margin, _margin_cfg, _grid_settings, _base_dir, hs, bundle, scenario = (
         _build_run_pieces(cfg, args.config)
     )
     out = _out_dir(cfg, args)
     seeds = [args.seed] if args.seed is not None else hs.seeds
-    threads = _thread_count(args)
-    if args.verbose and threads <= 1 and isinstance(bundle.filter, TubeMPCFilter):
+    if args.verbose and isinstance(bundle.filter, TubeMPCFilter):
         bundle.filter.plan_log_dir = out
-
-    def factory():
-        # a fresh filter per worker around the one solved or loaded grid
-        fresh = build_filter(
-            cfg.get("filter", {"kind": "none"}), model, _margin, margin_cfg,
-            grid_settings, base_dir, grid=bundle.grid,
-        )
-        return fresh.filter
-
-    if threads <= 1:
-        factory = lambda: bundle.filter  # noqa: E731 - reuse the built filter serially
-
-    results = run_scenario_parallel(model, factory, scenario, seeds, threads)
+    results = run_scenario(model, bundle.filter, scenario, seeds)
     total_violations = 0
     rows = []
     for seed, (traj, metrics) in zip(seeds, results):
@@ -346,8 +325,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="YAML run configuration")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="override the seed list")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: SAFEFILTER_THREADS or 1)")
         p.add_argument("--verbose", action="store_true")
         p.set_defaults(fn=fn)
     return parser

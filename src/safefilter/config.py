@@ -290,17 +290,17 @@ def build_filter(
     margin_cfg: dict,
     grid_settings: Optional[GridSettings],
     base_dir: str = ".",
-    grid: Optional[ValueGrid] = None,
 ) -> FilterBundle:
     """Build the configured filter.
 
     A filter that needs a value grid solves it, or loads ``filter.value_grid``,
-    once; pass ``grid`` to build around an already solved or loaded one.
+    once.
     """
     kind = _require(cfg, "kind", "filter")
     if kind not in _FILTER_KEYS:
         raise ConfigError(f"unknown filter.kind {kind!r}")
     _check_keys(cfg, _FILTER_KEYS[kind], "filter")
+    grid = None
 
     def _grid():
         nonlocal grid

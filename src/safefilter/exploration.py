@@ -251,12 +251,6 @@ class ExplorationFilter(SafetyFilter):
             current = after
         return 1.0 if np.all(np.abs(current[2:]) <= _REST_EPS) else -1.0
 
-    def intervene(self, x, u) -> np.ndarray:
-        self.last_degraded = False
-        if self._monitor_value(x, u) >= 0.0:
-            return u
-        return self._braking(x)
-
 
 def exploration_filter(
     robot_model: SystemModel,

@@ -58,7 +58,12 @@ class FilterDecision:
 
 
 class SafetyFilter:
-    """Monitor + fallback policy + intervention scheme.
+    """Monitor + fallback policy + switch intervention.
+
+    ``intervene`` passes the candidate when the monitor value is nonnegative
+    and applies the fallback otherwise; this is the whole least-restrictive,
+    MPS and exploration scheme. Filters with another intervention (CBF-QP
+    projection, tube MPC replanning) override it.
 
     Immutable after construction apart from per-episode bookkeeping
     (``last_degraded`` and any state handled by ``reset``/``observe``), which
@@ -69,18 +74,23 @@ class SafetyFilter:
         self,
         monitor: Monitor,
         fallback: Callable[[np.ndarray], np.ndarray],
-        intervene: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
         name: str = "",
     ):
         self.monitor = monitor
         self.fallback = fallback
-        self._intervene = intervene
         self.name = name
         self.last_degraded = False
 
-    def intervene(self, eta, u) -> np.ndarray:
+    def intervene(self, eta, u, monitor_value: float | None = None) -> np.ndarray:
+        """Return ``u`` itself when the monitor value is nonnegative, else the
+        fallback control. ``decide`` passes the value it already evaluated;
+        when it is omitted the monitor is evaluated here."""
         self.last_degraded = False
-        return self._intervene(eta, u)
+        if monitor_value is None:
+            monitor_value = self.monitor(eta, u)
+        if monitor_value >= 0.0:
+            return u
+        return self.fallback(eta)
 
     def reset(self, x0=None) -> None:
         """Clear per-episode state; called once before each episode."""
@@ -108,47 +118,22 @@ def least_restrictive_filter(
         raise ValueError("candidate lists must be nonempty")
     fallback = optimal_safety_policy(model, grid, u_candidates, d_candidates)
     d_lattice = stack_candidates(d_candidates)
-    last = {}
 
     def evaluate(x, u):
-        # decide() evaluates the monitor and then intervenes on the same
-        # (x, u) pair, so cache the last query
         x = np.asarray(x, dtype=np.float64)
         u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-        key = (x.tobytes(), u.tobytes())
-        if last.get("key") != key:
-            last["key"] = key
-            # worst_case_next_value, on the lattice stacked once above
-            last["value"] = float(successor_values(model, grid, x, u[None], d_lattice).min())
-        return last["value"]
+        # worst_case_next_value, on the lattice stacked once above
+        return float(successor_values(model, grid, x, u[None], d_lattice).min())
 
     monitor = Monitor(evaluate, name="worst_case_next_value")
-
-    flt = SafetyFilter(monitor, fallback, name="least_restrictive")
-
-    def intervene(x, u):
-        flt.last_degraded = False
-        if monitor(x, u) >= 0.0:
-            return u
-        return fallback(x)
-
-    flt._intervene = intervene
-    return flt
+    return SafetyFilter(monitor, fallback, name="least_restrictive")
 
 
 def passthrough_filter(model: SystemModel, name: str = "passthrough") -> SafetyFilter:
-    """Identity intervention with a vacuous monitor; the unfiltered baseline."""
+    """Vacuous monitor, so the switch always passes; the unfiltered baseline."""
     u_rest = model.control_set.center
-
     monitor = Monitor(lambda x, u: 0.0, name="vacuous")
-    flt = SafetyFilter(monitor, lambda x: u_rest.copy(), name=name)
-
-    def intervene(x, u):
-        flt.last_degraded = False
-        return u
-
-    flt._intervene = intervene
-    return flt
+    return SafetyFilter(monitor, lambda x: u_rest.copy(), name=name)
 
 
 def decide(flt: SafetyFilter, x, u_task) -> FilterDecision:
@@ -156,7 +141,9 @@ def decide(flt: SafetyFilter, x, u_task) -> FilterDecision:
     x = np.asarray(x, dtype=np.float64)
     u_task = np.atleast_1d(np.asarray(u_task, dtype=np.float64))
     monitor_value = flt.monitor(x, u_task)
-    applied = np.atleast_1d(np.asarray(flt.intervene(x, u_task), dtype=np.float64))
+    applied = np.atleast_1d(
+        np.asarray(flt.intervene(x, u_task, monitor_value), dtype=np.float64)
+    )
     return FilterDecision(
         candidate=u_task,
         applied=applied,

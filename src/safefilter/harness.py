@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -402,28 +401,6 @@ def run_scenario(
         )
         for seed in seeds
     ]
-
-
-def run_scenario_parallel(
-    model: SystemModel,
-    filter_factory: Callable[[], SafetyFilter],
-    scenario: Scenario,
-    seeds: Sequence[int],
-    threads: int = 1,
-) -> list[tuple[Trajectory, EpisodeMetrics]]:
-    """Parallel episodes; each worker gets its own filter instance so mutable
-    per-episode state is confined to one thread. Results are ordered by seed."""
-    seeds = list(seeds)
-    if threads <= 1:
-        return run_scenario(model, filter_factory(), scenario, seeds)
-
-    def one(seed: int):
-        return seed, run_scenario(model, filter_factory(), scenario, [seed])[0]
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(one, seeds))
-    results.sort(key=lambda pair: seeds.index(pair[0]))
-    return [r for _, r in results]
 
 
 def compare_filters(

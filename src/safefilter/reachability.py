@@ -196,14 +196,15 @@ def safe_membership(grid: ValueGrid, x) -> bool:
 
 
 def _eval_on_nodes(fn: Callable, nodes: np.ndarray) -> np.ndarray:
-    """Evaluate a state function on all nodes, batched when supported."""
-    try:
-        out = np.asarray(fn(nodes), dtype=np.float64)
-        if out.shape == (nodes.shape[0],):
-            return out
-    except Exception:
-        pass
-    return np.array([float(fn(x)) for x in nodes], dtype=np.float64)
+    """Evaluate a margin on all nodes in one call; like ``step``, margins must
+    broadcast over a batch of states (N, n) and return shape (N,)."""
+    out = np.asarray(fn(nodes), dtype=np.float64)
+    if out.shape != (nodes.shape[0],):
+        raise ValueError(
+            f"margin {getattr(fn, 'name', fn)!r}: returned shape {out.shape} for "
+            f"{nodes.shape[0]} states; margins must broadcast over a batch of states"
+        )
+    return out
 
 
 def _batch_next_states(model: SystemModel, x: np.ndarray, u, d) -> np.ndarray:
@@ -517,6 +518,7 @@ def grid_box_min(grid: ValueGrid, box: Box) -> float:
 
 _MAGIC = "SAFEFILTER-VALUEGRID"
 _FORMAT_VERSION = 1
+_MAX_HEADER_BYTES = 64 * 1024  # far above any real header; caps the read of a corrupt one
 
 
 def save_value_grid(grid: ValueGrid, path) -> None:
@@ -541,16 +543,13 @@ def _header_numbers(fields, kind, what):
 def load_value_grid(path) -> ValueGrid:
     """Read a grid file; a malformed file raises ``ValueError`` naming the problem."""
     with open(path, "rb") as f:
-        header = bytearray()
-        while True:
-            b = f.read(1)
-            if not b:
-                raise ValueError("truncated grid file: missing header newline")
-            if b == b"\n":
-                break
-            header += b
+        header = f.readline(_MAX_HEADER_BYTES)
+        if not header.endswith(b"\n"):
+            if len(header) == _MAX_HEADER_BYTES:
+                raise ValueError(f"grid file header exceeds {_MAX_HEADER_BYTES} bytes")
+            raise ValueError("truncated grid file: missing header newline")
         try:
-            fields = header.decode("ascii").split(" ")
+            fields = header[:-1].decode("ascii").split(" ")
         except UnicodeDecodeError:
             raise ValueError("grid file header is not ASCII text") from None
         if fields[0] != _MAGIC:

@@ -145,29 +145,12 @@ def mps_filter(
     fb = _as_fallback(fallback)
     if not failure_margin.has_box_lower:
         raise ValueError("shielding needs a margin with a sound box lower bound")
-    last = {}
 
     def evaluate(x, u):
-        # one tube propagation per (x, u): decide() evaluates the monitor and
-        # then intervenes on the same pair, so cache the last query
-        key = (np.asarray(x, dtype=np.float64).tobytes(),
-               np.atleast_1d(np.asarray(u, dtype=np.float64)).tobytes())
-        if last.get("key") != key:
-            last["key"] = key
-            last["value"] = mps_monitor(model, fb, terminal, failure_margin, x, u, horizon)
-        return last["value"]
+        return mps_monitor(model, fb, terminal, failure_margin, x, u, horizon)
 
     monitor = Monitor(evaluate, name="fallback_tube_check")
-    flt = SafetyFilter(monitor, fb.policy, name="mps")
-
-    def intervene(x, u):
-        flt.last_degraded = False
-        if monitor(x, u) >= 0.0:
-            return u
-        return fb.policy(x)
-
-    flt._intervene = intervene
-    return flt
+    return SafetyFilter(monitor, fb.policy, name="mps")
 
 
 # --- braking fallback and terminal set for the double integrator ------------

@@ -275,13 +275,12 @@ class TubeMPCFilter(SafetyFilter):
         self._last_query = (x.tobytes(), u.tobytes(), plan)
         return 0.5 if plan is not None else -0.5
 
-    def _cached_query(self, x, u):
-        if self._last_query is None:
-            return None
-        xb, ub, plan = self._last_query
-        if xb == x.tobytes() and ub == u.tobytes():
-            return plan
-        return None
+    def _pinned_plan(self, x, u):
+        """The pinned plan for (x, u); reuses the monitor's solve of the same
+        query, whether that found a plan or proved the candidate infeasible."""
+        if self._last_query is not None and self._last_query[:2] == (x.tobytes(), u.tobytes()):
+            return self._last_query[2]
+        return self._solve_plan(x, u, pin_first=True)
 
     def _shifted_control(self, x: np.ndarray, advance: bool) -> np.ndarray:
         plan = self._plan
@@ -310,13 +309,11 @@ class TubeMPCFilter(SafetyFilter):
         self._plan = plan
         return plan.controls[0].copy()
 
-    def intervene(self, x, u_task) -> np.ndarray:
+    def intervene(self, x, u_task, monitor_value=None) -> np.ndarray:
         self.last_degraded = False
         x = np.asarray(x, dtype=np.float64)
         u_task = np.atleast_1d(np.asarray(u_task, dtype=np.float64))
-        plan = self._cached_query(x, u_task)
-        if plan is None:
-            plan = self._solve_plan(x, u_task, pin_first=True)
+        plan = self._pinned_plan(x, u_task)
         if plan is not None:
             plan.age = 1
             self._plan = plan

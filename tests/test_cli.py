@@ -175,30 +175,6 @@ def test_run_other_stock_configs(tmp_path, capsys):
         assert summary["violations"] == 0, name
 
 
-def test_threaded_run_solves_once_and_matches_serial(tmp_path, capsys, wall_cfg, monkeypatch):
-    import safefilter.config as config
-
-    calls = []
-    solve = config.solve
-
-    def counting_solve(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(config, "solve", counting_solve)
-    serial, threaded = tmp_path / "serial", tmp_path / "threaded"
-    assert main(["run", "--config", wall_cfg, "--out", str(serial), "--threads", "1"]) == EXIT_OK
-    assert len(calls) == 1
-    assert main(["run", "--config", wall_cfg, "--out", str(threaded), "--threads", "2"]) == EXIT_OK
-    assert len(calls) == 2  # one solve per run, not one per seed
-    capsys.readouterr()
-    names = sorted(p.name for p in serial.glob("*.csv"))
-    assert names == sorted(p.name for p in threaded.glob("*.csv"))
-    assert "metrics.csv" in names and "episode_4.csv" in names
-    for name in names:
-        assert (serial / name).read_bytes() == (threaded / name).read_bytes(), name
-
-
 @pytest.mark.parametrize(
     "content",
     [

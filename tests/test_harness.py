@@ -20,7 +20,6 @@ from safefilter import (
     random_disturbance,
     replay_states,
     run_episode,
-    run_scenario_parallel,
     separation_experiment,
     solve,
     write_decisions_csv,
@@ -196,26 +195,6 @@ def test_compare_filters_table(bench, tmp_path):
     header = (tmp_path / "comparison.csv").read_text().splitlines()[0]
     assert header.startswith("filter,violations,intervention_rate,task_cost")
     assert (tmp_path / "trace_least_restrictive.csv").exists()
-
-
-def test_parallel_matches_sequential(bench):
-    model, g, grid, u_cands, d_cands, flt = bench
-    scenario = Scenario(
-        x0=np.array([1.5, 0.0]),
-        steps=60,
-        failure_margin=g,
-        task_policy=margin_descent_policy(model, g, u_cands),
-        disturbance_policy=random_disturbance(model),
-    )
-
-    def factory():
-        return least_restrictive_filter(model, grid, u_cands, d_cands)
-
-    seq = run_scenario_parallel(model, factory, scenario, [3, 4, 5], threads=1)
-    par = run_scenario_parallel(model, factory, scenario, [3, 4, 5], threads=3)
-    for (t1, m1), (t2, m2) in zip(seq, par):
-        assert t1.states.tobytes() == t2.states.tobytes()
-        assert m1 == m2
 
 
 def test_decisions_csv(bench, tmp_path):

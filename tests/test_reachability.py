@@ -5,6 +5,7 @@ import pytest
 
 from safefilter import (
     Box,
+    MarginFunction,
     SystemModel,
     ValueGrid,
     backward_step,
@@ -260,6 +261,17 @@ def test_solve_validation():
         solve(model, g, (Box([0.0, -1.0], [1.0, 1.0]), (5, 5)), [3], [1], tolerance=-1.0)
 
 
+@pytest.mark.parametrize(
+    "fn", [lambda x: 1.0, lambda x: x[0] - 0.5], ids=["constant", "first_row"]
+)
+def test_solve_rejects_margin_that_does_not_broadcast(fn):
+    # margins are evaluated on all grid nodes in one call, like step
+    model = make_double_integrator(1.0, 0.0, 0.1)
+    g = MarginFunction(fn, name="scalar_only")
+    with pytest.raises(ValueError, match="margin 'scalar_only'.*must broadcast"):
+        solve(model, g, (Box([0.0, -1.0], [1.0, 1.0]), (5, 5)), [3], [1])
+
+
 # --- policy -------------------------------------------------------------------
 
 
@@ -351,6 +363,10 @@ def test_grid_box_min_edge_cases():
         (b"SAFEFILTER-VALUEGRID 1 1 2 0.0 1.0 -inf\n", "missing node values"),
         (b"SAFEFILTER-VALUEGRID 1 1 99999999999999 0.0 1.0 -inf\n", "missing node values"),
         (b"\xff\xfe 1 1 2\n", "ASCII"),
+        pytest.param(
+            b"SAFEFILTER-VALUEGRID " + b"1" * (64 * 1024), "header exceeds 65536 bytes",
+            id="no_newline_within_limit",
+        ),
     ],
 )
 def test_grid_file_rejects_malformed_header(tmp_path, header, match):

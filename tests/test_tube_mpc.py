@@ -5,6 +5,7 @@ from safefilter import (
     Box,
     DeploymentRejected,
     compute_tightening,
+    decide,
     make_linear_model,
     margin_halfspace,
     run_episode,
@@ -95,6 +96,24 @@ def test_monitor_is_plan_feasibility():
     assert flt.monitor(np.array([1.95]), np.array([1.0])) == -0.5
     # the monitor embeds stage-0 membership: already failing states are rejected
     assert flt.monitor(np.array([2.5]), np.array([0.0])) == -0.5
+
+
+def test_rejected_decide_solves_the_pinned_plan_once():
+    flt = scalar_filter()
+    flt.reset()
+    solves = []
+    solve_plan = flt._solve_plan
+
+    def counting(x, u_ref, pin_first):
+        solves.append(pin_first)
+        return solve_plan(x, u_ref, pin_first)
+
+    flt._solve_plan = counting
+    decision = decide(flt, np.array([1.95]), np.array([1.0]))
+    assert decision.overridden and not decision.degraded
+    # the monitor's pinned solve proved the candidate infeasible; only the
+    # minimal-deviation replan follows it
+    assert solves == [True, False]
 
 
 def test_optimization_type_intervention_minimal_deviation():
