@@ -82,7 +82,10 @@ def _project_halfspace_box(u_task, a, rhs, lo, hi):
 
     Solved with the dual active-set QP over the halfspace row and the box rows.
     Returns None when the program is infeasible. Returns u_task itself (same
-    object) when it is already feasible.
+    object) when it is already feasible. A right-hand side up to _FEAS_TOL
+    above the box support counts as feasible and yields the supporting corner,
+    and the result never leaves the box, although the QP accepts rows violated
+    by its own tolerance.
     """
     m = u_task.size
     support = float(np.sum(np.where(a >= 0, a * hi, a * lo)))
@@ -92,11 +95,12 @@ def _project_halfspace_box(u_task, a, rhs, lo, hi):
         return u_task
     eye = np.eye(m)
     rows = np.vstack([a, eye, -eye])
-    offsets = np.concatenate([[rhs], lo, -hi])
+    offsets = np.concatenate([[min(rhs, support)], lo, -hi])
     try:
-        return solve_qp(eye, -u_task, rows, offsets)
+        u = solve_qp(eye, -u_task, rows, offsets)
     except InfeasibleQP:
         return None
+    return np.clip(u, lo, hi)
 
 
 class CBFQPFilter(SafetyFilter):

@@ -139,6 +139,17 @@ def test_projection_constraint_independent_of_control():
     assert out is None
 
 
+@pytest.mark.parametrize("excess", [5e-11, 5e-10])
+def test_projection_rhs_within_tolerance_above_support_gives_exact_corner(excess):
+    # a right-hand side just above the box support is feasible up to the
+    # tolerance; the optimum is the supporting corner, and never outside the box
+    u = _project_halfspace_box(np.array([0.0]), np.array([1.0]), 1.0 + excess, np.array([-1.0]), np.array([1.0]))
+    assert u is not None and u[0] == 1.0
+    hi = np.array([1.0, 1.0])
+    u = _project_halfspace_box(np.array([0.2, -0.3]), np.array([1.0, 2.0]), 3.0 + excess, -hi, hi)
+    assert u is not None and np.all(u <= hi) and np.allclose(u, hi, rtol=0.0, atol=1e-12)
+
+
 # --- built-in barrier ---------------------------------------------------------
 
 
@@ -226,6 +237,17 @@ def test_infeasible_falls_back_to_max_decrease(di_cbf):
     assert u[0] == 1.0  # argmax of hdot is full braking for v<0
     decision = decide(flt, x, np.array([0.0]))
     assert decision.degraded and decision.overridden
+
+
+@pytest.mark.parametrize("depth", [1e-11, 1e-10])
+def test_state_just_past_barrier_boundary_gets_full_braking_unflagged(di_cbf, depth):
+    # h = -depth asks for kappa * depth more decrease than full braking gives
+    model, b, flt = di_cbf
+    x = np.array([0.5 - depth, -1.0])
+    decision = decide(flt, x, np.array([-1.0]))
+    assert decision.applied[0] == 1.0
+    assert decision.overridden and not decision.degraded
+    model.step(x, decision.applied, np.zeros(0))  # the control lies in the box
 
 
 def test_non_interference_when_monitor_passes(di_cbf):
