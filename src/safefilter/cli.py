@@ -103,14 +103,21 @@ def cmd_solve(args) -> int:
 
 
 def _build_run_pieces(cfg: dict, config_path: str):
+    """The model, harness settings, filter bundle and scenario of a run, and
+    ``build(filter_cfg)``, which builds another filter on the same model,
+    margin and grid settings, reusing the value grids built so far."""
     model, margin, margin_cfg, grid_settings, base_dir = _build_common(cfg, config_path)
     if "harness" not in cfg:
         raise ConfigError("missing config key 'harness'")
     hs = build_harness_settings(cfg["harness"])
-    bundle = build_filter(
-        cfg.get("filter", {"kind": "none"}), model, margin, margin_cfg,
-        grid_settings, base_dir,
-    )
+    grids = {}
+
+    def build(filter_cfg):
+        return build_filter(
+            filter_cfg, model, margin, margin_cfg, grid_settings, base_dir, grids=grids
+        )
+
+    bundle = build(cfg.get("filter", {"kind": "none"}))
     task = build_task_policy(hs.task_cfg, model, margin, grid_settings)
     dist = build_disturbance_policy(hs.disturbance_cfg, model, margin, bundle.grid, grid_settings)
     scenario = Scenario(
@@ -122,14 +129,12 @@ def _build_run_pieces(cfg: dict, config_path: str):
         goal=hs.scenario_goal,
         control_weight=hs.control_weight,
     )
-    return model, margin, margin_cfg, grid_settings, base_dir, hs, bundle, scenario
+    return model, hs, bundle, scenario, build
 
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    model, _margin, _margin_cfg, _grid_settings, _base_dir, hs, bundle, scenario = (
-        _build_run_pieces(cfg, args.config)
-    )
+    model, hs, bundle, scenario, _ = _build_run_pieces(cfg, args.config)
     out = _out_dir(cfg, args)
     seeds = [args.seed] if args.seed is not None else hs.seeds
     if args.verbose and isinstance(bundle.filter, TubeMPCFilter):
@@ -171,9 +176,7 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
-    model, margin, margin_cfg, grid_settings, base_dir, hs, _bundle, scenario = (
-        _build_run_pieces(cfg, args.config)
-    )
+    model, hs, _bundle, scenario, build = _build_run_pieces(cfg, args.config)
     compare_cfg = cfg.get("compare")
     if not compare_cfg or "filters" not in compare_cfg:
         raise ConfigError("compare needs a [compare] section with a filters list")
@@ -181,8 +184,7 @@ def cmd_compare(args) -> int:
     for i, entry in enumerate(compare_cfg["filters"]):
         if not isinstance(entry, dict) or "name" not in entry or "filter" not in entry:
             raise ConfigError(f"compare.filters[{i}] needs 'name' and 'filter'")
-        fb = build_filter(entry["filter"], model, margin, margin_cfg, grid_settings, base_dir)
-        named.append((str(entry["name"]), fb.filter))
+        named.append((str(entry["name"]), build(entry["filter"]).filter))
     out = _out_dir(cfg, args)
     seeds = [args.seed] if args.seed is not None else hs.seeds
     rows = compare_filters(model, named, scenario, seeds, out_dir=out)

@@ -290,11 +290,14 @@ def build_filter(
     margin_cfg: dict,
     grid_settings: Optional[GridSettings],
     base_dir: str = ".",
+    grids: Optional[dict] = None,
 ) -> FilterBundle:
     """Build the configured filter.
 
     A filter that needs a value grid solves it, or loads ``filter.value_grid``,
-    once.
+    once. ``grids`` maps a grid file path, or None for the solved grid, to a
+    grid already built for this model, margin and grid settings; the grid
+    built here is added to it, so filters built with one dict share a solve.
     """
     kind = _require(cfg, "kind", "filter")
     if kind not in _FILTER_KEYS:
@@ -310,7 +313,10 @@ def build_filter(
             path = cfg.get("value_grid")
             if path is not None:
                 path = os.path.join(base_dir, path)
-            grid, _ = solve_or_load_grid(model, margin, grid_settings, path)
+            built = {} if grids is None else grids
+            if path not in built:
+                built[path], _ = solve_or_load_grid(model, margin, grid_settings, path)
+            grid = built[path]
         return grid
 
     try:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
 
 from .dynamics import MarginFunction, SystemModel, step
 from .filters import (
@@ -332,6 +331,9 @@ class MonteCarloReport:
 
 def clopper_pearson(failures: int, n: int, confidence: float = 0.95) -> tuple[float, float]:
     """Exact binomial confidence interval; degenerate n gives the full [0, 1]."""
+    # scipy.stats takes about a second to import; only this function needs it
+    from scipy.stats import beta as _beta_dist
+
     if n < 1:
         raise ValueError("need at least one trial")
     alpha = 1.0 - confidence

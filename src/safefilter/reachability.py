@@ -86,6 +86,9 @@ class SolveReport:
     final_residual: float
     converged: bool
     wall_time: float
+    # one entry per backup: the sup-norm change, and the number of nodes backed up
+    residual_history: tuple[float, ...]
+    active_history: tuple[int, ...]
 
 
 class _CornerLayout:
@@ -146,26 +149,28 @@ def _interp_weights(layout: _CornerLayout, pts):
     return layout.offsets + base, weights, outside
 
 
-def _sum_corners(terms: np.ndarray) -> np.ndarray:
-    """Sum over the corner rows, bit for bit equal to numpy's row sums of the
-    (points, corners) array.
+def _sum_corners(terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum over the corner rows (axis 0), bit for bit equal to numpy's row sums
+    of the (points, corners) array.
 
     numpy sums a row of 2 or 4 doubles left to right and a row of 8 as
     ((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7)), both starting from +0.0 (so a row
     of -0.0 sums to +0.0); tests pin this order. Other widths go to numpy.
+    With ``out`` (which may be ``terms[0]``), the rows of ``terms`` serve as
+    scratch space; without it, ``terms`` is left as it is.
     """
     k = terms.shape[0]
+    if k not in (2, 4, 8):
+        return np.ascontiguousarray(np.moveaxis(terms, 0, -1)).sum(axis=-1, out=out)
+    t = terms if out is not None else terms.copy()
+    t0 = t[0]
     if k == 8:
-        t = terms
-        out = ((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7]))
-    elif k in (2, 4):
-        out = terms[0] + terms[1]
-        for row in terms[2:]:
-            out += row
+        for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+            np.add(t[a], t[b], out=t[a])
     else:
-        return np.ascontiguousarray(terms.T).sum(axis=1)
-    out += 0.0
-    return out
+        for row in t[1:]:
+            t0 += row
+    return np.add(t0, 0.0, out=t0 if out is None else out)
 
 
 def _apply_interp(values, corner_idx, weights, outside, oodv, unweighted=None):
@@ -178,7 +183,7 @@ def _apply_interp(values, corner_idx, weights, outside, oodv, unweighted=None):
     with np.errstate(invalid="ignore"):
         terms = weights * values[corner_idx]
     terms.reshape(-1)[unweighted] = 0.0
-    out = _sum_corners(terms)
+    out = _sum_corners(terms, out=terms[0])
     if outside is not None:
         out[outside] = oodv
     return out
@@ -226,34 +231,124 @@ def _batch_next_states(model: SystemModel, x: np.ndarray, u, d) -> np.ndarray:
 
 
 def _candidate_plans(model, grid, u_candidates, d_candidates):
-    """Precomputed interpolation stencils at f(node, u, d) for every candidate pair."""
-    plans = []
-    for u in u_candidates:
-        per_u = []
-        for d in d_candidates:
+    """Interpolation stencils at f(node, u, d) for every candidate pair, stacked:
+    corner indices and weights of shape (2^dim, |U|, |D|, N) and the
+    out-of-domain mask of shape (|U|, |D|, N)."""
+    n = grid.values.size
+    idx = np.empty((grid.corners.offsets.size, len(u_candidates), len(d_candidates), n),
+                   dtype=np.intp)
+    weights = np.empty(idx.shape)
+    outside = np.zeros(idx.shape[1:], dtype=bool)
+    for i, u in enumerate(u_candidates):
+        for j, d in enumerate(d_candidates):
             pts = _batch_next_states(model, grid.nodes, u, d)
-            ci, w, outside = _interp_weights(grid.corners, pts)
-            # weights are fixed across backups; index their zero terms once
-            per_u.append((ci, w, outside, np.flatnonzero(~(w > 0.0))))
-        plans.append(per_u)
-    return plans
+            idx[:, i, j], weights[:, i, j], out = _interp_weights(grid.corners, pts)
+            if out is not None:
+                outside[i, j] = out
+    return idx, weights, outside
 
 
-def _backward_kernel(values, g_values, plans, oodv):
-    best = None
-    for per_u in plans:
-        worst = None
-        for ci, w, outside, unweighted in per_u:
-            vals = _apply_interp(values, ci, w, outside, oodv, unweighted)
-            worst = vals if worst is None else np.minimum(worst, vals)
-        best = worst if best is None else np.maximum(best, worst)
-    return np.minimum(g_values, best)
+class _Backups:
+    """Backups of the min-max recursion on one grid, restricted to active nodes.
 
+    Built once per solve: the stacked candidate stencils, the reverse stencil
+    and work buffers sized for every node active. A backup gathers the
+    stencils of its active nodes into views of the buffers' active length and
+    computes, node by node, exactly what a backup of the whole grid computes:
+    the same corner order, min over d then max over u, sentinel overwrite,
+    margin cap and floor clamp.
+    """
 
-def _sup_change(old, new):
-    with np.errstate(invalid="ignore"):
-        diff = np.where(new == old, 0.0, np.abs(new - old))
-    return float(diff.max()) if diff.size else 0.0
+    def __init__(self, model, grid, u_candidates, d_candidates, g_values, floor):
+        self.idx, self.weights, self.outside = _candidate_plans(
+            model, grid, u_candidates, d_candidates
+        )
+        # weights are fixed across backups; index their zero terms once
+        self.unweighted = ~(self.weights > 0.0)
+        self.g_values = g_values
+        self.floor = floor
+        self.oodv = grid.out_of_domain_value
+        n = grid.values.size
+        self.all_nodes = np.arange(n)
+
+        # reverse stencil in CSR form: the nodes whose stencil reads node i are
+        # readers[first[i]:first[i + 1]], sorted and unique. Only in-domain
+        # corners of positive weight are reads: a zero-weight term is zeroed
+        # after the multiply and an out-of-domain value is overwritten.
+        reads = ~self.unweighted & ~self.outside
+        key = self.idx[reads] * n + np.broadcast_to(self.all_nodes, reads.shape)[reads]
+        key.sort()
+        key = key[np.flatnonzero(np.diff(key, prepend=-1))]
+        self.first = np.searchsorted(key, np.arange(n + 1) * n)
+        self.readers = key % n
+
+        self._idx = np.empty(self.idx.size, dtype=np.intp)
+        self._terms = np.empty(self.idx.size)
+        self._weights = np.empty(self.idx.size)
+        self._unweighted = np.empty(self.idx.size, dtype=bool)
+        self._outside = np.empty(self.outside.size, dtype=bool)
+        self._new, self._old, self._diff = np.empty(n), np.empty(n), np.empty(n)
+        self._mask = np.empty(n, dtype=bool)
+        self._pos = np.empty(key.size, dtype=np.intp)
+        self._read = np.empty(key.size, dtype=np.intp)
+
+    def _gather(self, plan, buf, active):
+        shape = plan.shape[:-1] + (active.size,)
+        out = buf[: math.prod(shape)].reshape(shape)
+        return np.take(plan, active, axis=-1, out=out, mode="clip")
+
+    def backup(self, values, active):
+        """Backed-up values of the ``active`` nodes, a view into a work buffer."""
+        idx = self._gather(self.idx, self._idx, active)
+        terms = np.take(values, idx, out=self._terms[: idx.size].reshape(idx.shape), mode="clip")
+        with np.errstate(invalid="ignore"):
+            np.multiply(self._gather(self.weights, self._weights, active), terms, out=terms)
+        # zero-weight corner terms are set to +0.0, as in _apply_interp
+        np.copyto(terms, 0.0, where=self._gather(self.unweighted, self._unweighted, active))
+        vals = _sum_corners(terms, out=terms[0])
+        np.copyto(vals, self.oodv, where=self._gather(self.outside, self._outside, active))
+        worst = vals[:, 0]
+        for j in range(1, vals.shape[1]):
+            np.minimum(worst, vals[:, j], out=worst)
+        best = worst[0]
+        for i in range(1, worst.shape[0]):
+            np.maximum(best, worst[i], out=best)
+        new = self._gather(self.g_values, self._new, active)
+        np.minimum(new, best, out=new)
+        return np.maximum(new, self.floor, out=new)
+
+    def sweep(self, values, active):
+        """Back up the ``active`` nodes in place in ``values``; returns the
+        sup-norm change and the nodes to back up next: those whose stencil
+        reads a value that changed bitwise."""
+        new = self.backup(values, active)
+        old = self._gather(values, self._old, active)
+        diff = np.subtract(new, old, out=self._diff[: active.size])
+        np.abs(diff, out=diff)
+        np.copyto(diff, 0.0, where=np.equal(new, old, out=self._mask[: active.size]))
+        residual = float(diff.max()) if active.size else 0.0
+        changed = active[np.not_equal(new.view(np.int64), old.view(np.int64),
+                                      out=self._mask[: active.size])]
+        values[active] = new
+        return residual, self._readers_of(changed)
+
+    def _readers_of(self, nodes):
+        start, stop = self.first[nodes], self.first[nodes + 1]
+        keep = stop > start
+        start, stop = start[keep], stop[keep]
+        if not start.size:
+            return start
+        # concatenate the ranges [start, stop) by a cumulative sum of steps
+        ends = np.cumsum(stop - start)
+        pos = self._pos[: ends[-1]]
+        pos.fill(1)
+        pos[0] = start[0]
+        pos[ends[:-1]] = start[1:] - stop[:-1] + 1
+        np.cumsum(pos, out=pos)
+        mask = self._mask
+        mask.fill(False)
+        mask[np.take(self.readers, pos, out=self._read[: pos.size], mode="clip")] = True
+        return np.flatnonzero(mask)
 
 
 def backward_step(
@@ -269,9 +364,8 @@ def backward_step(
     if v_next.domain.dim != model.state_dim:
         raise ValueError("grid dimension does not match model state dimension")
     g_values = _eval_on_nodes(g, v_next.nodes)
-    plans = _candidate_plans(model, v_next, u_candidates, d_candidates)
-    new_values = _backward_kernel(v_next.values, g_values, plans, v_next.out_of_domain_value)
-    return v_next.with_values(new_values)
+    backups = _Backups(model, v_next, u_candidates, d_candidates, g_values, -math.inf)
+    return v_next.with_values(backups.backup(v_next.values, backups.all_nodes))
 
 
 def _auto_padding(model, domain, shape, u_candidates, d_candidates, clamp_band):
@@ -366,16 +460,26 @@ def solve(
     g_values = np.minimum(g_values, face_margin)
     values = np.maximum(g_values, floor)
     work = ValueGrid(work_domain, work_shape, values, out_of_domain_value=floor)
-    plans = _candidate_plans(model, work, u_candidates, d_candidates)
+    backups = _Backups(model, work, u_candidates, d_candidates, g_values, floor)
 
+    # the first backup covers every node; each later one only the nodes whose
+    # stencil read a value that changed in the previous backup. Every other
+    # node would reproduce its value bit for bit, so it contributes exactly 0
+    # to the residual.
+    active = backups.all_nodes
+    # a NaN node value never changes back; once one exists, the residual over
+    # the whole grid is NaN whether or not that node is backed up
+    nan_seen = bool(np.isnan(values).any())
+    residuals, actives = [], []
     residual = math.inf
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        new_values = np.maximum(
-            _backward_kernel(values, g_values, plans, floor), floor
-        )
-        residual = _sup_change(values, new_values)
-        values = new_values
+        actives.append(active.size)
+        residual, active = backups.sweep(values, active)
+        if nan_seen:
+            residual = math.nan
+        nan_seen = math.isnan(residual)
+        residuals.append(residual)
         if residual <= tolerance:
             break
     wall = time.perf_counter() - start
@@ -400,6 +504,8 @@ def solve(
             final_residual=residual,
             converged=residual <= tolerance,
             wall_time=wall,
+            residual_history=tuple(residuals),
+            active_history=tuple(actives),
         ),
     )
 

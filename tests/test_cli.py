@@ -127,6 +127,43 @@ def test_compare_emits_row_per_filter(tmp_path, capsys, wall_cfg):
     assert summary["violations"] == 0
 
 
+def test_compare_solves_the_shared_grid_once(tmp_path, capsys, wall_cfg, monkeypatch):
+    import yaml
+
+    import safefilter.config as config
+
+    grid_dir = tmp_path / "grid"
+    assert main(["solve", "--config", wall_cfg, "--out", str(grid_dir)]) == EXIT_OK
+    capsys.readouterr()
+    solves = []
+    solve = config.solve
+    monkeypatch.setattr(config, "solve", lambda *a, **k: solves.append(a) or solve(*a, **k))
+    cfg = yaml.safe_load(Path(wall_cfg).read_text())
+    cfg["harness"]["steps"] = 40
+    cfg["harness"]["seeds"] = [0]
+    mps = {"kind": "mps", "horizon": 6, "fallback": {"kind": "optimal"},
+           "terminal": {"kind": "value_grid"}}
+    cfg["compare"] = {
+        "filters": [
+            {"name": "lr", "filter": {"kind": "least_restrictive"}},
+            {"name": "none", "filter": {"kind": "none"}},
+            {"name": "mps", "filter": mps},
+            # an entry with its own grid file loads it
+            {"name": "lr_file", "filter": {
+                "kind": "least_restrictive",
+                "value_grid": str(grid_dir / "value_function.grid")}},
+        ]
+    }
+    path = tmp_path / "compare.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    code, summary = run_cli(capsys, "compare", "--config", str(path), "--out", str(tmp_path / "o"))
+    # the unfiltered entry hits the wall under the adversarial task
+    assert code == EXIT_VIOLATIONS
+    assert summary["filters"] == ["lr", "none", "mps", "lr_file"]
+    # the run bundle's solve serves the lr and mps entries
+    assert len(solves) == 1
+
+
 def test_verify_stock_benchmark(tmp_path, capsys, wall_cfg):
     import yaml
 
