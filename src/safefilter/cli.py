@@ -119,7 +119,9 @@ def _build_run_pieces(cfg: dict, config_path: str):
 
     bundle = build(cfg.get("filter", {"kind": "none"}))
     task = build_task_policy(hs.task_cfg, model, margin, grid_settings)
-    dist = build_disturbance_policy(hs.disturbance_cfg, model, margin, bundle.grid, grid_settings)
+    dist = build_disturbance_policy(
+        hs.disturbance_cfg, model, margin, bundle.grid, grid_settings, grids
+    )
     scenario = Scenario(
         x0=hs.x0,
         steps=hs.steps,
@@ -272,7 +274,8 @@ def cmd_verify(args) -> int:
         d = model.disturbance_set.sample(rng)
         x = state_box.sample(rng)
         nxt = model.step(x, u, d)
-        if not model.interval_step(state_box, u, model.disturbance_set).contains(nxt, tol=1e-12):
+        image = model.interval_step(state_box, np.stack([u, u]), model.disturbance_set)
+        if not Box(*image).contains(nxt, tol=1e-12):
             violations += 1
     summary["checks"]["interval_step_containment"] = {
         "samples": samples,

@@ -263,6 +263,16 @@ def solve_or_load_grid(
     return grid, report
 
 
+def _shared_grid(grids: Optional[dict], path, model, margin, settings) -> ValueGrid:
+    """The grid of ``path`` (None: the solved grid) in ``grids``, solved or
+    loaded and added to it on first use."""
+    if grids is None:
+        grids = {}
+    if path not in grids:
+        grids[path], _ = solve_or_load_grid(model, margin, settings, path)
+    return grids[path]
+
+
 # --- filter ------------------------------------------------------------------
 
 _FILTER_KEYS = {
@@ -313,10 +323,7 @@ def build_filter(
             path = cfg.get("value_grid")
             if path is not None:
                 path = os.path.join(base_dir, path)
-            built = {} if grids is None else grids
-            if path not in built:
-                built[path], _ = solve_or_load_grid(model, margin, grid_settings, path)
-            grid = built[path]
+            grid = _shared_grid(grids, path, model, margin, grid_settings)
         return grid
 
     try:
@@ -379,19 +386,9 @@ def build_filter(
                 mps_filter(model, fallback, terminal, margin, horizon), grid
             )
         if kind == "tube_mpc":
-            if model.name != "linear":
+            if model.linear_maps is None:
                 raise ConfigError("tube_mpc needs model.kind = linear")
-            A = np.zeros((model.state_dim, model.state_dim))
-            B = np.zeros((model.state_dim, model.control_dim))
-            # recover A, B from the linear step map (exact for linear models)
-            for i in range(model.state_dim):
-                e = np.zeros(model.state_dim)
-                e[i] = 1.0
-                A[:, i] = model.step(e, np.zeros(model.control_dim), model.zero_disturbance())
-            for i in range(model.control_dim):
-                e = np.zeros(model.control_dim)
-                e[i] = 1.0
-                B[:, i] = model.step(np.zeros(model.state_dim), e, model.zero_disturbance())
+            A, B = model.linear_maps
             flt = tube_mpc_filter(
                 A,
                 B,
@@ -493,7 +490,11 @@ def build_disturbance_policy(
     margin: MarginFunction,
     grid: Optional[ValueGrid],
     grid_settings: Optional[GridSettings],
+    grids: Optional[dict] = None,
 ):
+    """Build the configured disturbance policy. The adversary steers against
+    ``grid``; without one it takes the solved grid from ``grids`` (see
+    ``build_filter``), solving it there on first use."""
     kind = _require(cfg, "kind", "harness.disturbance")
     if kind == "zero":
         _check_keys(cfg, {"kind"}, "harness.disturbance")
@@ -513,7 +514,7 @@ def build_disturbance_policy(
             # filter under test does not use one (e.g. the unfiltered baseline)
             if grid_settings is None:
                 raise ConfigError("adversarial disturbance needs a [grid] section")
-            grid, _ = solve_or_load_grid(model, margin, grid_settings)
+            grid = _shared_grid(grids, None, model, margin, grid_settings)
         counts = cfg.get(
             "d_counts", grid_settings.d_counts if grid_settings else [2] * model.disturbance_dim
         )

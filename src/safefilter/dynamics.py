@@ -2,18 +2,19 @@
 
 Models are discrete-time with bounded control and disturbance boxes:
 ``x' = step(x, u, d)``. Every built-in model also carries a conservative
-interval step that maps a state box (and optionally a control box) to a box
-guaranteed to contain every reachable successor.
+interval step that maps state, control and disturbance bounds ``[lower,
+upper]`` to bounds guaranteed to contain every reachable successor.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
 
-from .intervals import Box, as_box, cos_interval, linear_image, sin_interval
+from .intervals import Box, cos_interval, linear_image, sin_interval
 
 
 class InputDomainError(ValueError):
@@ -30,9 +31,13 @@ class SystemModel:
     axes broadcast against each other, returning (..., state_dim). Value-grid
     queries rely on this to step a whole candidate lattice at once, and raise
     ``ValueError`` naming the model when the returned shape is wrong; the
-    built-in models satisfy it. ``interval_step``
-    takes (state Box, control point or Box, disturbance Box) and must return a
-    superset of the true one-step image. ``continuous_affine`` is an optional
+    built-in models satisfy it. ``interval_step(X, U, D)`` takes the (2, n)
+    ``[lower, upper]`` bound arrays of a state, control and disturbance box
+    and returns the bounds of a superset of the true one-step image. A model
+    whose ``step`` is nondecreasing in every argument passes ``step`` itself:
+    broadcast over the two rows, it maps lower bounds to lower bounds and upper
+    to upper. ``linear_maps`` is the (A, B) pair of a linear model
+    ``x' = A x + B u + d`` and None otherwise. ``continuous_affine`` is an optional
     (drift, input-matrix) pair f(x), g(x) for control-affine models; when
     present, ``step`` is the forward-Euler discretization of f(x) + g(x) u with
     the disturbance entering additively on the highest-order derivative.
@@ -45,7 +50,8 @@ class SystemModel:
     step: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     control_set: Box
     disturbance_set: Box
-    interval_step: Callable[[Box, object, Box], Box]
+    interval_step: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    linear_maps: Optional[tuple[np.ndarray, np.ndarray]] = None
     continuous_affine: Optional[tuple[Callable, Callable]] = None
     name: str = ""
 
@@ -65,14 +71,10 @@ def step(model: SystemModel, x, u, d) -> np.ndarray:
     return model.step(x, u, d)
 
 
-def _input_channel(u, D: Box) -> tuple[float, float]:
-    """Interval of (u + d) on the shared scalar input channel."""
-    ub = as_box(u)
-    lo, hi = float(ub.lower[0]), float(ub.upper[0])
-    if D.dim:
-        lo += float(D.lower[0])
-        hi += float(D.upper[0])
-    return lo, hi
+def _input_channel(U, D) -> np.ndarray:
+    """Bounds [lower, upper] of (u + d) on the shared scalar input channel."""
+    U, D = np.asarray(U, dtype=np.float64), np.asarray(D, dtype=np.float64)
+    return U[:, 0] + D[:, 0] if D.shape[1] else U[:, 0]
 
 
 def _scalar_inputs(u: np.ndarray, d: np.ndarray, has_d: bool):
@@ -100,14 +102,6 @@ def make_double_integrator(u_max: float, d_max: float, dt: float) -> SystemModel
         p, v = x[..., 0], x[..., 1]
         return np.stack([p + v * dt, v + (uu + dd) * dt], axis=-1)
 
-    def interval_fn(X: Box, u, D: Box) -> Box:
-        wlo, whi = _input_channel(u, D)
-        plo = X.lower[0] + X.lower[1] * dt
-        phi = X.upper[0] + X.upper[1] * dt
-        vlo = X.lower[1] + wlo * dt
-        vhi = X.upper[1] + whi * dt
-        return Box([plo, vlo], [phi, vhi])
-
     def drift(x):
         x = np.asarray(x, dtype=np.float64)
         return np.stack([x[..., 1], np.zeros_like(x[..., 1])], axis=-1)
@@ -123,7 +117,7 @@ def make_double_integrator(u_max: float, d_max: float, dt: float) -> SystemModel
         step=step_fn,
         control_set=Box([-u_max], [u_max]),
         disturbance_set=Box([-d_max], [d_max]) if has_d else Box([], []),
-        interval_step=interval_fn,
+        interval_step=step_fn,  # monotone in x, u and d
         continuous_affine=(drift, input_map),
         name="double_integrator",
     )
@@ -157,22 +151,17 @@ def make_dubins_car(speed: float, omega_max: float, d_max: float, dt: float) -> 
             axis=-1,
         )
 
-    def interval_fn(X: Box, u, D: Box) -> Box:
-        wlo, whi = _input_channel(u, D)
-        tlo, thi = float(X.lower[2]), float(X.upper[2])
+    def interval_fn(X, U, D) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
+        w = _input_channel(U, D)
+        tlo, thi = float(X[0, 2]), float(X[1, 2])
         cl, cu = cos_interval(tlo, thi)
         sl, su = sin_interval(tlo, thi)
-        return Box(
+        return np.array(
             [
-                X.lower[0] + speed * cl * dt,
-                X.lower[1] + speed * sl * dt,
-                tlo + wlo * dt,
-            ],
-            [
-                X.upper[0] + speed * cu * dt,
-                X.upper[1] + speed * su * dt,
-                thi + whi * dt,
-            ],
+                [X[0, 0] + speed * cl * dt, X[0, 1] + speed * sl * dt, tlo + w[0] * dt],
+                [X[1, 0] + speed * cu * dt, X[1, 1] + speed * su * dt, thi + w[1] * dt],
+            ]
         )
 
     def drift(x):
@@ -220,19 +209,16 @@ def make_inverted_pendulum(torque_max: float, d_max: float, dt: float) -> System
             [th + om * dt, om + (np.sin(th) + uu + dd) * dt], axis=-1
         )
 
-    def interval_fn(X: Box, u, D: Box) -> Box:
-        wlo, whi = _input_channel(u, D)
-        tlo, thi = float(X.lower[0]), float(X.upper[0])
+    def interval_fn(X, U, D) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
+        w = _input_channel(U, D)
+        tlo, thi = float(X[0, 0]), float(X[1, 0])
         sl, su = sin_interval(tlo, thi)
-        return Box(
+        return np.array(
             [
-                tlo + X.lower[1] * dt,
-                X.lower[1] + (sl + wlo) * dt,
-            ],
-            [
-                thi + X.upper[1] * dt,
-                X.upper[1] + (su + whi) * dt,
-            ],
+                [tlo + X[0, 1] * dt, X[0, 1] + (sl + w[0]) * dt],
+                [thi + X[1, 1] * dt, X[1, 1] + (su + w[1]) * dt],
+            ]
         )
 
     def drift(x):
@@ -284,12 +270,9 @@ def make_linear_model(
             out = out + d
         return out
 
-    def interval_fn(X: Box, u, D: Box) -> Box:
-        ub = as_box(u)
-        out = linear_image(A, X).add(linear_image(B, ub))
-        if D.dim:
-            out = out.add(D)
-        return out
+    def interval_fn(X, U, D) -> np.ndarray:
+        out = linear_image(A, X) + linear_image(B, U)
+        return out + D if dist_box.dim else out
 
     return SystemModel(
         state_dim=n,
@@ -300,7 +283,7 @@ def make_linear_model(
         control_set=control_set,
         disturbance_set=dist_box,
         interval_step=interval_fn,
-        continuous_affine=None,
+        linear_maps=(A, B),
         name=name,
     )
 
@@ -308,8 +291,10 @@ def make_linear_model(
 class MarginFunction:
     """Real-valued state function g; the failure set is {x : g(x) < 0}.
 
-    ``box_lower`` (when available) returns a sound lower bound of g over a box,
-    used by the rollout filters for conservative tube checks.
+    ``box_lower`` (when available) returns a sound lower bound of g over a box
+    given as [lower, upper] bounds, used by the rollout filters for conservative
+    tube checks. It takes a stack of bounds (..., 2, n) and returns one bound per
+    box (...,); a single box (2, n), or a ``Box``, gives a float.
     """
 
     def __init__(self, fn, gradient=None, box_lower=None, name: str = ""):
@@ -334,10 +319,11 @@ class MarginFunction:
     def has_box_lower(self) -> bool:
         return self._box_lower is not None
 
-    def box_lower(self, box: Box) -> float:
+    def box_lower(self, bounds):
         if self._box_lower is None:
             raise ValueError(f"margin {self.name!r} has no box lower bound")
-        return float(self._box_lower(box))
+        out = self._box_lower(np.asarray(bounds, dtype=np.float64))
+        return float(out) if np.ndim(out) == 0 else out
 
 
 def margin_halfspace(normal, offset: float) -> MarginFunction:
@@ -353,8 +339,10 @@ def margin_halfspace(normal, offset: float) -> MarginFunction:
     def grad(x):
         return np.broadcast_to(n, x.shape).copy() if x.ndim > 1 else n.copy()
 
-    def box_lower(box: Box) -> float:
-        return -box.support(-n) - offset
+    d = -n
+
+    def box_lower(B):  # minus the support of -n over each box, minus the offset
+        return -np.sum(np.where(d >= 0, d * B[..., 1, :], d * B[..., 0, :]), axis=-1) - offset
 
     return MarginFunction(fn, grad, box_lower, name="halfspace")
 
@@ -374,9 +362,9 @@ def margin_keepout_ball(center, radius: float) -> MarginFunction:
         with np.errstate(invalid="ignore"):
             return np.where(nrm > 0.0, diff / nrm, 0.0)
 
-    def box_lower(box: Box) -> float:
-        nearest = np.clip(c, box.lower, box.upper)
-        return float(np.linalg.norm(nearest - c)) - radius
+    def box_lower(B):
+        diff = np.clip(c, B[..., 0, :], B[..., 1, :]) - c
+        return np.sqrt(np.vecdot(diff, diff)) - radius
 
     return MarginFunction(fn, grad, box_lower, name="keepout_ball")
 
@@ -405,8 +393,8 @@ def margin_min(margins: list[MarginFunction]) -> MarginFunction:
     box_lower = None
     if all(m.has_box_lower for m in margins):
 
-        def box_lower(box):  # noqa: F811
-            return min(m.box_lower(box) for m in margins)
+        def box_lower(B):  # noqa: F811
+            return functools.reduce(np.minimum, [m.box_lower(B) for m in margins])
 
     return MarginFunction(fn, grad, box_lower, name="min")
 

@@ -36,16 +36,6 @@ def make_planar_double_integrator(u_max: float, dt: float) -> SystemModel:
         v = x[..., 2:]
         return np.concatenate([p + v * dt, v + u * dt], axis=-1)
 
-    def interval_fn(X: Box, u, D: Box) -> Box:
-        ub = u if isinstance(u, Box) else Box.point(u)
-        lo = np.concatenate(
-            [X.lower[:2] + X.lower[2:] * dt, X.lower[2:] + ub.lower * dt]
-        )
-        hi = np.concatenate(
-            [X.upper[:2] + X.upper[2:] * dt, X.upper[2:] + ub.upper * dt]
-        )
-        return Box(lo, hi)
-
     def drift(x):
         x = np.asarray(x, dtype=np.float64)
         return np.concatenate([x[..., 2:], np.zeros_like(x[..., 2:])], axis=-1)
@@ -61,7 +51,7 @@ def make_planar_double_integrator(u_max: float, dt: float) -> SystemModel:
         step=step_fn,
         control_set=Box([-u_max, -u_max], [u_max, u_max]),
         disturbance_set=Box([], []),
-        interval_step=interval_fn,
+        interval_step=step_fn,  # monotone in x and u
         continuous_affine=(drift, input_map),
         name="planar_double_integrator",
     )

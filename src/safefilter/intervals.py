@@ -1,8 +1,12 @@
 """Axis-aligned boxes and sound interval arithmetic.
 
-Boxes represent control/disturbance bounds and reachable-set over-approximations.
-All enclosures here are conservative: rounding at piece boundaries is absorbed by
-a small outward guard where exactness cannot be promised.
+An interval is a ``[lower, upper]`` bound array of shape (2, n): row 0 holds
+the lower bounds, row 1 the upper ones. Interval steps, fallback tubes and box
+lower bounds all work on that one format; ``Box`` is the validated public value
+type for control, disturbance and domain sets, and converts to its bounds with
+``np.asarray``. All enclosures here are conservative: rounding at piece
+boundaries is absorbed by a small outward guard where exactness cannot be
+promised.
 """
 from __future__ import annotations
 
@@ -21,25 +25,29 @@ _TRIG_GUARD = 1e-12
 class Box:
     """Axis-aligned box {x : lower <= x <= upper}.
 
-    Zero-width boxes (points) and 0-dimensional boxes are valid; an empty box
-    must be marked explicitly via ``empty=True``.
+    Zero-width boxes (points) and 0-dimensional boxes are valid. ``Box`` is the
+    public value type; the interval layer itself works on ``[lower, upper]``
+    bound arrays of shape (2, dim), and ``np.asarray(box)`` gives them, so a
+    box passes wherever bounds are expected.
     """
 
     lower: np.ndarray
     upper: np.ndarray
-    empty: bool = False
 
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lower, dtype=np.float64))
         hi = np.atleast_1d(np.asarray(self.upper, dtype=np.float64))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("box bounds must be 1-d arrays of equal length")
-        if not self.empty and lo.size and bool(np.any(lo > hi)):
+        if lo.size and bool(np.any(lo > hi)):
             raise ValueError("box lower bound exceeds upper bound")
         lo.flags.writeable = False
         hi.flags.writeable = False
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array([self.lower, self.upper], dtype=dtype)
 
     @staticmethod
     def point(x) -> "Box":
@@ -58,18 +66,7 @@ class Box:
     def width(self) -> np.ndarray:
         return self.upper - self.lower
 
-    @property
-    def radius(self) -> np.ndarray:
-        return 0.5 * (self.upper - self.lower)
-
-    def is_degenerate(self, tol: float = 0.0) -> bool:
-        if self.dim == 0:
-            return True
-        return bool(np.all(self.width <= tol))
-
     def contains(self, x, tol: float = 0.0) -> bool:
-        if self.empty:
-            return False
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
         if x.size != self.dim:
             raise ValueError(f"point has dimension {x.size}, box has {self.dim}")
@@ -77,22 +74,15 @@ class Box:
             return True
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
-    def contains_box(self, other: "Box", tol: float = 0.0) -> bool:
-        if other.empty:
-            return True
-        if self.empty:
-            return False
+    def contains_box(self, other, tol: float = 0.0) -> bool:
+        """True if ``other`` (a Box or (2, dim) bounds) lies inside this box."""
+        lo, hi = np.asarray(other, dtype=np.float64)
         if self.dim == 0:
-            return other.dim == 0
-        return bool(
-            np.all(other.lower >= self.lower - tol)
-            and np.all(other.upper <= self.upper + tol)
-        )
+            return lo.size == 0
+        return bool(np.all(lo >= self.lower - tol) and np.all(hi <= self.upper + tol))
 
     def sample(self, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
         """Uniform sample(s); shape (dim,) if n is None else (n, dim)."""
-        if self.empty:
-            raise ValueError("cannot sample from an empty box")
         size = (self.dim,) if n is None else (n, self.dim)
         u = rng.uniform(size=size)
         return self.lower + u * (self.upper - self.lower)
@@ -106,41 +96,9 @@ class Box:
             out.append(np.where(np.asarray(bits, dtype=bool), self.upper, self.lower))
         return out
 
-    def shift(self, v) -> "Box":
-        v = np.asarray(v, dtype=np.float64)
-        return Box(self.lower + v, self.upper + v)
-
     def add(self, other: "Box") -> "Box":
         """Minkowski sum with another box of the same dimension."""
         return Box(self.lower + other.lower, self.upper + other.upper)
-
-    def widen(self, margin) -> "Box":
-        m = np.broadcast_to(np.asarray(margin, dtype=np.float64), (self.dim,))
-        if np.any(m < 0):
-            raise ValueError("widening margin must be nonnegative")
-        return Box(self.lower - m, self.upper + m)
-
-    def shrink(self, margin) -> "Box":
-        """Erode each face inward; returns an empty-flagged box if nothing is left."""
-        m = np.broadcast_to(np.asarray(margin, dtype=np.float64), (self.dim,))
-        lo, hi = self.lower + m, self.upper - m
-        if np.any(lo > hi):
-            return Box(np.minimum(lo, hi), np.minimum(lo, hi), empty=True)
-        return Box(lo, hi)
-
-    def intersect(self, other: "Box") -> "Box":
-        lo = np.maximum(self.lower, other.lower)
-        hi = np.minimum(self.upper, other.upper)
-        if self.dim and bool(np.any(lo > hi)):
-            return Box(np.minimum(lo, hi), np.minimum(lo, hi), empty=True)
-        return Box(lo, hi)
-
-    def hull(self, other: "Box") -> "Box":
-        if self.empty:
-            return other
-        if other.empty:
-            return self
-        return Box(np.minimum(self.lower, other.lower), np.maximum(self.upper, other.upper))
 
     def support(self, direction) -> float:
         """max over the box of direction . x."""
@@ -148,17 +106,14 @@ class Box:
         return float(np.sum(np.where(d >= 0, d * self.upper, d * self.lower)))
 
 
-def as_box(u) -> Box:
-    """Coerce a point or Box to a Box (points become degenerate boxes)."""
-    return u if isinstance(u, Box) else Box.point(u)
-
-
-def linear_image(M: np.ndarray, box: Box) -> Box:
-    """Exact interval image {M x : x in box} of a box under a linear map."""
+def linear_image(M: np.ndarray, bounds) -> np.ndarray:
+    """Exact interval image {M x : x in bounds} of (2, n) bounds (or a Box)
+    under a linear map, as (2, m) bounds."""
     M = np.asarray(M, dtype=np.float64)
-    lo_terms = np.minimum(M * box.lower, M * box.upper)
-    hi_terms = np.maximum(M * box.lower, M * box.upper)
-    return Box(lo_terms.sum(axis=1), hi_terms.sum(axis=1))
+    lo, hi = np.asarray(bounds, dtype=np.float64)
+    lo_terms = np.minimum(M * lo, M * hi)
+    hi_terms = np.maximum(M * lo, M * hi)
+    return np.stack([lo_terms.sum(axis=1), hi_terms.sum(axis=1)])
 
 
 def _has_critical_point(lo: float, hi: float, phase: float) -> bool:

@@ -103,11 +103,3 @@ def solve_qp(G, a, A, b, tol: float = 1e-10, max_iter: int | None = None) -> np.
 
     raise RuntimeError("active-set iteration limit exceeded")
 
-
-def qp_feasible(A, b, n: int, tol: float = 1e-10) -> bool:
-    """Feasibility of A x >= b via a least-norm solve (G = I, a = 0)."""
-    try:
-        solve_qp(np.eye(n), np.zeros(n), A, b, tol=tol)
-        return True
-    except InfeasibleQP:
-        return False

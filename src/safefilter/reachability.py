@@ -569,8 +569,9 @@ def optimal_safety_policy(
     return policy
 
 
-def grid_box_min(grid: ValueGrid, box: Box) -> float:
-    """Sound lower bound (exact when small) of the interpolant over a box.
+def grid_box_min(grid: ValueGrid, bounds) -> float:
+    """Sound lower bound (exact when small) of the interpolant over the box
+    with (2, n) bounds [lower, upper] (or a ``Box``).
 
     Within each grid cell the interpolant attains its extremes at corner
     points, so evaluating the cartesian product of {box faces, interior node
@@ -578,17 +579,16 @@ def grid_box_min(grid: ValueGrid, box: Box) -> float:
     to the minimum node value over all covering cells, which is a sound lower
     bound. Boxes not fully inside the domain return the out-of-domain sentinel.
     """
-    if box.empty:
-        return math.inf
-    if box.dim != grid.domain.dim:
+    lower, upper = np.asarray(bounds, dtype=np.float64)
+    if lower.size != grid.domain.dim:
         raise ValueError("box dimension does not match grid")
-    if not grid.domain.contains_box(box):
+    if not grid.domain.contains_box((lower, upper)):
         return grid.out_of_domain_value
 
     coords = []
     total = 1
     for j, c in enumerate(grid.axes):
-        lo, hi = float(box.lower[j]), float(box.upper[j])
+        lo, hi = float(lower[j]), float(upper[j])
         if hi > lo:
             inner = c[(c > lo) & (c < hi)]
             pts = np.concatenate(([lo], inner, [hi]))
@@ -606,8 +606,8 @@ def grid_box_min(grid: ValueGrid, box: Box) -> float:
     block = grid.values.reshape(grid.shape)
     slices = []
     for j, c in enumerate(grid.axes):
-        i_lo = int(np.clip(np.searchsorted(c, box.lower[j], side="right") - 1, 0, len(c) - 2))
-        i_hi = int(np.clip(np.searchsorted(c, box.upper[j], side="left"), 1, len(c) - 1))
+        i_lo = int(np.clip(np.searchsorted(c, lower[j], side="right") - 1, 0, len(c) - 2))
+        i_hi = int(np.clip(np.searchsorted(c, upper[j], side="left"), 1, len(c) - 1))
         slices.append(slice(i_lo, i_hi + 1))
     return float(block[tuple(slices)].min())
 

@@ -6,6 +6,11 @@ and passes a candidate control only if the tube clears the failure set at
 every step and its final box lands fully inside a terminal safe set that is
 invariant under the fallback. The check is sufficient for all-time safety,
 not necessary, so it is deliberately conservative.
+
+The tube is one (H+1, 2, n) array of ``[lower, upper]`` bounds, and every
+callable it meets takes bounds: the model's ``interval_step``, a fallback's
+``control_box``, the margin's ``box_lower`` (on the whole stack at once) and
+the terminal set's ``box_containment``.
 """
 from __future__ import annotations
 
@@ -26,33 +31,39 @@ _REST_EPS = 1e-12  # velocities below this count as numerically at rest
 
 @dataclass(frozen=True)
 class FRSTube:
-    """Forward-reachable tube: sets[tau] contains every state reachable at tau."""
+    """Forward-reachable tube: the box bounds[tau] = [lower, upper], shape
+    (H+1, 2, n), contains every state reachable at tau."""
 
-    sets: tuple[Box, ...]
+    bounds: np.ndarray
+
+    @property
+    def sets(self) -> tuple[Box, ...]:
+        return tuple(Box(lo, hi) for lo, hi in self.bounds)
 
     @property
     def horizon(self) -> int:
-        return len(self.sets) - 1
+        return len(self.bounds) - 1
 
 
 @dataclass(frozen=True)
 class TerminalSafeSet:
-    """Terminal region; ``box_containment`` must be conservative (true only if
-    the whole box lies inside the set)."""
+    """Terminal region; ``box_containment`` takes (2, n) bounds and must be
+    conservative (true only if the whole box lies inside the set)."""
 
     membership: Callable[[np.ndarray], bool]
-    box_containment: Callable[[Box], bool]
+    box_containment: Callable[[np.ndarray], bool]
     name: str = ""
 
 
 @dataclass(frozen=True)
 class FallbackPolicy:
     """A fallback control law plus the information needed to evaluate it soundly
-    over a state box: either an exact control-range enclosure or a Lipschitz
-    bound (infinity norm) for center-plus-inflation evaluation."""
+    over a state box: either an exact control-range enclosure, mapping state
+    bounds (2, n) to control bounds (2, m), or a Lipschitz bound (infinity
+    norm) for center-plus-inflation evaluation."""
 
     policy: Callable[[np.ndarray], np.ndarray]
-    control_box: Optional[Callable[[Box], Box]] = None
+    control_box: Optional[Callable[[np.ndarray], np.ndarray]] = None
     lipschitz: Optional[float] = None
     name: str = ""
 
@@ -66,22 +77,25 @@ def _as_fallback(fallback) -> FallbackPolicy:
     return FallbackPolicy(policy=fallback)
 
 
-def _control_enclosure(fb: FallbackPolicy, box: Box, control_set: Box) -> Box:
-    if box.is_degenerate():
-        return Box.point(fb.policy(box.center))
+def _control_enclosure(fb: FallbackPolicy, X: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Bounds (2, m) of the fallback control over the state box X, within U."""
+    lo, hi = X
+    if (hi - lo <= 0.0).all():  # a point: evaluate the policy there
+        u = np.atleast_1d(np.asarray(fb.policy(0.5 * (lo + hi)), dtype=np.float64))
+        return np.array([u, u])
     if fb.control_box is not None:
-        enc = fb.control_box(box)
+        enc = np.asarray(fb.control_box(X), dtype=np.float64)
     elif fb.lipschitz is not None:
-        center_u = np.atleast_1d(np.asarray(fb.policy(box.center), dtype=np.float64))
-        inflation = fb.lipschitz * float(box.radius.max())
-        enc = Box.point(center_u).widen(inflation)
+        u = np.atleast_1d(np.asarray(fb.policy(0.5 * (lo + hi)), dtype=np.float64))
+        inflation = fb.lipschitz * float((0.5 * (hi - lo)).max())
+        enc = np.array([u - inflation, u + inflation])
     else:
         raise ValueError(
             "state-feedback fallback over a nondegenerate box needs a "
             "control_box enclosure or a lipschitz bound"
         )
-    enc = enc.intersect(control_set)
-    if enc.empty:
+    enc = np.array([np.maximum(enc[0], U[0]), np.minimum(enc[1], U[1])])
+    if (enc[0] > enc[1]).any():
         raise ValueError("fallback control enclosure does not meet the control set")
     return enc
 
@@ -94,22 +108,22 @@ def propagate_frs(
     horizon: int,
 ) -> FRSTube:
     """Interval tube from x: one step under the candidate control u0, then
-    horizon-1 steps under the fallback policy. Every set is a sound
+    horizon-1 steps under the fallback policy. Every box is a sound
     over-approximation of the reachable states under all admissible
     disturbances."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     fb = _as_fallback(fallback)
-    x = np.asarray(x, dtype=np.float64)
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     u0 = np.atleast_1d(np.asarray(u0, dtype=np.float64))
-    D = model.disturbance_set
-    sets = [Box.point(x)]
-    sets.append(model.interval_step(sets[0], u0, D))
-    for _ in range(1, horizon):
-        current = sets[-1]
-        u_box = _control_enclosure(fb, current, model.control_set)
-        sets.append(model.interval_step(current, u_box, D))
-    return FRSTube(tuple(sets))
+    U, D = np.asarray(model.control_set), np.asarray(model.disturbance_set)
+    bounds = np.empty((horizon + 1, 2, x.size))
+    bounds[0] = x
+    bounds[1] = model.interval_step(bounds[0], np.array([u0, u0]), D)
+    for tau in range(1, horizon):
+        X = bounds[tau]
+        bounds[tau + 1] = model.interval_step(X, _control_enclosure(fb, X, U), D)
+    return FRSTube(bounds)
 
 
 def mps_monitor(
@@ -123,11 +137,10 @@ def mps_monitor(
 ) -> float:
     """+1/2 if the fallback tube clears the failure set at every step and its
     final box is contained in the terminal set; -1/2 otherwise."""
-    tube = propagate_frs(model, fallback, x, u, horizon)
-    for box in tube.sets:
-        if failure_margin.box_lower(box) < 0.0:
-            return -0.5
-    if not terminal.box_containment(tube.sets[-1]):
+    bounds = propagate_frs(model, fallback, x, u, horizon).bounds
+    if np.any(failure_margin.box_lower(bounds) < 0.0):
+        return -0.5
+    if not terminal.box_containment(bounds[-1]):
         return -0.5
     return 0.5
 
@@ -156,6 +169,16 @@ def mps_filter(
 # --- braking fallback and terminal set for the double integrator ------------
 
 
+def _braking_control(v: float, u_max: float, dt: float, v_tol: float) -> float:
+    """The braking law: -sign(v) * u_max outside the band |v| <= v_tol, the
+    exact-stop control clamp(-v/dt) inside it, and 0 at rest."""
+    if abs(v) <= _REST_EPS:
+        return 0.0
+    if abs(v) > v_tol:
+        return -math.copysign(u_max, v)
+    return min(u_max, max(-u_max, -v / dt))
+
+
 def braking_fallback(model: SystemModel, v_tol: float) -> FallbackPolicy:
     """Sign braking toward rest for the double integrator.
 
@@ -174,18 +197,12 @@ def braking_fallback(model: SystemModel, v_tol: float) -> FallbackPolicy:
         raise ValueError("braking fallback expects a symmetric control box")
     u_max, dt = hi, model.dt
 
-    def control(v: float) -> float:
-        if abs(v) <= _REST_EPS:
-            return 0.0
-        if abs(v) > v_tol:
-            return -math.copysign(u_max, v)
-        return min(u_max, max(-u_max, -v / dt))
-
     def policy(x) -> np.ndarray:
-        return np.array([control(float(np.asarray(x, dtype=np.float64)[1]))])
+        v = float(np.asarray(x, dtype=np.float64)[1])
+        return np.array([_braking_control(v, u_max, dt, v_tol)])
 
-    def control_box(box: Box) -> Box:
-        vlo, vhi = float(box.lower[1]), float(box.upper[1])
+    def control_box(X: np.ndarray) -> np.ndarray:
+        vlo, vhi = float(X[0, 1]), float(X[1, 1])
         pieces = []
         if vhi > v_tol:
             pieces.append((-u_max, -u_max))
@@ -201,7 +218,7 @@ def braking_fallback(model: SystemModel, v_tol: float) -> FallbackPolicy:
             )
         lo_u = min(p[0] for p in pieces)
         hi_u = max(p[1] for p in pieces)
-        return Box([lo_u], [hi_u])
+        return np.array([[lo_u], [hi_u]])
 
     return FallbackPolicy(policy, control_box=control_box, name="braking")
 
@@ -215,10 +232,7 @@ def _braking_excursion(u_max: float, dt: float, v_tol: float, v: float):
     for _ in range(max_steps):
         if abs(vv) <= _REST_EPS:
             return lo, hi
-        if abs(vv) > v_tol:
-            u = -math.copysign(u_max, vv)
-        else:
-            u = min(u_max, max(-u_max, -vv / dt))
+        u = _braking_control(vv, u_max, dt, v_tol)
         p += vv * dt
         lo, hi = min(lo, p), max(hi, p)
         vv += u * dt
@@ -262,16 +276,14 @@ def braking_terminal_set(
         exc_lo, exc_hi = excursion(v)
         return p + exc_lo >= p_lo and p + exc_hi <= p_hi
 
-    def box_containment(box: Box) -> bool:
-        if box.empty:
-            return True
-        vlo, vhi = float(box.lower[1]), float(box.upper[1])
+    def box_containment(X) -> bool:
+        (plo, vlo), (phi, vhi) = np.asarray(X, dtype=np.float64).tolist()
         if vlo < -v_tol or vhi > v_tol:
             return False
         # excursions are monotone in v, so the corners are the worst cases
         exc_lo, _ = excursion(vlo)
         _, exc_hi = excursion(vhi)
-        return float(box.lower[0]) + exc_lo >= p_lo and float(box.upper[0]) + exc_hi <= p_hi
+        return plo + exc_lo >= p_lo and phi + exc_hi <= p_hi
 
     terminal = TerminalSafeSet(membership, box_containment, name="braking_rest_set")
     _check_terminal_invariance(
@@ -331,7 +343,7 @@ def value_grid_terminal_set(grid: ValueGrid) -> TerminalSafeSet:
     sound lower bound of the interpolant over the box."""
     return TerminalSafeSet(
         membership=lambda x: value_at(grid, x) >= 0.0,
-        box_containment=lambda box: grid_box_min(grid, box) >= 0.0,
+        box_containment=lambda X: grid_box_min(grid, X) >= 0.0,
         name="value_grid_safe_set",
     )
 
@@ -346,14 +358,13 @@ def optimal_fallback(
     the state (an argmax over candidates), so its only sound control enclosure
     over a box is the full control set."""
     policy = optimal_safety_policy(model, grid, u_candidates, d_candidates)
-    return FallbackPolicy(
-        policy, control_box=lambda box: model.control_set, name="optimal_safety"
-    )
+    U = np.asarray(model.control_set)
+    return FallbackPolicy(policy, control_box=lambda X: U, name="optimal_safety")
 
 
 def write_tube_csv(tube: FRSTube, path) -> None:
     """Dump a tube as CSV rows (tau, lower..., upper...)."""
-    dim = tube.sets[0].dim
+    dim = tube.bounds.shape[-1]
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(
@@ -361,9 +372,7 @@ def write_tube_csv(tube: FRSTube, path) -> None:
             + [f"lower_{i}" for i in range(dim)]
             + [f"upper_{i}" for i in range(dim)]
         )
-        for tau, box in enumerate(tube.sets):
+        for tau, (lo, hi) in enumerate(tube.bounds):
             writer.writerow(
-                [tau]
-                + [repr(float(v)) for v in box.lower]
-                + [repr(float(v)) for v in box.upper]
+                [tau] + [repr(float(v)) for v in lo] + [repr(float(v)) for v in hi]
             )

@@ -40,23 +40,21 @@ def compute_tightening(A, B, K, dist_box: Box, horizon: int) -> list[Box]:
     closed = A + B @ K
     if _spectral_radius(closed) >= 1.0:
         raise ValueError("A + B K must be strictly stable for tube tightening")
-    dist = dist_box if dist_box.dim else Box.point(np.zeros(n))
-    if dist.dim != n:
+    dist = np.asarray(dist_box) if dist_box.dim else np.zeros((2, n))
+    if dist.shape[1] != n:
         raise ValueError("disturbance box must be state-dimensional")
     bounds = [Box.point(np.zeros(n))]
     for _ in range(horizon):
-        bounds.append(linear_image(closed, bounds[-1]).add(dist))
+        bounds.append(Box(*(linear_image(closed, bounds[-1]) + dist)))
     return bounds
 
 
-def _error_bound_limit(closed: np.ndarray, dist: Box, tol: float = 1e-12) -> Box:
-    e = Box.point(np.zeros(closed.shape[0]))
+def _error_bound_limit(closed: np.ndarray, dist: np.ndarray, tol: float = 1e-12) -> Box:
+    e = np.zeros((2, closed.shape[0]))
     for _ in range(100_000):
-        nxt = linear_image(closed, e).add(dist)
-        if float(np.max(np.abs(nxt.lower - e.lower))) <= tol and float(
-            np.max(np.abs(nxt.upper - e.upper))
-        ) <= tol:
-            return nxt
+        nxt = linear_image(closed, e) + dist
+        if float(np.max(np.abs(nxt - e))) <= tol:
+            return Box(*nxt)
         e = nxt
     raise RuntimeError("error-bound iteration did not converge")
 
@@ -119,7 +117,7 @@ class TubeMPCFilter(SafetyFilter):
         control_boxes = []
         for tau in range(self.horizon):
             ke = linear_image(K, error_bounds[tau])
-            tightened = Box(control_set.lower - ke.lower, control_set.upper - ke.upper)
+            tightened = Box(control_set.lower - ke[0], control_set.upper - ke[1])
             if np.any(tightened.lower > tightened.upper):
                 raise ValueError(f"control set tightens to empty at stage {tau}")
             control_boxes.append(tightened)
@@ -136,7 +134,7 @@ class TubeMPCFilter(SafetyFilter):
         closed = A + B @ K
         if not tight_terminal.contains_box(linear_image(closed, tight_terminal), tol=1e-12):
             raise ValueError("tightened terminal box is not invariant under A + B K")
-        dist = dist_box if dist_box.dim else Box.point(np.zeros(n))
+        dist = np.asarray(dist_box) if dist_box.dim else np.zeros((2, n))
         e_inf = _error_bound_limit(closed, dist)
         settled = tight_terminal.add(e_inf)
         for nrm, off in self.halfspaces:

@@ -1,5 +1,7 @@
 """Independent oracles shared by the unit and acceptance suites."""
 import math
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,3 +166,382 @@ def dense_solve(model, g, grid_spec, u_counts, d_counts, tolerance=1e-6, max_ite
     final = np.minimum(block, np.minimum(g_ret, face_ret))
     grid = ValueGrid(domain, shape, final, out_of_domain_value=floor)
     return grid, iterations, residuals, iterates
+
+
+# --- Box-based interval tube -------------------------------------------------
+#
+# The interval layer as it was when fallback tubes were built from frozen boxes:
+# the box type with its set algebra, the built-in interval steps, the margin box
+# lower bounds, the braking control enclosure and terminal containment, the grid
+# box minimum, the control enclosure and the tube. The bodies are verbatim
+# copies; the box type is renamed ``SeedBox``, and closures became factories
+# over the parameters they captured. They are the exactness oracle of the
+# array-native tube, which must reproduce their bounds and monitor values.
+
+
+@dataclass(frozen=True)
+class SeedBox:
+    """Axis-aligned box {x : lower <= x <= upper}.
+
+    Zero-width boxes (points) and 0-dimensional boxes are valid; an empty box
+    must be marked explicitly via ``empty=True``.
+    """
+
+    lower: np.ndarray
+    upper: np.ndarray
+    empty: bool = False
+
+    def __post_init__(self):
+        lo = np.atleast_1d(np.asarray(self.lower, dtype=np.float64))
+        hi = np.atleast_1d(np.asarray(self.upper, dtype=np.float64))
+        if lo.shape != hi.shape or lo.ndim != 1:
+            raise ValueError("box bounds must be 1-d arrays of equal length")
+        if not self.empty and lo.size and bool(np.any(lo > hi)):
+            raise ValueError("box lower bound exceeds upper bound")
+        lo.flags.writeable = False
+        hi.flags.writeable = False
+        object.__setattr__(self, "lower", lo)
+        object.__setattr__(self, "upper", hi)
+
+    @staticmethod
+    def point(x) -> "SeedBox":
+        x = np.asarray(x, dtype=np.float64)
+        return SeedBox(x.copy(), x.copy())
+
+    @property
+    def dim(self) -> int:
+        return self.lower.size
+
+    @property
+    def center(self) -> np.ndarray:
+        return 0.5 * (self.lower + self.upper)
+
+    @property
+    def width(self) -> np.ndarray:
+        return self.upper - self.lower
+
+    @property
+    def radius(self) -> np.ndarray:
+        return 0.5 * (self.upper - self.lower)
+
+    def is_degenerate(self, tol: float = 0.0) -> bool:
+        if self.dim == 0:
+            return True
+        return bool(np.all(self.width <= tol))
+
+    def contains_box(self, other: "SeedBox", tol: float = 0.0) -> bool:
+        if other.empty:
+            return True
+        if self.empty:
+            return False
+        if self.dim == 0:
+            return other.dim == 0
+        return bool(
+            np.all(other.lower >= self.lower - tol)
+            and np.all(other.upper <= self.upper + tol)
+        )
+
+    def add(self, other: "SeedBox") -> "SeedBox":
+        """Minkowski sum with another box of the same dimension."""
+        return SeedBox(self.lower + other.lower, self.upper + other.upper)
+
+    def widen(self, margin) -> "SeedBox":
+        m = np.broadcast_to(np.asarray(margin, dtype=np.float64), (self.dim,))
+        if np.any(m < 0):
+            raise ValueError("widening margin must be nonnegative")
+        return SeedBox(self.lower - m, self.upper + m)
+
+    def intersect(self, other: "SeedBox") -> "SeedBox":
+        lo = np.maximum(self.lower, other.lower)
+        hi = np.minimum(self.upper, other.upper)
+        if self.dim and bool(np.any(lo > hi)):
+            return SeedBox(np.minimum(lo, hi), np.minimum(lo, hi), empty=True)
+        return SeedBox(lo, hi)
+
+    def support(self, direction) -> float:
+        """max over the box of direction . x."""
+        d = np.asarray(direction, dtype=np.float64)
+        return float(np.sum(np.where(d >= 0, d * self.upper, d * self.lower)))
+
+
+def seed_box(box) -> SeedBox:
+    return SeedBox(box.lower, box.upper)
+
+
+def seed_as_box(u) -> SeedBox:
+    """Coerce a point or Box to a Box (points become degenerate boxes)."""
+    return u if isinstance(u, SeedBox) else SeedBox.point(u)
+
+
+def seed_linear_image(M: np.ndarray, box: SeedBox) -> SeedBox:
+    """Exact interval image {M x : x in box} of a box under a linear map."""
+    M = np.asarray(M, dtype=np.float64)
+    lo_terms = np.minimum(M * box.lower, M * box.upper)
+    hi_terms = np.maximum(M * box.lower, M * box.upper)
+    return SeedBox(lo_terms.sum(axis=1), hi_terms.sum(axis=1))
+
+
+def _seed_input_channel(u, D: SeedBox) -> tuple[float, float]:
+    """Interval of (u + d) on the shared scalar input channel."""
+    ub = seed_as_box(u)
+    lo, hi = float(ub.lower[0]), float(ub.upper[0])
+    if D.dim:
+        lo += float(D.lower[0])
+        hi += float(D.upper[0])
+    return lo, hi
+
+
+def seed_double_integrator_interval(dt):
+    def interval_fn(X: SeedBox, u, D: SeedBox) -> SeedBox:
+        wlo, whi = _seed_input_channel(u, D)
+        plo = X.lower[0] + X.lower[1] * dt
+        phi = X.upper[0] + X.upper[1] * dt
+        vlo = X.lower[1] + wlo * dt
+        vhi = X.upper[1] + whi * dt
+        return SeedBox([plo, vlo], [phi, vhi])
+
+    return interval_fn
+
+
+def seed_dubins_interval(speed, dt):
+    from safefilter.intervals import cos_interval, sin_interval
+
+    def interval_fn(X: SeedBox, u, D: SeedBox) -> SeedBox:
+        wlo, whi = _seed_input_channel(u, D)
+        tlo, thi = float(X.lower[2]), float(X.upper[2])
+        cl, cu = cos_interval(tlo, thi)
+        sl, su = sin_interval(tlo, thi)
+        return SeedBox(
+            [
+                X.lower[0] + speed * cl * dt,
+                X.lower[1] + speed * sl * dt,
+                tlo + wlo * dt,
+            ],
+            [
+                X.upper[0] + speed * cu * dt,
+                X.upper[1] + speed * su * dt,
+                thi + whi * dt,
+            ],
+        )
+
+    return interval_fn
+
+
+def seed_pendulum_interval(dt):
+    from safefilter.intervals import sin_interval
+
+    def interval_fn(X: SeedBox, u, D: SeedBox) -> SeedBox:
+        wlo, whi = _seed_input_channel(u, D)
+        tlo, thi = float(X.lower[0]), float(X.upper[0])
+        sl, su = sin_interval(tlo, thi)
+        return SeedBox(
+            [
+                tlo + X.lower[1] * dt,
+                X.lower[1] + (sl + wlo) * dt,
+            ],
+            [
+                thi + X.upper[1] * dt,
+                X.upper[1] + (su + whi) * dt,
+            ],
+        )
+
+    return interval_fn
+
+
+def seed_linear_interval(A, B):
+    def interval_fn(X: SeedBox, u, D: SeedBox) -> SeedBox:
+        ub = seed_as_box(u)
+        out = seed_linear_image(A, X).add(seed_linear_image(B, ub))
+        if D.dim:
+            out = out.add(D)
+        return out
+
+    return interval_fn
+
+
+def seed_planar_interval(dt):
+    def interval_fn(X: SeedBox, u, D: SeedBox) -> SeedBox:
+        ub = u if isinstance(u, SeedBox) else SeedBox.point(u)
+        lo = np.concatenate(
+            [X.lower[:2] + X.lower[2:] * dt, X.lower[2:] + ub.lower * dt]
+        )
+        hi = np.concatenate(
+            [X.upper[:2] + X.upper[2:] * dt, X.upper[2:] + ub.upper * dt]
+        )
+        return SeedBox(lo, hi)
+
+    return interval_fn
+
+
+def seed_halfspace_box_lower(normal, offset):
+    n = np.asarray(normal, dtype=np.float64)
+    offset = float(offset)
+
+    def box_lower(box: SeedBox) -> float:
+        return -box.support(-n) - offset
+
+    return box_lower
+
+
+def seed_ball_box_lower(center, radius):
+    c = np.asarray(center, dtype=np.float64)
+
+    def box_lower(box: SeedBox) -> float:
+        nearest = np.clip(c, box.lower, box.upper)
+        return float(np.linalg.norm(nearest - c)) - radius
+
+    return box_lower
+
+
+def seed_min_box_lower(parts):
+    def box_lower(box):
+        return min(float(m(box)) for m in parts)
+
+    return box_lower
+
+
+_SEED_REST_EPS = 1e-12
+
+
+def seed_braking_control_box(u_max, dt, v_tol):
+    def control_box(box: SeedBox) -> SeedBox:
+        vlo, vhi = float(box.lower[1]), float(box.upper[1])
+        pieces = []
+        if vhi > v_tol:
+            pieces.append((-u_max, -u_max))
+        if vlo < -v_tol:
+            pieces.append((u_max, u_max))
+        blo, bhi = max(vlo, -v_tol), min(vhi, v_tol)
+        if blo <= bhi:  # exact-stop piece, monotone decreasing in v
+            pieces.append(
+                (
+                    min(u_max, max(-u_max, -bhi / dt)),
+                    min(u_max, max(-u_max, -blo / dt)),
+                )
+            )
+        lo_u = min(p[0] for p in pieces)
+        hi_u = max(p[1] for p in pieces)
+        return SeedBox([lo_u], [hi_u])
+
+    return control_box
+
+
+def seed_braking_excursion(u_max: float, dt: float, v_tol: float, v: float):
+    """Exact position excursion interval while the braking fallback brings
+    velocity v (|v| <= v_tol) to rest with no disturbance."""
+    max_steps = int(math.ceil(v_tol / max(u_max * dt, _SEED_REST_EPS))) + 4
+    p, lo, hi = 0.0, 0.0, 0.0
+    vv = v
+    for _ in range(max_steps):
+        if abs(vv) <= _SEED_REST_EPS:
+            return lo, hi
+        if abs(vv) > v_tol:
+            u = -math.copysign(u_max, vv)
+        else:
+            u = min(u_max, max(-u_max, -vv / dt))
+        p += vv * dt
+        lo, hi = min(lo, p), max(hi, p)
+        vv += u * dt
+    raise RuntimeError("braking profile did not reach rest (unexpected)")
+
+
+def seed_braking_box_containment(u_max, dt, v_tol, p_lo, p_hi):
+    def excursion(v: float):
+        return seed_braking_excursion(u_max, dt, v_tol, v)
+
+    def box_containment(box: SeedBox) -> bool:
+        if box.empty:
+            return True
+        vlo, vhi = float(box.lower[1]), float(box.upper[1])
+        if vlo < -v_tol or vhi > v_tol:
+            return False
+        # excursions are monotone in v, so the corners are the worst cases
+        exc_lo, _ = excursion(vlo)
+        _, exc_hi = excursion(vhi)
+        return float(box.lower[0]) + exc_lo >= p_lo and float(box.upper[0]) + exc_hi <= p_hi
+
+    return box_containment
+
+
+def seed_grid_box_min(grid: ValueGrid, box: SeedBox) -> float:
+    """Sound lower bound (exact when small) of the interpolant over a box."""
+    if box.empty:
+        return math.inf
+    if box.dim != grid.domain.dim:
+        raise ValueError("box dimension does not match grid")
+    if not seed_box(grid.domain).contains_box(box):
+        return grid.out_of_domain_value
+
+    coords = []
+    total = 1
+    for j, c in enumerate(grid.axes):
+        lo, hi = float(box.lower[j]), float(box.upper[j])
+        if hi > lo:
+            inner = c[(c > lo) & (c < hi)]
+            pts = np.concatenate(([lo], inner, [hi]))
+        else:
+            pts = np.array([lo])
+        coords.append(pts)
+        total *= pts.size
+
+    if total <= reachability._EXACT_BOX_MIN_CAP:
+        mesh = np.meshgrid(*coords, indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        return float(grid.values_at(pts).min())
+
+    # node bound over covering cells
+    block = grid.values.reshape(grid.shape)
+    slices = []
+    for j, c in enumerate(grid.axes):
+        i_lo = int(np.clip(np.searchsorted(c, box.lower[j], side="right") - 1, 0, len(c) - 2))
+        i_hi = int(np.clip(np.searchsorted(c, box.upper[j], side="left"), 1, len(c) - 1))
+        slices.append(slice(i_lo, i_hi + 1))
+    return float(block[tuple(slices)].min())
+
+
+SeedFallback = namedtuple("SeedFallback", "policy control_box lipschitz")
+
+
+def seed_control_enclosure(fb: SeedFallback, box: SeedBox, control_set: SeedBox) -> SeedBox:
+    if box.is_degenerate():
+        return SeedBox.point(fb.policy(box.center))
+    if fb.control_box is not None:
+        enc = fb.control_box(box)
+    elif fb.lipschitz is not None:
+        center_u = np.atleast_1d(np.asarray(fb.policy(box.center), dtype=np.float64))
+        inflation = fb.lipschitz * float(box.radius.max())
+        enc = SeedBox.point(center_u).widen(inflation)
+    else:
+        raise ValueError(
+            "state-feedback fallback over a nondegenerate box needs a "
+            "control_box enclosure or a lipschitz bound"
+        )
+    enc = enc.intersect(control_set)
+    if enc.empty:
+        raise ValueError("fallback control enclosure does not meet the control set")
+    return enc
+
+
+def seed_propagate_frs(interval_step, control_set, disturbance_set, fb, x, u0, horizon):
+    """The tube's boxes, sets[0..horizon], from x under u0 and then the fallback."""
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    x = np.asarray(x, dtype=np.float64)
+    u0 = np.atleast_1d(np.asarray(u0, dtype=np.float64))
+    D = disturbance_set
+    sets = [SeedBox.point(x)]
+    sets.append(interval_step(sets[0], u0, D))
+    for _ in range(1, horizon):
+        current = sets[-1]
+        u_box = seed_control_enclosure(fb, current, control_set)
+        sets.append(interval_step(current, u_box, D))
+    return sets
+
+
+def seed_mps_monitor(sets, box_lower, box_containment) -> float:
+    for box in sets:
+        if box_lower(box) < 0.0:
+            return -0.5
+    if not box_containment(sets[-1]):
+        return -0.5
+    return 0.5

@@ -339,8 +339,10 @@ def test_criterion_6_containment_and_corruption_oracle(robust_bench, tube_bench,
             h = rng.uniform(0, 0.4, model.state_dim)
             Xb = Box(c - h, c + h)
             u = model.control_set.sample(rng)
-            out = model.interval_step(Xb, u, model.disturbance_set)
-            if not out.contains(model.step(Xb.sample(rng), u, model.disturbance_set.sample(rng))):
+            out = model.interval_step(Xb, np.stack([u, u]), model.disturbance_set)
+            if not Box(out[0], out[1]).contains(
+                model.step(Xb.sample(rng), u, model.disturbance_set.sample(rng))
+            ):
                 bad += 1
     # fallback tube containment on the robust benchmark: 10^4 samples
     rb = robust_bench

@@ -164,6 +164,58 @@ def test_compare_solves_the_shared_grid_once(tmp_path, capsys, wall_cfg, monkeyp
     assert len(solves) == 1
 
 
+def test_unfiltered_run_shares_the_adversary_grid_with_compare(
+    tmp_path, capsys, wall_cfg, monkeypatch
+):
+    import yaml
+
+    import safefilter.config as config
+
+    solves = []
+    solve = config.solve
+    monkeypatch.setattr(config, "solve", lambda *a, **k: solves.append(a) or solve(*a, **k))
+    cfg = yaml.safe_load(Path(wall_cfg).read_text())
+    cfg["filter"] = {"kind": "none"}
+    cfg["harness"]["steps"] = 40
+    cfg["harness"]["seeds"] = [0]
+    cfg["compare"] = {
+        "filters": [
+            {"name": "none", "filter": {"kind": "none"}},
+            {"name": "lr", "filter": {"kind": "least_restrictive"}},
+        ]
+    }
+    path = tmp_path / "compare.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    code, summary = run_cli(capsys, "compare", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert code == EXIT_VIOLATIONS
+    assert summary["filters"] == ["none", "lr"]
+    # the adversarial disturbance's grid serves the lr entry
+    assert len(solves) == 1
+
+
+def test_stock_outputs_match_reference_digests(tmp_path, capsys):
+    """``solve`` and ``run`` on the stock configs write the bytes recorded in
+    bench/reference_digests.json."""
+    import hashlib
+
+    reference_path = CONFIG_DIR.parent / "bench" / "reference_digests.json"
+    reference = json.loads(reference_path.read_text())["digests"]
+    found = {}
+    commands = [("solve", "double_integrator_wall")] + [
+        ("run", p.stem) for p in sorted(CONFIG_DIR.glob("*.yaml"))
+    ]
+    for command, config in commands:
+        out = tmp_path / f"{command}-{config}"
+        cfg = str(CONFIG_DIR / f"{config}.yaml")
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+        files = sorted(out.glob("*.grid")) + sorted(out.glob("episode_*.csv"))
+        files += sorted(out.glob("metrics.csv"))
+        for f in files:
+            found[f"{command}/{config}/{f.name}"] = hashlib.sha256(f.read_bytes()).hexdigest()
+    capsys.readouterr()
+    assert found == reference
+
+
 def test_verify_stock_benchmark(tmp_path, capsys, wall_cfg):
     import yaml
 

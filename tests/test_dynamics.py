@@ -93,9 +93,9 @@ def test_step_determinism():
 def test_interval_step_double_integrator_example():
     m = make_double_integrator(1.0, 0.1, DT)
     X = Box([0.0, 1.0], [0.1, 1.0])
-    out = m.interval_step(X, np.array([0.0]), m.disturbance_set)
-    assert np.allclose(out.lower, [0.1, 1.0 - 0.1 * DT])
-    assert np.allclose(out.upper, [0.2, 1.0 + 0.1 * DT])
+    out = m.interval_step(X, np.array([[0.0], [0.0]]), m.disturbance_set)
+    assert np.allclose(out[0], [0.1, 1.0 - 0.1 * DT])
+    assert np.allclose(out[1], [0.2, 1.0 + 0.1 * DT])
 
 
 @pytest.mark.parametrize(
@@ -116,19 +116,19 @@ def test_interval_step_containment(make):
         half = rng.uniform(0.0, 0.5, size=m.state_dim)
         X = Box(center - half, center + half)
         u = m.control_set.sample(rng)
-        out = m.interval_step(X, u, m.disturbance_set)
+        out = m.interval_step(X, np.stack([u, u]), m.disturbance_set)
         xs = X.sample(rng, per_box)
         ds = m.disturbance_set.sample(rng, per_box)
         for x, d in zip(xs, ds):
-            assert out.contains(m.step(x, u, d), tol=0.0)
+            assert Box(out[0], out[1]).contains(m.step(x, u, d), tol=0.0)
 
 
 def test_interval_step_accepts_control_boxes():
     m = make_double_integrator(1.0, 0.0, DT)
     X = Box([0.0, 0.0], [0.0, 0.0])
     out = m.interval_step(X, Box([-1.0], [1.0]), m.disturbance_set)
-    assert np.allclose(out.lower, [0.0, -DT])
-    assert np.allclose(out.upper, [0.0, DT])
+    assert np.allclose(out[0], [0.0, -DT])
+    assert np.allclose(out[1], [0.0, DT])
 
 
 @pytest.mark.parametrize(
@@ -156,12 +156,12 @@ def test_linear_model_step_and_interval():
     m = make_linear_model(A, B, Box([-1.0], [1.0]), Box([-0.05, -0.05], [0.05, 0.05]))
     x = step(m, [1.0, 2.0], [0.5], [0.01, -0.01])
     assert np.allclose(x, A @ [1.0, 2.0] + B @ [0.5] + [0.01, -0.01])
-    out = m.interval_step(Box([0.0, 0.0], [1.0, 1.0]), np.array([0.0]), m.disturbance_set)
+    out = m.interval_step(Box([0.0, 0.0], [1.0, 1.0]), np.array([[0.0], [0.0]]), m.disturbance_set)
     rng = np.random.default_rng(1)
     for _ in range(200):
         xx = rng.uniform(0, 1, 2)
         dd = m.disturbance_set.sample(rng)
-        assert out.contains(m.step(xx, np.array([0.0]), dd), tol=1e-12)
+        assert Box(out[0], out[1]).contains(m.step(xx, np.array([0.0]), dd), tol=1e-12)
 
 
 # --- margins -----------------------------------------------------------------

@@ -201,7 +201,6 @@ def test_braking_terminal_box_containment_conservative(det_setup):
     for _ in range(500):
         assert terminal.membership(inner.sample(rng))
     assert not terminal.box_containment(Box([1.0, -0.2], [1.4, 0.2]))
-    assert terminal.box_containment(Box([0.0, 0.0], [0.0, 0.0], empty=True))
 
 
 def test_braking_terminal_stays_put_under_fallback(det_setup):
