@@ -134,7 +134,7 @@ class CBFQPFilter(SafetyFilter):
         box = self.model.control_set
         return np.where(a > 0, box.upper, np.where(a < 0, box.lower, box.center))
 
-    def intervene(self, x, u_task, monitor_value=None) -> np.ndarray:
+    def intervene(self, x, u_task, monitor_value: float) -> np.ndarray:
         self.last_degraded = False
         x = np.asarray(x, dtype=np.float64)
         u_task = np.atleast_1d(np.asarray(u_task, dtype=np.float64))

@@ -100,7 +100,11 @@ def make_double_integrator(u_max: float, d_max: float, dt: float) -> SystemModel
         d = np.asarray(d, dtype=np.float64)
         uu, dd = _scalar_inputs(u, d, has_d)
         p, v = x[..., 0], x[..., 1]
-        return np.stack([p + v * dt, v + (uu + dd) * dt], axis=-1)
+        v_next = v + (uu + dd) * dt
+        out = np.empty(v_next.shape + (2,))
+        np.add(p, v * dt, out=out[..., 0])
+        out[..., 1] = v_next
+        return out
 
     def drift(x):
         x = np.asarray(x, dtype=np.float64)
@@ -142,14 +146,12 @@ def make_dubins_car(speed: float, omega_max: float, d_max: float, dt: float) -> 
         d = np.asarray(d, dtype=np.float64)
         uu, dd = _scalar_inputs(u, d, has_d)
         px, py, th = x[..., 0], x[..., 1], x[..., 2]
-        return np.stack(
-            [
-                px + speed * np.cos(th) * dt,
-                py + speed * np.sin(th) * dt,
-                th + (uu + dd) * dt,
-            ],
-            axis=-1,
-        )
+        th_next = th + (uu + dd) * dt
+        out = np.empty(th_next.shape + (3,))
+        np.add(px, speed * np.cos(th) * dt, out=out[..., 0])
+        np.add(py, speed * np.sin(th) * dt, out=out[..., 1])
+        out[..., 2] = th_next
+        return out
 
     def interval_fn(X, U, D) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -205,9 +207,11 @@ def make_inverted_pendulum(torque_max: float, d_max: float, dt: float) -> System
         d = np.asarray(d, dtype=np.float64)
         uu, dd = _scalar_inputs(u, d, has_d)
         th, om = x[..., 0], x[..., 1]
-        return np.stack(
-            [th + om * dt, om + (np.sin(th) + uu + dd) * dt], axis=-1
-        )
+        om_next = om + (np.sin(th) + uu + dd) * dt
+        out = np.empty(om_next.shape + (2,))
+        np.add(th, om * dt, out=out[..., 0])
+        out[..., 1] = om_next
+        return out
 
     def interval_fn(X, U, D) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)

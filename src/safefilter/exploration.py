@@ -34,7 +34,11 @@ def make_planar_double_integrator(u_max: float, dt: float) -> SystemModel:
         u = np.asarray(u, dtype=np.float64)
         p = x[..., :2]
         v = x[..., 2:]
-        return np.concatenate([p + v * dt, v + u * dt], axis=-1)
+        v_next = v + u * dt
+        out = np.empty(v_next.shape[:-1] + (4,))
+        np.add(p, v * dt, out=out[..., :2])
+        out[..., 2:] = v_next
+        return out
 
     def drift(x):
         x = np.asarray(x, dtype=np.float64)

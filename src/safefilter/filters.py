@@ -81,13 +81,11 @@ class SafetyFilter:
         self.name = name
         self.last_degraded = False
 
-    def intervene(self, eta, u, monitor_value: float | None = None) -> np.ndarray:
-        """Return ``u`` itself when the monitor value is nonnegative, else the
-        fallback control. ``decide`` passes the value it already evaluated;
-        when it is omitted the monitor is evaluated here."""
+    def intervene(self, eta, u, monitor_value: float) -> np.ndarray:
+        """Return ``u`` itself when the monitor value of (eta, u) is
+        nonnegative, else the fallback control. ``decide`` passes the value it
+        already evaluated; other callers pass ``self.monitor(eta, u)``."""
         self.last_degraded = False
-        if monitor_value is None:
-            monitor_value = self.monitor(eta, u)
         if monitor_value >= 0.0:
             return u
         return self.fallback(eta)

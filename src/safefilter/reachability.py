@@ -63,8 +63,7 @@ class ValueGrid:
     @cached_property
     def nodes(self) -> np.ndarray:
         """All node coordinates, shape (num_nodes, dim), row-major."""
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return _cartesian(self.axes)
 
     @cached_property
     def corners(self) -> "_CornerLayout":
@@ -520,13 +519,13 @@ def successor_values(
     """Interpolated value at f(x, u, d) for every row pair, shape (|U|, |D|).
 
     ``u_lattice`` and ``d_lattice`` stack the candidates as rows. All |U|*|D|
-    successors go through one ``step`` call, on x broadcast to (|U|, |D|, n),
-    and one ``values_at`` call.
+    successors go through one ``step`` call, on x copied into a (|U|, |D|, n)
+    state block, and one ``values_at`` call.
     """
-    x = np.asarray(x, dtype=np.float64)
-    xs = np.broadcast_to(x, (len(u_lattice), len(d_lattice), x.size))
+    xs = np.empty((len(u_lattice), len(d_lattice), np.size(x)))
+    xs[...] = x
     nxt = _batch_next_states(model, xs, u_lattice[:, None], d_lattice[None])
-    return grid.values_at(nxt.reshape(-1, x.size)).reshape(xs.shape[:2])
+    return grid.values_at(nxt.reshape(-1, xs.shape[-1])).reshape(xs.shape[:2])
 
 
 def stack_candidates(candidates: Sequence[np.ndarray]) -> np.ndarray:
@@ -569,47 +568,75 @@ def optimal_safety_policy(
     return policy
 
 
+def box_node_ranges(grid: ValueGrid, lower: np.ndarray, upper: np.ndarray):
+    """Node index ranges of the box [lower, upper], or None when the box is not
+    inside the grid domain (a NaN bound included).
+
+    Per dimension, ``inner`` holds the nodes strictly inside the box and
+    ``cover`` the nodes of the cells covering it, the only nodes its
+    interpolant reads with positive weight; both are tuples of slices into the
+    node block ``values.reshape(shape)``.
+    """
+    if lower.size != grid.domain.dim:
+        raise ValueError("box dimension does not match grid")
+    inner, cover = [], []
+    for c, d_lo, d_hi, lo, hi in zip(grid.axes, grid.domain.lower.tolist(),
+                                     grid.domain.upper.tolist(), lower.tolist(), upper.tolist()):
+        if not (lo >= d_lo and hi <= d_hi):
+            return None
+        a = int(c.searchsorted(lo, "right"))  # first node > lo
+        b = int(c.searchsorted(hi, "left"))  # first node >= hi
+        inner.append(slice(a, b))
+        cover.append(slice(min(max(a - 1, 0), c.size - 2), min(max(b, 1), c.size - 1) + 1))
+    return tuple(inner), tuple(cover)
+
+
+def _cartesian(coords: Sequence[np.ndarray]) -> np.ndarray:
+    """Cartesian product of per-dimension coordinates, (N, dim), row-major."""
+    out = np.empty(tuple(c.size for c in coords) + (len(coords),))
+    for j, c in enumerate(coords):
+        out[..., j] = c.reshape((-1,) + (1,) * (len(coords) - 1 - j))
+    return out.reshape(-1, len(coords))
+
+
 def grid_box_min(grid: ValueGrid, bounds) -> float:
     """Sound lower bound (exact when small) of the interpolant over the box
     with (2, n) bounds [lower, upper] (or a ``Box``).
 
     Within each grid cell the interpolant attains its extremes at corner
-    points, so evaluating the cartesian product of {box faces, interior node
-    planes} per dimension gives the exact minimum. Very large boxes fall back
-    to the minimum node value over all covering cells, which is a sound lower
-    bound. Boxes not fully inside the domain return the out-of-domain sentinel.
+    points, so the minimum over the cartesian product of {box faces, interior
+    node planes} per dimension is exact. The points of that product that lie
+    strictly inside the box are nodes, whose interpolated values are the node
+    values, so they are read from ``values``; only the points on a box face are
+    interpolated. Very large boxes fall back to the minimum node value over
+    all covering cells, which is a sound lower bound. Boxes not fully inside
+    the domain return the out-of-domain sentinel. A NaN anywhere in the min
+    gives NaN.
     """
     lower, upper = np.asarray(bounds, dtype=np.float64)
-    if lower.size != grid.domain.dim:
-        raise ValueError("box dimension does not match grid")
-    if not grid.domain.contains_box((lower, upper)):
+    ranges = box_node_ranges(grid, lower, upper)
+    if ranges is None:
         return grid.out_of_domain_value
 
-    coords = []
-    total = 1
-    for j, c in enumerate(grid.axes):
-        lo, hi = float(lower[j]), float(upper[j])
-        if hi > lo:
-            inner = c[(c > lo) & (c < hi)]
-            pts = np.concatenate(([lo], inner, [hi]))
-        else:
-            pts = np.array([lo])
-        coords.append(pts)
-        total *= pts.size
-
-    if total <= _EXACT_BOX_MIN_CAP:
-        mesh = np.meshgrid(*coords, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        return float(grid.values_at(pts).min())
-
-    # node bound over covering cells
     block = grid.values.reshape(grid.shape)
-    slices = []
-    for j, c in enumerate(grid.axes):
-        i_lo = int(np.clip(np.searchsorted(c, lower[j], side="right") - 1, 0, len(c) - 2))
-        i_hi = int(np.clip(np.searchsorted(c, upper[j], side="left"), 1, len(c) - 1))
-        slices.append(slice(i_lo, i_hi + 1))
-    return float(block[tuple(slices)].min())
+    inner, cover = ranges
+    faces = [np.array([lo]) if hi <= lo else np.array([lo, hi])
+             for lo, hi in zip(lower.tolist(), upper.tolist())]
+    nodes = [c[s] for c, s in zip(grid.axes, inner)]
+    if math.prod(f.size + n.size for f, n in zip(faces, nodes)) > _EXACT_BOX_MIN_CAP:
+        return float(block[cover].min())
+
+    # face points, partitioned by the first dimension j whose coordinate is a
+    # face: node coordinates before j, a face at j, anything after j
+    full = [np.concatenate((f, n)) for f, n in zip(faces, nodes)]
+    face_pts = np.concatenate(
+        [_cartesian(nodes[:j] + [faces[j]] + full[j + 1 :]) for j in range(len(faces))]
+    )
+    out = grid.values_at(face_pts).min()
+    core = block[inner]
+    if core.size:
+        out = np.minimum(out, core.min())
+    return float(out)
 
 
 # --- value grid file format ------------------------------------------------

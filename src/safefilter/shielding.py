@@ -24,7 +24,13 @@ import numpy as np
 from .dynamics import MarginFunction, SystemModel, discretize_box
 from .filters import BudgetExceededError, Monitor, SafetyFilter
 from .intervals import Box
-from .reachability import ValueGrid, grid_box_min, optimal_safety_policy, value_at
+from .reachability import (
+    ValueGrid,
+    box_node_ranges,
+    grid_box_min,
+    optimal_safety_policy,
+    value_at,
+)
 
 _REST_EPS = 1e-12  # velocities below this count as numerically at rest
 
@@ -94,10 +100,12 @@ def _control_enclosure(fb: FallbackPolicy, X: np.ndarray, U: np.ndarray) -> np.n
             "state-feedback fallback over a nondegenerate box needs a "
             "control_box enclosure or a lipschitz bound"
         )
-    enc = np.array([np.maximum(enc[0], U[0]), np.minimum(enc[1], U[1])])
-    if (enc[0] > enc[1]).any():
+    out = np.empty(U.shape)
+    np.maximum(enc[0], U[0], out=out[0])
+    np.minimum(enc[1], U[1], out=out[1])
+    if (out[0] > out[1]).any():
         raise ValueError("fallback control enclosure does not meet the control set")
-    return enc
+    return out
 
 
 def propagate_frs(
@@ -338,12 +346,35 @@ def _check_terminal_invariance(
 # --- terminal sets and fallbacks built on a solved value grid ---------------
 
 
+def _grid_box_nonnegative(grid: ValueGrid, X) -> bool:
+    """``grid_box_min(grid, X) >= 0.0``, settled from node values when they decide it.
+
+    A node strictly inside the box is a point of the exact minimum, so one that
+    is not >= 0 (NaN included) decides False. Multilinear weights are
+    nonnegative, so when every node of the covering cells is >= 0 so is every
+    interpolated value in the box, which decides True; this is also the node
+    bound ``grid_box_min`` takes for very large boxes. Only the boxes left
+    over are handed to ``grid_box_min``.
+    """
+    ranges = box_node_ranges(grid, *np.asarray(X, dtype=np.float64))
+    if ranges is None:
+        return grid.out_of_domain_value >= 0.0
+    inner, cover = ranges
+    block = grid.values.reshape(grid.shape)
+    if (block[cover] >= 0.0).all():
+        return True
+    if not (block[inner] >= 0.0).all():
+        return False
+    return grid_box_min(grid, X) >= 0.0
+
+
 def value_grid_terminal_set(grid: ValueGrid) -> TerminalSafeSet:
     """Terminal set {V >= 0} of a solved value grid; box containment uses a
-    sound lower bound of the interpolant over the box."""
+    sound lower bound of the interpolant over the box, decided from node
+    values where they suffice."""
     return TerminalSafeSet(
         membership=lambda x: value_at(grid, x) >= 0.0,
-        box_containment=lambda X: grid_box_min(grid, X) >= 0.0,
+        box_containment=lambda X: _grid_box_nonnegative(grid, X),
         name="value_grid_safe_set",
     )
 

@@ -117,20 +117,19 @@ class TubeMPCFilter(SafetyFilter):
         control_boxes = []
         for tau in range(self.horizon):
             ke = linear_image(K, error_bounds[tau])
-            tightened = Box(control_set.lower - ke[0], control_set.upper - ke[1])
-            if np.any(tightened.lower > tightened.upper):
+            lo, hi = control_set.lower - ke[0], control_set.upper - ke[1]
+            if np.any(lo > hi):
                 raise ValueError(f"control set tightens to empty at stage {tau}")
-            control_boxes.append(tightened)
+            control_boxes.append(Box(lo, hi))
         stage_offsets = np.empty((len(self.halfspaces), self.horizon))
         for i, (nrm, off) in enumerate(self.halfspaces):
             for tau in range(self.horizon):
                 stage_offsets[i, tau] = off + error_bounds[tau].support(-nrm)
         e_H = error_bounds[-1]
-        tight_terminal = Box(
-            terminal_box.lower - e_H.lower, terminal_box.upper - e_H.upper
-        )
-        if np.any(tight_terminal.lower > tight_terminal.upper):
+        lo, hi = terminal_box.lower - e_H.lower, terminal_box.upper - e_H.upper
+        if np.any(lo > hi):
             raise ValueError("terminal box tightens to empty")
+        tight_terminal = Box(lo, hi)
         closed = A + B @ K
         if not tight_terminal.contains_box(linear_image(closed, tight_terminal), tol=1e-12):
             raise ValueError("tightened terminal box is not invariant under A + B K")
@@ -307,7 +306,7 @@ class TubeMPCFilter(SafetyFilter):
         self._plan = plan
         return plan.controls[0].copy()
 
-    def intervene(self, x, u_task, monitor_value=None) -> np.ndarray:
+    def intervene(self, x, u_task, monitor_value: float) -> np.ndarray:
         self.last_degraded = False
         x = np.asarray(x, dtype=np.float64)
         u_task = np.atleast_1d(np.asarray(u_task, dtype=np.float64))

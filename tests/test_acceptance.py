@@ -309,7 +309,9 @@ def test_criterion_5_conservatism_ordering(robust_bench):
             if pass_lr != pass_sh:
                 coincide = False
                 break
-            if not pass_lr and not np.array_equal(shield0.intervene(x, u), lr0.intervene(x, u)):
+            if not pass_lr and not np.array_equal(
+                shield0.intervene(x, u, shield0.monitor(x, u)), lr0.intervene(x, u, lr0.monitor(x, u))
+            ):
                 coincide = False
                 break
         if not coincide:
@@ -402,7 +404,7 @@ def test_criterion_7_cbf_forward_invariance():
             for _ in range(int(30 / dt / 100) * 100 or 300):
                 u_task = np.array([-1.0])
                 monitor = flt.monitor(x, u_task)
-                applied = flt.intervene(x, u_task)
+                applied = flt.intervene(x, u_task, monitor)
                 if not flt.last_degraded:
                     # feasible instants: the applied control satisfies the
                     # decrease inequality exactly, so the certified
@@ -445,7 +447,7 @@ def test_criterion_8_tube_mpc_recursive_feasibility(tube_bench):
 
     def recurse(x, depth):
         flt.reset()
-        flt.intervene(x, np.array([0.8]))
+        flt.intervene(x, np.array([0.8]), flt.monitor(x, np.array([0.8])))
         assert not flt.last_degraded, f"feasibility lost at {x} after depth {depth}"
         visited[0] += 1
         if depth == 5:

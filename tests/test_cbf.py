@@ -211,14 +211,14 @@ def test_feasible_task_passes_exactly(di_cbf):
     x = np.array([2.0, 0.0])
     u = np.array([0.4])
     assert flt.monitor(x, u) >= 0
-    assert flt.intervene(x, u) is u
+    assert flt.intervene(x, u, flt.monitor(x, u)) is u
 
 
 def test_violating_task_projected_to_constraint(di_cbf):
     model, b, flt = di_cbf
     x = np.array([0.5, -0.9])
     u_task = np.array([-1.0])
-    out = flt.intervene(x, u_task)
+    out = flt.intervene(x, u_task, flt.monitor(x, u_task))
     assert not flt.last_degraded
     assert cbf_constraint(model, b, x, out) >= -1e-9
     assert out[0] > u_task[0]
@@ -232,7 +232,7 @@ def test_violating_task_projected_to_constraint(di_cbf):
 def test_infeasible_falls_back_to_max_decrease(di_cbf):
     model, b, flt = di_cbf
     x = np.array([-0.5, -1.0])  # h < 0 and v < 0: no control satisfies the condition
-    u = flt.intervene(x, np.array([0.0]))
+    u = flt.intervene(x, np.array([0.0]), flt.monitor(x, np.array([0.0])))
     assert flt.last_degraded
     assert u[0] == 1.0  # argmax of hdot is full braking for v<0
     decision = decide(flt, x, np.array([0.0]))
@@ -257,7 +257,7 @@ def test_non_interference_when_monitor_passes(di_cbf):
         x = np.array([rng.uniform(0, 3), rng.uniform(-2, 2)])
         u = model.control_set.sample(rng)
         if flt.monitor(x, u) >= 0:
-            out = flt.intervene(x, u)
+            out = flt.intervene(x, u, flt.monitor(x, u))
             assert np.max(np.abs(out - u)) <= 1e-12
 
 
@@ -274,7 +274,7 @@ def test_forward_invariance_with_first_order_slack():
             if float(b.h(x)) < 0:
                 continue
             for _ in range(300):
-                u = flt.intervene(x, np.array([-1.0]))
+                u = flt.intervene(x, np.array([-1.0]), flt.monitor(x, np.array([-1.0])))
                 x = model.step(x, u, np.zeros(0))
                 w = max(w, -min(0.0, float(b.h(x))))
         return w
@@ -292,7 +292,7 @@ def test_applied_control_satisfies_constraint_when_feasible(di_cbf):
     rng = np.random.default_rng(5)
     for _ in range(200):
         u_task = model.control_set.sample(rng)
-        applied = flt.intervene(x, u_task)
+        applied = flt.intervene(x, u_task, flt.monitor(x, u_task))
         if not flt.last_degraded:
             assert cbf_constraint(model, b, x, applied) >= -1e-12
         x = model.step(x, applied, np.zeros(0))

@@ -85,7 +85,7 @@ def test_at_rest_in_known_space_passes(world, robot):
     flt.reset(x0)
     u = np.array([0.0, 0.0])
     assert flt.monitor(x0, u) == 1.0
-    assert flt.intervene(x0, u) is u
+    assert flt.intervene(x0, u, flt.monitor(x0, u)) is u
 
 
 def test_fast_approach_to_frontier_is_overridden(world, robot):
@@ -96,7 +96,7 @@ def test_fast_approach_to_frontier_is_overridden(world, robot):
     x = np.array([1.0, 1.0, 2.0, 0.0])
     u = np.array([1.0, 0.0])
     assert flt.monitor(x, u) == -1.0
-    out = flt.intervene(x, u)
+    out = flt.intervene(x, u, flt.monitor(x, u))
     assert np.array_equal(out, flt.fallback(x))
     assert out[0] == -1.0  # braking against the motion
 

@@ -111,7 +111,9 @@ def test_switch_intervention_uses_the_given_value():
     assert flt.intervene(x, u, 0.0) is u
     assert np.array_equal(flt.intervene(x, u, -1e-300), fallback(x))
     assert not calls  # a given value is trusted, not re-evaluated
-    # without a value the monitor is evaluated here (it returns -1)
-    assert np.array_equal(flt.intervene(x, u), fallback(x))
+    # the value is required: a caller evaluates the monitor itself
+    with pytest.raises(TypeError):
+        flt.intervene(x, u)
+    assert np.array_equal(flt.intervene(x, u, flt.monitor(x, u)), fallback(x))
     assert len(calls) == 1
     assert not flt.last_degraded

@@ -38,7 +38,7 @@ def test_pass_through_deep_inside(wall_setup):
     x = np.array([2.0, 0.0])
     u = np.array([0.3])
     assert flt.monitor(x, u) >= 0
-    out = flt.intervene(x, u)
+    out = flt.intervene(x, u, flt.monitor(x, u))
     assert out is u  # bit-exact pass-through
 
 
@@ -54,7 +54,7 @@ def test_override_toward_wall(wall_setup):
             x = cand
             break
     assert x is not None, "no certified boundary state found"
-    out = flt.intervene(x, u_bad)
+    out = flt.intervene(x, u_bad, flt.monitor(x, u_bad))
     assert out[0] == 1.0  # maximal braking away from the wall
 
 
@@ -130,7 +130,7 @@ def test_passthrough_filter_identity():
     flt = passthrough_filter(model)
     x = np.array([1.0, 1.0])
     u = np.array([0.4])
-    assert flt.intervene(x, u) is u
+    assert flt.intervene(x, u, flt.monitor(x, u)) is u
     assert flt.monitor(x, u) == 0.0
 
 

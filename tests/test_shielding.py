@@ -159,10 +159,10 @@ def test_filter_switch_behavior(det_setup):
     flt = mps_filter(model, fallback, terminal, g, horizon=12)
     x = np.array([1.5, 0.0])
     u_ok = np.array([0.1])
-    assert flt.intervene(x, u_ok) is u_ok
+    assert flt.intervene(x, u_ok, flt.monitor(x, u_ok)) is u_ok
     x_bad = np.array([0.05, -0.9])
     u_bad = np.array([-1.0])
-    out = flt.intervene(x_bad, u_bad)
+    out = flt.intervene(x_bad, u_bad, flt.monitor(x_bad, u_bad))
     assert np.array_equal(out, fallback(x_bad))
     decision = decide(flt, x_bad, u_bad)
     assert decision.overridden and decision.monitor_value == -0.5
@@ -251,7 +251,9 @@ def test_horizon_one_recovers_least_restrictive(equivalence_setup):
             same_pass = (shield.monitor(x, u) >= 0) == (lr.monitor(x, u) >= 0)
             assert same_pass, (x, u)
             if shield.monitor(x, u) < 0:
-                assert np.array_equal(shield.intervene(x, u), lr.intervene(x, u))
+                assert np.array_equal(
+                    shield.intervene(x, u, shield.monitor(x, u)), lr.intervene(x, u, lr.monitor(x, u))
+                )
 
 
 def test_robust_shielding_pass_region_subset_of_least_restrictive():

@@ -76,6 +76,15 @@ def test_construction_rejects_incoherent_geometry():
         tube_mpc_filter(A1, B1, K1, U1, D1, HALFSPACES, Box([1.0], [2.0]), H)
 
 
+def test_construction_names_the_stage_that_tightens_to_empty():
+    # |K e_2| = 0.075 exceeds the control half-width 0.05 at stage 2
+    with pytest.raises(ValueError, match="control set tightens to empty at stage 2"):
+        tube_mpc_filter([[1]], [[1]], [[-0.5]], Box([-0.05], [0.05]), Box([-0.1], [0.1]),
+                        [([-1], -2)], Box([-0.5], [0.5]), 5)
+    with pytest.raises(ValueError, match="terminal box tightens to empty"):
+        tube_mpc_filter(A1, B1, K1, U1, Box([-0.5], [0.5]), HALFSPACES, Box([-0.3], [0.3]), H)
+
+
 # --- filter behavior --------------------------------------------------------------
 
 
@@ -85,7 +94,7 @@ def test_interior_task_control_passes_exactly():
     x = np.array([0.0])
     u = np.array([0.3])
     assert flt.monitor(x, u) == 0.5
-    assert flt.intervene(x, u) is u
+    assert flt.intervene(x, u, flt.monitor(x, u)) is u
 
 
 def test_monitor_is_plan_feasibility():
@@ -121,7 +130,7 @@ def test_optimization_type_intervention_minimal_deviation():
     flt.reset()
     x = np.array([1.5])
     u_task = np.array([1.0])
-    out = flt.intervene(x, u_task)
+    out = flt.intervene(x, u_task, flt.monitor(x, u_task))
     assert not flt.last_degraded
     assert out[0] < 1.0
     # dense cross-check: best feasible first control over a control lattice
@@ -139,11 +148,11 @@ def test_infeasible_uses_shifted_last_plan():
     flt = scalar_filter()
     flt.reset()
     x = np.array([1.2])
-    u = flt.intervene(x, np.array([0.4]))
+    u = flt.intervene(x, np.array([0.4]), flt.monitor(x, np.array([0.4])))
     plan = flt._plan
     assert plan is not None and plan.age == 1
     x_bad = np.array([2.5])  # beyond the failure wall: no plan exists
-    out = flt.intervene(x_bad, np.array([0.0]))
+    out = flt.intervene(x_bad, np.array([0.0]), flt.monitor(x_bad, np.array([0.0])))
     assert flt.last_degraded
     expected = plan.controls[1] + K1 @ (x_bad - plan.nominals[1])
     assert np.allclose(out, np.clip(expected, -1, 1))
@@ -152,8 +161,9 @@ def test_infeasible_uses_shifted_last_plan():
 def test_deployment_rejected_without_cache():
     flt = scalar_filter()
     flt.reset()
+    x, u = np.array([2.5]), np.array([0.0])
     with pytest.raises(DeploymentRejected):
-        flt.intervene(np.array([2.5]), np.array([0.0]))
+        flt.intervene(x, u, flt.monitor(x, u))
     model = scalar_model()
     margin = margin_halfspace([-1.0], -2.0)
     flt.reset()
@@ -232,7 +242,7 @@ def test_recursive_feasibility_exhaustive():
 
     def recurse(x, depth):
         flt.reset()
-        u = flt.intervene(x, np.array([0.8]))
+        u = flt.intervene(x, np.array([0.8]), flt.monitor(x, np.array([0.8])))
         assert not flt.last_degraded, f"feasibility lost at {x} depth {depth}"
         plan = flt._plan
         if depth == 5:
@@ -250,7 +260,8 @@ def test_recursive_feasibility_exhaustive():
 def test_plan_cache_reset():
     flt = scalar_filter()
     flt.reset()
-    flt.intervene(np.array([0.5]), np.array([0.2]))
+    x, u = np.array([0.5]), np.array([0.2])
+    flt.intervene(x, u, flt.monitor(x, u))
     assert flt._plan is not None
     flt.reset()
     assert flt._plan is None
@@ -260,7 +271,8 @@ def test_verbose_plan_dump(tmp_path):
     flt = scalar_filter()
     flt.reset()
     flt.plan_log_dir = str(tmp_path)
-    flt.intervene(np.array([0.5]), np.array([0.2]))
+    x, u = np.array([0.5]), np.array([0.2])
+    flt.intervene(x, u, flt.monitor(x, u))
     files = sorted(tmp_path.glob("plan_*.csv"))
     assert files
     lines = files[0].read_text().strip().splitlines()
