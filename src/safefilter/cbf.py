@@ -77,6 +77,12 @@ def cbf_constraint(model: SystemModel, b: BarrierFunction, x, u) -> float:
     return drift_term + float(a @ u) + float(b.alpha(float(b.h(x))))
 
 
+def _min_nan(h: float, decrease: float) -> float:
+    """``min(h, decrease)``, but NaN when ``decrease`` is NaN (``min`` would
+    return ``h``); on other operands the result is ``min``'s, bit for bit."""
+    return decrease if decrease < h or decrease != decrease else h
+
+
 def _project_halfspace_box(u_task, a, rhs, lo, hi):
     """Exact solution of min 0.5||u - u_task||^2 s.t. a.u >= rhs, lo <= u <= hi.
 
@@ -125,16 +131,23 @@ class CBFQPFilter(SafetyFilter):
         u = np.atleast_1d(np.asarray(u, dtype=np.float64))
         drift_term, a = _affine_terms(self.model, self.barrier, x)
         h = float(self.barrier.h(x))
-        return min(h, drift_term + float(a @ u) + float(self.barrier.alpha(h)))
+        return _min_nan(h, drift_term + float(a @ u) + float(self.barrier.alpha(h)))
 
-    def _fallback(self, x) -> np.ndarray:
-        """Decrease-maximizing control; zero-gain coordinates take the box center."""
-        x = np.asarray(x, dtype=np.float64)
-        _, a = _affine_terms(self.model, self.barrier, x)
+    def _max_decrease(self, a: np.ndarray) -> np.ndarray:
+        """argmax_u a . u over the control box; zero-gain coordinates take the
+        box center."""
         box = self.model.control_set
         return np.where(a > 0, box.upper, np.where(a < 0, box.lower, box.center))
 
+    def _fallback(self, x) -> np.ndarray:
+        """Decrease-maximizing control at x."""
+        _, a = _affine_terms(self.model, self.barrier, np.asarray(x, dtype=np.float64))
+        return self._max_decrease(a)
+
     def intervene(self, x, u_task, monitor_value: float) -> np.ndarray:
+        """Project u_task onto the decrease condition, from one evaluation of
+        the affine terms and of h; an infeasible program takes the
+        decrease-maximizing control from the same terms."""
         self.last_degraded = False
         x = np.asarray(x, dtype=np.float64)
         u_task = np.atleast_1d(np.asarray(u_task, dtype=np.float64))
@@ -144,7 +157,7 @@ class CBFQPFilter(SafetyFilter):
         u = _project_halfspace_box(u_task, a, rhs, box.lower, box.upper)
         if u is None:
             self.last_degraded = True
-            return self._fallback(x)
+            return self._max_decrease(a)
         return u
 
 
@@ -174,10 +187,10 @@ def builtin_barrier_double_integrator(
 
     def grad_h(x):
         x = np.asarray(x, dtype=np.float64)
-        v = x[..., 1]
-        return np.stack(
-            [np.ones_like(v), np.maximum(0.0, -v) / u_max], axis=-1
-        )
+        out = np.empty(x.shape[:-1] + (2,))
+        out[..., 0] = 1.0
+        np.divide(np.maximum(0.0, -x[..., 1]), u_max, out=out[..., 1])
+        return out
 
     return BarrierFunction(h, grad_h, lambda a: kappa * a, name="stopping_distance")
 

@@ -6,6 +6,7 @@ configuration next to its outputs for reproducibility.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -92,23 +93,34 @@ def _number(mapping, key, path, default=None):
     val = mapping[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"config key {path}.{key} must be a number")
-    return float(val)
-
-
-def _vector(mapping, key, path):
-    val = _require(mapping, key, path)
     try:
-        return np.asarray(val, dtype=np.float64).reshape(-1)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"config key {path}.{key} must be a numeric list") from e
+        val = float(val)
+    except OverflowError as e:
+        raise ConfigError(f"config key {path}.{key} must be finite") from e
+    if not math.isfinite(val):
+        raise ConfigError(f"config key {path}.{key} must be finite")
+    return val
 
 
-def _matrix(mapping, key, path):
+def _finite_array(mapping, key, path, what):
     val = _require(mapping, key, path)
     try:
         arr = np.asarray(val, dtype=np.float64)
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"config key {path}.{key} must be a numeric matrix") from e
+        raise ConfigError(f"config key {path}.{key} must be a numeric {what}") from e
+    except OverflowError as e:
+        raise ConfigError(f"config key {path}.{key} must be finite") from e
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"config key {path}.{key} must be finite")
+    return arr
+
+
+def _vector(mapping, key, path):
+    return _finite_array(mapping, key, path, "list").reshape(-1)
+
+
+def _matrix(mapping, key, path):
+    arr = _finite_array(mapping, key, path, "matrix")
     if arr.ndim != 2:
         raise ConfigError(f"config key {path}.{key} must be a 2-d matrix")
     return arr
@@ -446,7 +458,7 @@ def build_harness_settings(cfg: dict) -> HarnessSettings:
     seeds = cfg.get("seeds", [0])
     if not isinstance(seeds, list) or not all(isinstance(s, int) for s in seeds):
         raise ConfigError("harness.seeds must be a list of integers")
-    goal = np.asarray(cfg["goal"], dtype=np.float64) if "goal" in cfg else None
+    goal = _vector(cfg, "goal", "harness") if "goal" in cfg else None
     weight = _number(cfg, "control_weight", "harness", 0.1)
     task_cfg = cfg.get("task", {"kind": "constant", "value": []})
     dist_cfg = cfg.get("disturbance", {"kind": "zero"})

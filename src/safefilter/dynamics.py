@@ -8,6 +8,7 @@ upper]`` to bounds guaranteed to contain every reachable successor.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional
@@ -18,7 +19,8 @@ from .intervals import Box, cos_interval, linear_image, sin_interval
 
 
 class InputDomainError(ValueError):
-    """A control or disturbance lies outside its admissible box."""
+    """A state is not finite, or a control or disturbance lies outside its
+    admissible box."""
 
 
 @dataclass(frozen=True)
@@ -60,15 +62,26 @@ class SystemModel:
 
 
 def step(model: SystemModel, x, u, d) -> np.ndarray:
-    """Validated single step: rejects controls/disturbances outside their boxes."""
+    """Validated single step: raises ``InputDomainError`` for a non-finite state
+    and for a control or disturbance outside its box (NaN included), and
+    ``ValueError`` for a control or disturbance of the wrong size."""
     x = np.asarray(x, dtype=np.float64)
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
     d = np.atleast_1d(np.asarray(d, dtype=np.float64))
+    if not all(map(math.isfinite, x.reshape(-1).tolist())):
+        raise InputDomainError(f"state {x} is not finite")
     if not model.control_set.contains(u):
         raise InputDomainError(f"control {u} outside admissible set")
     if not model.disturbance_set.contains(d):
         raise InputDomainError(f"disturbance {d} outside admissible set")
     return model.step(x, u, d)
+
+
+def _constant_matrix(rows) -> np.ndarray:
+    """A read-only float matrix, built once for a model's constant g(x)."""
+    g = np.array(rows, dtype=np.float64)
+    g.flags.writeable = False
+    return g
 
 
 def _input_channel(U, D) -> np.ndarray:
@@ -108,10 +121,15 @@ def make_double_integrator(u_max: float, d_max: float, dt: float) -> SystemModel
 
     def drift(x):
         x = np.asarray(x, dtype=np.float64)
-        return np.stack([x[..., 1], np.zeros_like(x[..., 1])], axis=-1)
+        out = np.empty(x.shape[:-1] + (2,))
+        out[..., 0] = x[..., 1]
+        out[..., 1] = 0.0
+        return out
+
+    g = _constant_matrix([[0.0], [1.0]])
 
     def input_map(x):
-        return np.array([[0.0], [1.0]])
+        return g
 
     return SystemModel(
         state_dim=2,
@@ -169,12 +187,16 @@ def make_dubins_car(speed: float, omega_max: float, d_max: float, dt: float) -> 
     def drift(x):
         x = np.asarray(x, dtype=np.float64)
         th = x[..., 2]
-        return np.stack(
-            [speed * np.cos(th), speed * np.sin(th), np.zeros_like(th)], axis=-1
-        )
+        out = np.empty(th.shape + (3,))
+        np.multiply(speed, np.cos(th), out=out[..., 0])
+        np.multiply(speed, np.sin(th), out=out[..., 1])
+        out[..., 2] = 0.0
+        return out
+
+    g = _constant_matrix([[0.0], [0.0], [1.0]])
 
     def input_map(x):
-        return np.array([[0.0], [0.0], [1.0]])
+        return g
 
     return SystemModel(
         state_dim=3,
@@ -227,10 +249,15 @@ def make_inverted_pendulum(torque_max: float, d_max: float, dt: float) -> System
 
     def drift(x):
         x = np.asarray(x, dtype=np.float64)
-        return np.stack([x[..., 1], np.sin(x[..., 0])], axis=-1)
+        out = np.empty(x.shape[:-1] + (2,))
+        out[..., 0] = x[..., 1]
+        np.sin(x[..., 0], out=out[..., 1])
+        return out
+
+    g = _constant_matrix([[0.0], [1.0]])
 
     def input_map(x):
-        return np.array([[0.0], [1.0]])
+        return g
 
     return SystemModel(
         state_dim=2,

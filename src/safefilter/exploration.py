@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SystemModel
+from .dynamics import SystemModel, _constant_matrix
 from .filters import Monitor, SafetyFilter
 from .intervals import Box
 
@@ -42,10 +42,15 @@ def make_planar_double_integrator(u_max: float, dt: float) -> SystemModel:
 
     def drift(x):
         x = np.asarray(x, dtype=np.float64)
-        return np.concatenate([x[..., 2:], np.zeros_like(x[..., 2:])], axis=-1)
+        out = np.empty(x.shape[:-1] + (4,))
+        out[..., :2] = x[..., 2:]
+        out[..., 2:] = 0.0
+        return out
+
+    g = _constant_matrix(np.vstack([np.zeros((2, 2)), np.eye(2)]))
 
     def input_map(x):
-        return np.vstack([np.zeros((2, 2)), np.eye(2)])
+        return g
 
     return SystemModel(
         state_dim=4,

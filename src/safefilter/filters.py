@@ -189,12 +189,12 @@ def verify_monitor_soundness(
 ) -> SoundnessReport:
     """Brute-force check of the monitor contract on a small instance.
 
-    For every initial state whose fallback passes the monitor, roll out the
-    fallback policy under *all* disturbance-candidate sequences up to the
-    horizon and confirm the failure margin never goes negative. Each
-    counterexample records (initial state, disturbance sequence, failing
-    state). Raises BudgetExceededError before expanding more nodes than the
-    budget allows.
+    For every initial state whose fallback passes the monitor (a value
+    ``>= 0``; NaN does not pass), roll out the fallback policy under *all*
+    disturbance-candidate sequences up to the horizon and confirm the failure
+    margin never goes negative. Each counterexample records (initial state,
+    disturbance sequence, failing state). Raises BudgetExceededError before
+    expanding more nodes than the budget allows.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -216,7 +216,7 @@ def verify_monitor_soundness(
     report = SoundnessReport(checked_states=n_states, certified_states=0)
     for x0 in initial_states:
         x0 = np.asarray(x0, dtype=np.float64)
-        if flt.monitor(x0, flt.fallback(x0)) < 0.0:
+        if not flt.monitor(x0, flt.fallback(x0)) >= 0.0:  # NaN certifies nothing
             continue
         report.certified_states += 1
         stack = [(x0, ())]

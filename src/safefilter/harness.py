@@ -78,11 +78,12 @@ def run_episode(
     control_weight: float = 0.1,
 ) -> tuple[Trajectory, EpisodeMetrics]:
     """One closed-loop episode. Raises DeploymentRejected when the monitor does
-    not certify the fallback at the initial state."""
+    not certify the fallback at the initial state: a value that is not
+    ``>= 0``, NaN included, rejects it."""
     x0 = np.asarray(x0, dtype=np.float64)
     rng = np.random.default_rng(seed)
     flt.reset(x0)
-    if flt.monitor(x0, flt.fallback(x0)) < 0.0:
+    if not flt.monitor(x0, flt.fallback(x0)) >= 0.0:
         raise DeploymentRejected(f"monitor rejected deployment at {x0}")
 
     states = [x0]

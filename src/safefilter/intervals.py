@@ -45,6 +45,8 @@ class Box:
         hi.flags.writeable = False
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
+        # the bounds again as Python floats, so point checks need no numpy calls
+        object.__setattr__(self, "_float_bounds", tuple(zip(lo.tolist(), hi.tolist())))
 
     def __array__(self, dtype=None, copy=None):
         return np.array([self.lower, self.upper], dtype=dtype)
@@ -67,12 +69,15 @@ class Box:
         return self.upper - self.lower
 
     def contains(self, x, tol: float = 0.0) -> bool:
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        if x.size != self.dim:
-            raise ValueError(f"point has dimension {x.size}, box has {self.dim}")
-        if self.dim == 0:
-            return True
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
+        """True if every coordinate of x lies in [lower - tol, upper + tol];
+        a NaN coordinate lies in no box."""
+        vals = np.asarray(x, dtype=np.float64).reshape(-1).tolist()
+        if len(vals) != self.dim:
+            raise ValueError(f"point has dimension {len(vals)}, box has {self.dim}")
+        for v, (lo, hi) in zip(vals, self._float_bounds):
+            if not lo - tol <= v <= hi + tol:
+                return False
+        return True
 
     def contains_box(self, other, tol: float = 0.0) -> bool:
         """True if ``other`` (a Box or (2, dim) bounds) lies inside this box."""

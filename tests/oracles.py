@@ -545,3 +545,159 @@ def seed_mps_monitor(sets, box_lower, box_containment) -> float:
     if not box_containment(sets[-1]):
         return -0.5
     return 0.5
+
+
+# --- CBF-QP filter with three affine-term evaluations -------------------------
+#
+# The CBF-QP filter, its barrier and the built-in models' affine split as they
+# were when a degraded decision evaluated the affine terms three times (monitor,
+# intervention and fallback) and every evaluation stacked fresh arrays. The
+# bodies are verbatim copies; closures became factories over the parameters
+# they captured, the classes and functions carry a ``seed_``/``Seed`` prefix,
+# the projection's tolerance constant is written as its value and the filter
+# constructor's argument checks are left out. They are the exactness oracle of the single-evaluation filter, which
+# must reproduce their decisions, monitor values and affine terms bit for bit.
+
+
+def seed_affine_terms(model, b, x):
+    """Split hdot(x, u) = drift_term + a . u for a control-affine model."""
+    if model.continuous_affine is None:
+        raise ValueError("model must provide continuous-time affine dynamics")
+    drift_fn, input_fn = model.continuous_affine
+    grad = np.asarray(b.grad_h(x), dtype=np.float64)
+    drift_term = float(grad @ np.asarray(drift_fn(x), dtype=np.float64))
+    a = np.asarray(input_fn(x), dtype=np.float64).T @ grad
+    return drift_term, a
+
+
+def seed_project_halfspace_box(u_task, a, rhs, lo, hi):
+    """Exact solution of min 0.5||u - u_task||^2 s.t. a.u >= rhs, lo <= u <= hi."""
+    from safefilter.qp import InfeasibleQP, solve_qp
+
+    m = u_task.size
+    support = float(np.sum(np.where(a >= 0, a * hi, a * lo)))
+    if support < rhs - 1e-9:
+        return None
+    if np.all(u_task >= lo) and np.all(u_task <= hi) and float(a @ u_task) >= rhs - 1e-9:
+        return u_task
+    eye = np.eye(m)
+    rows = np.vstack([a, eye, -eye])
+    offsets = np.concatenate([[min(rhs, support)], lo, -hi])
+    try:
+        u = solve_qp(eye, -u_task, rows, offsets)
+    except InfeasibleQP:
+        return None
+    return np.clip(u, lo, hi)
+
+
+def seed_cbf_qp_filter(model, barrier):
+    """Smooth minimal-deviation filter for a control-affine model.
+
+    Monitor: min(h(x), hdot(x, u) + alpha(h(x))). When the program is
+    infeasible the intervention degrades to the decrease-maximizing control
+    argmax_u hdot(x, u) and flags the decision.
+    """
+    from safefilter.filters import Monitor, SafetyFilter
+
+    class SeedCBFQPFilter(SafetyFilter):
+        def __init__(self, model, barrier):
+            self.model = model
+            self.barrier = barrier
+            monitor = Monitor(self._monitor_value, name="barrier_decrease")
+            super().__init__(monitor, self._fallback, name="cbf_qp")
+
+        def _monitor_value(self, x, u) -> float:
+            x = np.asarray(x, dtype=np.float64)
+            u = np.atleast_1d(np.asarray(u, dtype=np.float64))
+            drift_term, a = seed_affine_terms(self.model, self.barrier, x)
+            h = float(self.barrier.h(x))
+            return min(h, drift_term + float(a @ u) + float(self.barrier.alpha(h)))
+
+        def _fallback(self, x) -> np.ndarray:
+            """Decrease-maximizing control; zero-gain coordinates take the box center."""
+            x = np.asarray(x, dtype=np.float64)
+            _, a = seed_affine_terms(self.model, self.barrier, x)
+            box = self.model.control_set
+            return np.where(a > 0, box.upper, np.where(a < 0, box.lower, box.center))
+
+        def intervene(self, x, u_task, monitor_value: float) -> np.ndarray:
+            self.last_degraded = False
+            x = np.asarray(x, dtype=np.float64)
+            u_task = np.atleast_1d(np.asarray(u_task, dtype=np.float64))
+            drift_term, a = seed_affine_terms(self.model, self.barrier, x)
+            rhs = -(drift_term + float(self.barrier.alpha(float(self.barrier.h(x)))))
+            box = self.model.control_set
+            u = seed_project_halfspace_box(u_task, a, rhs, box.lower, box.upper)
+            if u is None:
+                self.last_degraded = True
+                return self._fallback(x)
+            return u
+
+    return SeedCBFQPFilter(model, barrier)
+
+
+def seed_barrier_double_integrator(u_max, kappa, wall=0.0):
+    """Stopping-distance barrier h(p, v) = (p - wall) - max(0, -v)^2 / (2 u_max)."""
+    from safefilter.cbf import BarrierFunction
+
+    def h(x):
+        x = np.asarray(x, dtype=np.float64)
+        p, v = x[..., 0], x[..., 1]
+        braking = np.maximum(0.0, -v)
+        return (p - wall) - braking * braking / (2.0 * u_max)
+
+    def grad_h(x):
+        x = np.asarray(x, dtype=np.float64)
+        v = x[..., 1]
+        return np.stack(
+            [np.ones_like(v), np.maximum(0.0, -v) / u_max], axis=-1
+        )
+
+    return BarrierFunction(h, grad_h, lambda a: kappa * a, name="stopping_distance")
+
+
+def seed_double_integrator_affine():
+    def drift(x):
+        x = np.asarray(x, dtype=np.float64)
+        return np.stack([x[..., 1], np.zeros_like(x[..., 1])], axis=-1)
+
+    def input_map(x):
+        return np.array([[0.0], [1.0]])
+
+    return drift, input_map
+
+
+def seed_dubins_affine(speed):
+    def drift(x):
+        x = np.asarray(x, dtype=np.float64)
+        th = x[..., 2]
+        return np.stack(
+            [speed * np.cos(th), speed * np.sin(th), np.zeros_like(th)], axis=-1
+        )
+
+    def input_map(x):
+        return np.array([[0.0], [0.0], [1.0]])
+
+    return drift, input_map
+
+
+def seed_pendulum_affine():
+    def drift(x):
+        x = np.asarray(x, dtype=np.float64)
+        return np.stack([x[..., 1], np.sin(x[..., 0])], axis=-1)
+
+    def input_map(x):
+        return np.array([[0.0], [1.0]])
+
+    return drift, input_map
+
+
+def seed_planar_affine():
+    def drift(x):
+        x = np.asarray(x, dtype=np.float64)
+        return np.concatenate([x[..., 2:], np.zeros_like(x[..., 2:])], axis=-1)
+
+    def input_map(x):
+        return np.vstack([np.zeros((2, 2)), np.eye(2)])
+
+    return drift, input_map

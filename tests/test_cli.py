@@ -92,6 +92,20 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert summary["error"] == "config"
 
 
+def test_run_non_finite_start_is_config_error(tmp_path, capsys):
+    import yaml
+
+    cfg = yaml.safe_load((CONFIG_DIR / "cbf_wall.yaml").read_text())
+    cfg["harness"]["x0"] = [float("nan"), 0.0]
+    bad = tmp_path / "nan_start.yaml"
+    bad.write_text(yaml.safe_dump(cfg))
+    assert ".nan" in bad.read_text()
+    code, summary = run_cli(capsys, "run", "--config", str(bad), "--out", str(tmp_path / "o"))
+    assert code == EXIT_CONFIG
+    assert "harness.x0" in summary["message"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_config_file(capsys):
     code, summary = run_cli(capsys, "solve", "--config", "/nonexistent.yaml")
     assert code == EXIT_CONFIG

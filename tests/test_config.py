@@ -137,3 +137,23 @@ def test_resolved_dump_round_trip(tmp_path):
     path = tmp_path / "resolved.yaml"
     dump_resolved_config(GOOD, path)
     assert yaml.safe_load(path.read_text()) == GOOD
+
+
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), float("-inf"), 10**400],
+    ids=["nan", "inf", "-inf", "int_overflow"],
+)
+def test_non_finite_numbers_rejected_naming_the_key(bad):
+    with pytest.raises(ConfigError, match=r"model\.dt must be finite"):
+        build_model(dict(GOOD["model"], dt=bad))
+    with pytest.raises(ConfigError, match=r"harness\.x0 must be finite"):
+        build_harness_settings(dict(GOOD["harness"], x0=[bad, 0.0]))
+    with pytest.raises(ConfigError, match=r"harness\.goal must be finite"):
+        build_harness_settings(dict(GOOD["harness"], goal=[2.0, bad]))
+    linear = {"kind": "linear", "a": [[1.0]], "b": [[1.0]],
+              "control_lower": [-1.0], "control_upper": [1.0]}
+    with pytest.raises(ConfigError, match=r"model\.a must be finite"):
+        build_model(dict(linear, a=[[bad]]))
+    with pytest.raises(ConfigError, match=r"model\.control_upper must be finite"):
+        build_model(dict(linear, control_upper=[bad]))
+    assert build_harness_settings(dict(GOOD["harness"], goal=[2.0, 0.0])).scenario_goal.tolist() == [2.0, 0.0]

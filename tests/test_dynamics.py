@@ -276,3 +276,48 @@ def test_margin_gradients_batched_per_row():
     assert np.array_equal(both.gradient(rows), want)
     for x, gr in zip(rows, want):
         assert np.array_equal(both.gradient(x), gr)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("i", [0, 1])
+def test_step_rejects_non_finite_state(bad, i):
+    m = make_double_integrator(1.0, 0.5, DT)
+    x = np.array([0.5, -0.5])
+    x[i] = bad
+    with pytest.raises(InputDomainError, match="not finite"):
+        step(m, x, [0.0], [0.0])
+
+
+def test_step_input_checks_and_bits():
+    m = make_double_integrator(1.0, 0.5, DT)
+    x = np.array([0.5, -0.5])
+    # the box bounds themselves are admissible, the next float past them is not
+    for u, d in (([1.0], [0.5]), ([-1.0], [-0.5]), (1.0, 0.5)):
+        assert step(m, x, u, d).tobytes() == m.step(x, np.atleast_1d(u), np.atleast_1d(d)).tobytes()
+    for u, d in (([np.nextafter(1.0, 2.0)], [0.0]), ([np.nan], [0.0]),
+                 ([0.0], [np.nextafter(-0.5, -1.0)]), ([0.0], [np.nan])):
+        with pytest.raises(InputDomainError):
+            step(m, x, u, d)
+    for u, d in (([0.0, 0.0], [0.0]), ([0.0], np.zeros(0)), ([[0.0, 0.0]], [0.0])):
+        with pytest.raises(ValueError) as err:
+            step(m, x, u, d)
+        assert not isinstance(err.value, InputDomainError)
+    rng = np.random.default_rng(5)
+    models = [m, make_dubins_car(1.0, 1.0, 0.3, DT), make_inverted_pendulum(2.0, 0.0, DT)]
+    for model in models:
+        for _ in range(50):
+            x = rng.uniform(-2.0, 2.0, model.state_dim)
+            u = model.control_set.sample(rng)
+            d = model.disturbance_set.sample(rng)
+            assert step(model, x, u, d).tobytes() == model.step(x, u, d).tobytes()
+
+
+def test_box_contains_matches_bound_comparison():
+    box = Box([-1.0, 0.0], [1.0, 2.0])
+    assert box.contains([1.0, 0.0]) and box.contains(np.array([-1.0, 2.0]))
+    assert not box.contains([1.0 + 1e-12, 0.0])
+    assert box.contains([1.0 + 1e-12, 0.0], tol=1e-9)
+    assert not box.contains([0.0, np.nan], tol=1.0)
+    assert Box([], []).contains(np.zeros(0))
+    with pytest.raises(ValueError):
+        box.contains([0.0])

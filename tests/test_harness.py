@@ -4,6 +4,7 @@ import pytest
 from safefilter import (
     Box,
     DeploymentRejected,
+    Monitor,
     Scenario,
     adversarial_disturbance,
     clopper_pearson,
@@ -19,9 +20,11 @@ from safefilter import (
     proportional_policy,
     random_disturbance,
     replay_states,
+    SafetyFilter,
     run_episode,
     separation_experiment,
     solve,
+    verify_monitor_soundness,
     write_decisions_csv,
     zero_disturbance,
 )
@@ -207,3 +210,14 @@ def test_decisions_csv(bench, tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,x0,x1,candidate0,applied0,monitor_value,overridden"
     assert len(lines) == 6
+
+
+def test_nan_deployment_monitor_value_is_rejected(bench):
+    # a monitor value that is not >= 0 certifies nothing, NaN included
+    model, g, grid, u_cands, d_cands, _ = bench
+    nan_monitor = SafetyFilter(Monitor(lambda x, u: float("nan")), lambda x: np.zeros(1))
+    with pytest.raises(DeploymentRejected):
+        run_episode(model, nan_monitor, constant_policy([0.0]), zero_disturbance(model),
+                    [1.5, 0.0], 10, 0, g)
+    report = verify_monitor_soundness(model, nan_monitor, [np.array([1.5, 0.0])], 2, d_cands, g)
+    assert report.certified_states == 0 and report.nodes_expanded == 0
