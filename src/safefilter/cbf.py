@@ -14,6 +14,7 @@ h between cycles is not compensated, only bounded: see euler_slack_bound.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -146,12 +147,16 @@ class CBFQPFilter(SafetyFilter):
 
     def intervene(self, x, u_task, monitor_value: float) -> np.ndarray:
         """Project u_task onto the decrease condition, from one evaluation of
-        the affine terms and of h; an infeasible program takes the
-        decrease-maximizing control from the same terms."""
+        the affine terms and of h; an infeasible program, or a NaN monitor
+        value (a non-finite candidate), takes the decrease-maximizing control
+        from the same terms."""
         self.last_degraded = False
         x = np.asarray(x, dtype=np.float64)
         u_task = np.atleast_1d(np.asarray(u_task, dtype=np.float64))
         drift_term, a = _affine_terms(self.model, self.barrier, x)
+        if math.isnan(monitor_value):
+            self.last_degraded = True
+            return self._max_decrease(a)
         rhs = -(drift_term + float(self.barrier.alpha(float(self.barrier.h(x)))))
         box = self.model.control_set
         u = _project_halfspace_box(u_task, a, rhs, box.lower, box.upper)

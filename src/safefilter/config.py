@@ -102,6 +102,38 @@ def _number(mapping, key, path, default=None):
     return val
 
 
+def _int_value(val, loc, minimum) -> int:
+    if isinstance(val, bool) or not (
+        isinstance(val, int) or isinstance(val, float) and val.is_integer()
+    ) or val < minimum:
+        raise ConfigError(f"config key {loc} needs integers >= {minimum}, got {val!r}")
+    return int(val)
+
+
+def _integer(mapping, key, path, default=None, minimum=0) -> int:
+    """The integer at ``key`` (``default`` when absent), at least ``minimum``.
+    Bools, non-integral numbers and smaller values raise ``ConfigError``
+    naming the key; nothing is truncated."""
+    loc = f"{path}.{key}"
+    if key not in mapping and default is None:
+        raise ConfigError(f"missing config key {loc!r}")
+    return _int_value(mapping.get(key, default), loc, minimum)
+
+
+def _integers(mapping, key, path, default, minimum, length=None) -> list[int]:
+    """The list of integers at ``key`` (``default`` when absent), checked
+    like ``_integer`` entry by entry, with ``length`` entries unless that is
+    None."""
+    loc = f"{path}.{key}"
+    if key not in mapping and default is None:
+        raise ConfigError(f"missing config key {loc!r}")
+    vals = mapping.get(key, default)
+    if not isinstance(vals, list) or not vals or length is not None and len(vals) != length:
+        size = "a nonempty list" if length is None else f"a list of {length}"
+        raise ConfigError(f"config key {loc} must be {size} integers")
+    return [_int_value(v, loc, minimum) for v in vals]
+
+
 def _finite_array(mapping, key, path, what):
     val = _require(mapping, key, path)
     try:
@@ -235,7 +267,9 @@ class GridSettings:
     max_iters: int
 
 
-def build_grid_settings(cfg: dict) -> GridSettings:
+def build_grid_settings(cfg: dict, model: SystemModel) -> GridSettings:
+    """Grid settings; the control and disturbance lattice counts have one
+    entry per input and disturbance dimension of ``model``."""
     _check_keys(
         cfg,
         {"lower", "upper", "shape", "u_counts", "d_counts", "tolerance", "max_iters"},
@@ -243,13 +277,16 @@ def build_grid_settings(cfg: dict) -> GridSettings:
     )
     lower = _vector(cfg, "lower", "grid")
     upper = _vector(cfg, "upper", "grid")
-    shape = tuple(int(s) for s in _vector(cfg, "shape", "grid"))
+    shape = tuple(_integers(cfg, "shape", "grid", None, minimum=2, length=lower.size))
     tolerance = _number(cfg, "tolerance", "grid", 1e-6)
     if tolerance <= 0:
         raise ConfigError("grid.tolerance must be positive")
-    max_iters = int(_number(cfg, "max_iters", "grid", 1000))
-    u_counts = [int(c) for c in cfg.get("u_counts", [3])]
-    d_counts = [int(c) for c in cfg.get("d_counts", [2])]
+    max_iters = _integer(cfg, "max_iters", "grid", 1000, minimum=1)
+    u_counts = _integers(cfg, "u_counts", "grid", [3], minimum=1, length=model.control_dim)
+    # a model without disturbance ignores the disturbance lattice
+    d_counts = _integers(
+        cfg, "d_counts", "grid", [2], minimum=1, length=model.disturbance_dim or None
+    )
     try:
         domain = Box(lower, upper)
     except ValueError as e:
@@ -358,7 +395,7 @@ def build_filter(
             barrier = builtin_barrier_double_integrator(u_max, kappa, wall)
             return FilterBundle(cbf_qp_filter(model, barrier))
         if kind == "mps":
-            horizon = int(_number(cfg, "horizon", "filter"))
+            horizon = _integer(cfg, "horizon", "filter", minimum=1)
             fb_cfg = _require(cfg, "fallback", "filter")
             term_cfg = _require(cfg, "terminal", "filter")
             fb_kind = _require(fb_cfg, "kind", "filter.fallback")
@@ -412,7 +449,7 @@ def build_filter(
                     _vector(cfg, "terminal_lower", "filter"),
                     _vector(cfg, "terminal_upper", "filter"),
                 ),
-                int(_number(cfg, "horizon", "filter")),
+                _integer(cfg, "horizon", "filter", minimum=1),
             )
             return FilterBundle(flt)
         # exploration
@@ -424,7 +461,7 @@ def build_filter(
             model,
             _number(cfg, "sensor_radius", "filter"),
             world,
-            int(_number(cfg, "horizon", "filter")),
+            _integer(cfg, "horizon", "filter", minimum=1),
         )
         return FilterBundle(flt)
     except ConfigError:
@@ -454,15 +491,13 @@ class HarnessSettings:
 def build_harness_settings(cfg: dict) -> HarnessSettings:
     _check_keys(cfg, _HARNESS_KEYS, "harness")
     x0 = _vector(cfg, "x0", "harness")
-    steps = int(_number(cfg, "steps", "harness"))
-    seeds = cfg.get("seeds", [0])
-    if not isinstance(seeds, list) or not all(isinstance(s, int) for s in seeds):
-        raise ConfigError("harness.seeds must be a list of integers")
+    steps = _integer(cfg, "steps", "harness", minimum=0)
+    seeds = _integers(cfg, "seeds", "harness", [0], minimum=0)
     goal = _vector(cfg, "goal", "harness") if "goal" in cfg else None
     weight = _number(cfg, "control_weight", "harness", 0.1)
     task_cfg = cfg.get("task", {"kind": "constant", "value": []})
     dist_cfg = cfg.get("disturbance", {"kind": "zero"})
-    return HarnessSettings(x0, steps, list(seeds), goal, weight, task_cfg, dist_cfg)
+    return HarnessSettings(x0, steps, seeds, goal, weight, task_cfg, dist_cfg)
 
 
 def build_task_policy(
@@ -484,8 +519,10 @@ def build_task_policy(
         return harness.random_policy(model.control_set)
     if kind == "adversarial":
         _check_keys(cfg, {"kind", "u_counts"}, "harness.task")
-        counts = cfg.get(
-            "u_counts", grid_settings.u_counts if grid_settings else [3] * model.control_dim
+        counts = _integers(
+            cfg, "u_counts", "harness.task",
+            grid_settings.u_counts if grid_settings else [3] * model.control_dim,
+            minimum=1, length=model.control_dim,
         )
         return harness.margin_descent_policy(
             model, margin, discretize_box(model.control_set, counts)
@@ -527,8 +564,10 @@ def build_disturbance_policy(
             if grid_settings is None:
                 raise ConfigError("adversarial disturbance needs a [grid] section")
             grid = _shared_grid(grids, None, model, margin, grid_settings)
-        counts = cfg.get(
-            "d_counts", grid_settings.d_counts if grid_settings else [2] * model.disturbance_dim
+        counts = _integers(
+            cfg, "d_counts", "harness.disturbance",
+            grid_settings.d_counts if grid_settings else [2] * model.disturbance_dim,
+            minimum=1, length=model.disturbance_dim,
         )
         return harness.adversarial_disturbance(
             model, grid, discretize_box(model.disturbance_set, counts)

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .intervals import Box, cos_interval, linear_image, sin_interval
+from .intervals import Box, cos_interval, linear_image, sin_interval, support
 
 
 class InputDomainError(ValueError):
@@ -373,7 +373,7 @@ def margin_halfspace(normal, offset: float) -> MarginFunction:
     d = -n
 
     def box_lower(B):  # minus the support of -n over each box, minus the offset
-        return -np.sum(np.where(d >= 0, d * B[..., 1, :], d * B[..., 0, :]), axis=-1) - offset
+        return -support(B, d) - offset
 
     return MarginFunction(fn, grad, box_lower, name="halfspace")
 

@@ -8,12 +8,13 @@ oracle below checks the monitor contract exhaustively on small instances.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import MarginFunction, SystemModel, step
+from .dynamics import InputDomainError, MarginFunction, SystemModel, step
 from .reachability import (
     ValueGrid,
     optimal_safety_policy,
@@ -134,11 +135,25 @@ def passthrough_filter(model: SystemModel, name: str = "passthrough") -> SafetyF
     return SafetyFilter(monitor, lambda x: u_rest.copy(), name=name)
 
 
+def _finite(a: np.ndarray) -> bool:
+    # on Python floats: a few times cheaper than np.isfinite(a).all() on the
+    # short vectors of one decision
+    return all(map(math.isfinite, a.ravel().tolist()))
+
+
 def decide(flt: SafetyFilter, x, u_task) -> FilterDecision:
-    """Evaluate the monitor on the candidate, intervene, and record the event."""
+    """Evaluate the monitor on the candidate, intervene, and record the event.
+
+    A state with a NaN or infinite coordinate raises ``InputDomainError``
+    before any monitor call. A non-finite candidate is not shown to the
+    monitor: its monitor value is NaN, which certifies nothing, and the
+    filter intervenes.
+    """
     x = np.asarray(x, dtype=np.float64)
     u_task = np.atleast_1d(np.asarray(u_task, dtype=np.float64))
-    monitor_value = flt.monitor(x, u_task)
+    if not _finite(x):
+        raise InputDomainError(f"state {x} is not finite")
+    monitor_value = flt.monitor(x, u_task) if _finite(u_task) else math.nan
     applied = np.atleast_1d(
         np.asarray(flt.intervene(x, u_task, monitor_value), dtype=np.float64)
     )

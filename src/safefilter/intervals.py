@@ -1,8 +1,9 @@
 """Axis-aligned boxes and sound interval arithmetic.
 
 An interval is a ``[lower, upper]`` bound array of shape (2, n): row 0 holds
-the lower bounds, row 1 the upper ones. Interval steps, fallback tubes and box
-lower bounds all work on that one format; ``Box`` is the validated public value
+the lower bounds, row 1 the upper ones. Interval steps, fallback tubes, box
+lower bounds and the tube-MPC tightening all work on that one format, stacked
+as (..., 2, n) where they hold many boxes; ``Box`` is the validated public value
 type for control, disturbance and domain sets, and converts to its bounds with
 ``np.asarray``. All enclosures here are conservative: rounding at piece
 boundaries is absorbed by a small outward guard where exactness cannot be
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -51,11 +51,6 @@ class Box:
     def __array__(self, dtype=None, copy=None):
         return np.array([self.lower, self.upper], dtype=dtype)
 
-    @staticmethod
-    def point(x) -> "Box":
-        x = np.asarray(x, dtype=np.float64)
-        return Box(x.copy(), x.copy())
-
     @property
     def dim(self) -> int:
         return self.lower.size
@@ -79,36 +74,18 @@ class Box:
                 return False
         return True
 
-    def contains_box(self, other, tol: float = 0.0) -> bool:
-        """True if ``other`` (a Box or (2, dim) bounds) lies inside this box."""
-        lo, hi = np.asarray(other, dtype=np.float64)
-        if self.dim == 0:
-            return lo.size == 0
-        return bool(np.all(lo >= self.lower - tol) and np.all(hi <= self.upper + tol))
-
     def sample(self, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
         """Uniform sample(s); shape (dim,) if n is None else (n, dim)."""
         size = (self.dim,) if n is None else (n, self.dim)
         u = rng.uniform(size=size)
         return self.lower + u * (self.upper - self.lower)
 
-    def corners(self) -> list[np.ndarray]:
-        """All 2^dim corner points (a single empty point for a 0-d box)."""
-        if self.dim == 0:
-            return [np.zeros(0)]
-        out = []
-        for bits in product((0, 1), repeat=self.dim):
-            out.append(np.where(np.asarray(bits, dtype=bool), self.upper, self.lower))
-        return out
 
-    def add(self, other: "Box") -> "Box":
-        """Minkowski sum with another box of the same dimension."""
-        return Box(self.lower + other.lower, self.upper + other.upper)
-
-    def support(self, direction) -> float:
-        """max over the box of direction . x."""
-        d = np.asarray(direction, dtype=np.float64)
-        return float(np.sum(np.where(d >= 0, d * self.upper, d * self.lower)))
+def support(bounds, direction) -> np.ndarray:
+    """max of direction . x over each box of a (..., 2, n) bound stack; the
+    direction (..., n) broadcasts against the stack's leading axes."""
+    d = np.asarray(direction, dtype=np.float64)
+    return np.sum(np.where(d >= 0, d * bounds[..., 1, :], d * bounds[..., 0, :]), axis=-1)
 
 
 def linear_image(M: np.ndarray, bounds) -> np.ndarray:

@@ -9,12 +9,14 @@ with the auxiliary feedback correction.
 """
 from __future__ import annotations
 
+import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .filters import DeploymentRejected, Monitor, SafetyFilter
-from .intervals import Box, linear_image
+from .intervals import Box, linear_image, support
 from .qp import InfeasibleQP, solve_qp
 
 _REG = 1e-8  # regularizer on later stages; the objective only scores stage 0
@@ -24,11 +26,12 @@ def _spectral_radius(M: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
-def compute_tightening(A, B, K, dist_box: Box, horizon: int) -> list[Box]:
-    """Per-stage worst-case tracking-error boxes under x_err' = (A+BK) x_err + d.
+def compute_tightening(A, B, K, dist_box: Box, horizon: int) -> np.ndarray:
+    """Per-stage worst-case tracking-error bounds (H+1, 2, n) under
+    x_err' = (A+BK) x_err + d.
 
-    error_bounds[0] is the zero box; each later stage is the interval image of
-    the previous one under A+BK, Minkowski-summed with the disturbance box.
+    Stage 0 is the zero box; each later stage is the interval image of the
+    previous one under A+BK, Minkowski-summed with the disturbance box.
     Requires A+BK to have spectral radius below one.
     """
     A = np.asarray(A, dtype=np.float64)
@@ -43,31 +46,32 @@ def compute_tightening(A, B, K, dist_box: Box, horizon: int) -> list[Box]:
     dist = np.asarray(dist_box) if dist_box.dim else np.zeros((2, n))
     if dist.shape[1] != n:
         raise ValueError("disturbance box must be state-dimensional")
-    bounds = [Box.point(np.zeros(n))]
-    for _ in range(horizon):
-        bounds.append(Box(*(linear_image(closed, bounds[-1]) + dist)))
+    bounds = np.zeros((horizon + 1, 2, n))
+    for tau in range(horizon):
+        bounds[tau + 1] = linear_image(closed, bounds[tau]) + dist
     return bounds
 
 
-def _error_bound_limit(closed: np.ndarray, dist: np.ndarray, tol: float = 1e-12) -> Box:
+def _error_bound_limit(closed: np.ndarray, dist: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     e = np.zeros((2, closed.shape[0]))
     for _ in range(100_000):
         nxt = linear_image(closed, e) + dist
         if float(np.max(np.abs(nxt - e))) <= tol:
-            return Box(*nxt)
+            return nxt
         e = nxt
     raise RuntimeError("error-bound iteration did not converge")
 
 
 @dataclass(frozen=True)
 class TightenedProblem:
-    """Precomputed tightened constraint data for the nominal plan."""
+    """Precomputed tightened constraint data for the nominal plan, as
+    ``[lower, upper]`` bound arrays."""
 
     horizon: int
-    error_bounds: tuple[Box, ...]          # stages 0..H
-    control_boxes: tuple[Box, ...]         # tightened control set per stage 0..H-1
-    stage_offsets: np.ndarray              # (n_halfspaces, H) tightened margins, stages 0..H-1
-    terminal_box: Box                      # tightened terminal region for stage H
+    error_bounds: np.ndarray     # (H+1, 2, n) tracking-error bounds, stages 0..H
+    control_bounds: np.ndarray   # (H, 2, m) tightened control set, stages 0..H-1
+    stage_offsets: np.ndarray    # (n_halfspaces, H) tightened margins, stages 0..H-1
+    terminal_bounds: np.ndarray  # (2, n) tightened terminal region for stage H
 
 
 @dataclass
@@ -81,7 +85,8 @@ class TubeMPCFilter(SafetyFilter):
     """Optimization-type filter; see module docstring.
 
     ``failure_halfspaces`` lists (normal, offset) pairs with the margin
-    convention: a state is failure-free iff normal . x >= offset for all pairs.
+    convention: a state is failure-free iff normal . x >= offset for all pairs;
+    they are kept as the rows of ``normals`` and the entries of ``offsets``.
     ``terminal_box`` must be invariant for the K-controlled nominal system
     after tightening, which is verified at construction along with clearance
     of the failure halfspaces by the asymptotic error bound.
@@ -107,57 +112,47 @@ class TubeMPCFilter(SafetyFilter):
         self.A, self.B, self.K = A, B, K
         self.n, self.m = n, m
         self.control_set = control_set
-        self.horizon = int(horizon)
-        self.halfspaces = [
-            (np.asarray(nrm, dtype=np.float64), float(off))
-            for nrm, off in failure_halfspaces
-        ]
+        self.horizon = H = int(horizon)
+        pairs = list(failure_halfspaces)
+        self.normals = np.array([nrm for nrm, _ in pairs], dtype=np.float64).reshape(len(pairs), n)
+        self.offsets = np.array([off for _, off in pairs], dtype=np.float64)
 
-        error_bounds = compute_tightening(A, B, K, dist_box, self.horizon)
-        control_boxes = []
-        for tau in range(self.horizon):
-            ke = linear_image(K, error_bounds[tau])
-            lo, hi = control_set.lower - ke[0], control_set.upper - ke[1]
-            if np.any(lo > hi):
-                raise ValueError(f"control set tightens to empty at stage {tau}")
-            control_boxes.append(Box(lo, hi))
-        stage_offsets = np.empty((len(self.halfspaces), self.horizon))
-        for i, (nrm, off) in enumerate(self.halfspaces):
-            for tau in range(self.horizon):
-                stage_offsets[i, tau] = off + error_bounds[tau].support(-nrm)
-        e_H = error_bounds[-1]
-        lo, hi = terminal_box.lower - e_H.lower, terminal_box.upper - e_H.upper
-        if np.any(lo > hi):
+        error_bounds = compute_tightening(A, B, K, dist_box, H)
+        control_bounds = np.asarray(control_set) - np.array(
+            [linear_image(K, e) for e in error_bounds[:H]]
+        )
+        empty = np.flatnonzero((control_bounds[:, 0] > control_bounds[:, 1]).any(axis=1))
+        if empty.size:
+            raise ValueError(f"control set tightens to empty at stage {empty[0]}")
+        stage_offsets = self.offsets[:, None] + support(error_bounds[None, :H], -self.normals[:, None])
+        terminal = np.asarray(terminal_box) - error_bounds[H]
+        if np.any(terminal[0] > terminal[1]):
             raise ValueError("terminal box tightens to empty")
-        tight_terminal = Box(lo, hi)
         closed = A + B @ K
-        if not tight_terminal.contains_box(linear_image(closed, tight_terminal), tol=1e-12):
+        image = linear_image(closed, terminal)
+        if not (np.all(image[0] >= terminal[0] - 1e-12) and np.all(image[1] <= terminal[1] + 1e-12)):
             raise ValueError("tightened terminal box is not invariant under A + B K")
         dist = np.asarray(dist_box) if dist_box.dim else np.zeros((2, n))
-        e_inf = _error_bound_limit(closed, dist)
-        settled = tight_terminal.add(e_inf)
-        for nrm, off in self.halfspaces:
-            if -settled.support(-nrm) < off - 1e-12:
-                raise ValueError(
-                    "terminal region plus asymptotic tracking error touches the failure set"
-                )
+        settled = terminal + _error_bound_limit(closed, dist)
+        if np.any(-support(settled, -self.normals) < self.offsets - 1e-12):
+            raise ValueError(
+                "terminal region plus asymptotic tracking error touches the failure set"
+            )
         self.tightened = TightenedProblem(
-            horizon=self.horizon,
-            error_bounds=tuple(error_bounds),
-            control_boxes=tuple(control_boxes),
+            horizon=H,
+            error_bounds=error_bounds,
+            control_bounds=control_bounds,
             stage_offsets=stage_offsets,
-            terminal_box=tight_terminal,
+            terminal_bounds=terminal,
         )
 
         # nominal prediction maps: x_tau = powers[tau] @ x + conv[tau] @ u_stack
-        self._powers = [np.linalg.matrix_power(A, t) for t in range(self.horizon + 1)]
-        self._conv = []
-        for tau in range(self.horizon + 1):
-            F = np.zeros((n, self.horizon * m))
+        self._powers = np.array([np.linalg.matrix_power(A, t) for t in range(H + 1)])
+        self._conv = np.zeros((H + 1, n, H * m))
+        for tau in range(1, H + 1):
             for j in range(tau):
-                F[:, j * m : (j + 1) * m] = self._powers[tau - 1 - j] @ B
-            self._conv.append(F)
-        self._rows, self._offsets_template = self._constraint_rows()
+                self._conv[tau, :, j * m : (j + 1) * m] = self._powers[tau - 1 - j] @ B
+        self._build_constraints()
 
         self._plan: _Plan | None = None
         self._last_query = None
@@ -169,58 +164,39 @@ class TubeMPCFilter(SafetyFilter):
 
     # --- constraint assembly -------------------------------------------------
 
-    def _constraint_rows(self):
-        """Rows (R, H*m) and state-dependent offset builders for R w >= off(x)."""
-        H, m = self.horizon, self.m
-        rows = []
-        kinds = []  # (type, data) to rebuild offsets per state
-        for tau in range(H):
-            ubox = self.tightened.control_boxes[tau]
-            for i in range(m):
-                e = np.zeros(H * m)
-                e[tau * m + i] = 1.0
-                rows.append(e.copy())
-                kinds.append(("const", float(ubox.lower[i])))
-                rows.append(-e)
-                kinds.append(("const", -float(ubox.upper[i])))
-        for tau in range(1, H):
-            for i, (nrm, _) in enumerate(self.halfspaces):
-                rows.append(nrm @ self._conv[tau])
-                kinds.append(("stage", (i, tau, nrm)))
-        for d in range(self.n):
-            e = np.zeros(self.n)
-            e[d] = 1.0
-            rows.append(e @ self._conv[H])
-            kinds.append(("term_lo", (d, e)))
-            rows.append(-(e @ self._conv[H]))
-            kinds.append(("term_hi", (d, e)))
-        return np.asarray(rows), kinds
+    def _build_constraints(self) -> None:
+        """Rows R of the plan constraints R w >= off(x) and the constant parts
+        of off(x), in the order: control bounds per stage and input (lower,
+        then upper), stage halfspaces for stages 1..H-1, terminal bounds per
+        coordinate (lower, then upper)."""
+        H, m, t = self.horizon, self.m, self.tightened
+        eye = np.eye(H * m)
+        terminal_rows = self._conv[H]
+        self._rows = np.concatenate([
+            np.stack([eye, -eye], axis=1).reshape(-1, H * m),
+            (self.normals @ self._conv[1:H]).reshape(-1, H * m),
+            np.stack([terminal_rows, -terminal_rows], axis=1).reshape(-1, H * m),
+        ])
+        self._control_offsets = np.stack(
+            [t.control_bounds[:, 0], -t.control_bounds[:, 1]], axis=-1
+        ).ravel()
+        self._stage_constants = t.stage_offsets[:, 1:H].T.ravel()
+        # the pinned sub-problem: the rows left once the first control is fixed
+        sub_rows = self._rows[:, m:]
+        self._keep = np.linalg.norm(sub_rows, axis=1) > 1e-12
+        self._pinned_rows = sub_rows[self._keep]
 
     def _constraint_offsets(self, x: np.ndarray) -> np.ndarray:
-        off = np.empty(len(self._offsets_template))
-        H = self.horizon
-        for r, (kind, data) in enumerate(self._offsets_template):
-            if kind == "const":
-                off[r] = data
-            elif kind == "stage":
-                i, tau, nrm = data
-                off[r] = self.tightened.stage_offsets[i, tau] - float(
-                    nrm @ (self._powers[tau] @ x)
-                )
-            elif kind == "term_lo":
-                d, e = data
-                off[r] = float(self.tightened.terminal_box.lower[d]) - float(
-                    e @ (self._powers[H] @ x)
-                )
-            else:  # term_hi
-                d, e = data
-                off[r] = float(e @ (self._powers[H] @ x)) - float(
-                    self.tightened.terminal_box.upper[d]
-                )
-        return off
+        px = self._powers @ x
+        H, lo, hi = self.horizon, *self.tightened.terminal_bounds
+        return np.concatenate([
+            self._control_offsets,
+            self._stage_constants - (px[1:H] @ self.normals.T).ravel(),
+            np.stack([lo - px[H], px[H] - hi], axis=-1).ravel(),
+        ])
 
     def _stage0_ok(self, x: np.ndarray) -> bool:
-        return all(float(nrm @ x) >= off - 1e-12 for nrm, off in self.halfspaces)
+        return bool(np.all(self.normals @ x >= self.offsets - 1e-12))
 
     def _solve_plan(self, x: np.ndarray, u_ref: np.ndarray, pin_first: bool):
         """Nominal plan from x; either pins the first control to u_ref or
@@ -230,10 +206,8 @@ class TubeMPCFilter(SafetyFilter):
         H, m = self.horizon, self.m
         rows, off = self._rows, self._constraint_offsets(x)
         if pin_first:
-            sub_rows = rows[:, m:]
             sub_off = off - rows[:, :m] @ u_ref
-            keep = np.linalg.norm(sub_rows, axis=1) > 1e-12
-            if np.any(sub_off[~keep] > 1e-9):
+            if np.any(sub_off[~self._keep] > 1e-9):
                 return None
             if H == 1:
                 w_rest = np.zeros(0)
@@ -242,8 +216,8 @@ class TubeMPCFilter(SafetyFilter):
                     w_rest = solve_qp(
                         np.eye((H - 1) * m),
                         np.zeros((H - 1) * m),
-                        sub_rows[keep],
-                        sub_off[keep],
+                        self._pinned_rows,
+                        sub_off[self._keep],
                     )
                 except InfeasibleQP:
                     return None
@@ -257,11 +231,8 @@ class TubeMPCFilter(SafetyFilter):
                 w = solve_qp(G, a, rows, off)
             except InfeasibleQP:
                 return None
-        controls = w.reshape(H, m)
-        nominals = np.empty((H + 1, self.n))
-        for tau in range(H + 1):
-            nominals[tau] = self._powers[tau] @ x + self._conv[tau] @ w
-        return _Plan(controls=controls, nominals=nominals)
+        nominals = self._powers @ x + self._conv @ w
+        return _Plan(controls=w.reshape(H, m), nominals=nominals)
 
     # --- filter surface -------------------------------------------------------
 
@@ -307,16 +278,20 @@ class TubeMPCFilter(SafetyFilter):
         return plan.controls[0].copy()
 
     def intervene(self, x, u_task, monitor_value: float) -> np.ndarray:
+        """Pass u_task when the monitor found its pinned plan; else apply the
+        first control of the plan closest to it (to the zero control for a
+        non-finite candidate), else follow the shifted last plan."""
         self.last_degraded = False
         x = np.asarray(x, dtype=np.float64)
         u_task = np.atleast_1d(np.asarray(u_task, dtype=np.float64))
-        plan = self._pinned_plan(x, u_task)
+        plan = self._pinned_plan(x, u_task) if monitor_value >= 0.0 else None
         if plan is not None:
             plan.age = 1
             self._plan = plan
             self._log_plan(plan)
             return u_task
-        plan = self._solve_plan(x, u_task, pin_first=False)
+        u_ref = u_task if np.isfinite(u_task).all() else np.zeros(self.m)
+        plan = self._solve_plan(x, u_ref, pin_first=False)
         if plan is not None:
             plan.age = 1
             self._plan = plan
@@ -328,9 +303,6 @@ class TubeMPCFilter(SafetyFilter):
     def _log_plan(self, plan: _Plan) -> None:
         if self.plan_log_dir is None:
             return
-        import csv
-        import os
-
         path = os.path.join(self.plan_log_dir, f"plan_{self._plan_counter:06d}.csv")
         self._plan_counter += 1
         with open(path, "w", newline="") as f:
@@ -356,16 +328,6 @@ class TubeMPCFilter(SafetyFilter):
         self._last_query = None
 
 
-def tube_mpc_filter(
-    A,
-    B,
-    K,
-    control_set: Box,
-    dist_box: Box,
-    failure_halfspaces,
-    terminal_box: Box,
-    horizon: int,
-) -> TubeMPCFilter:
-    return TubeMPCFilter(
-        A, B, K, control_set, dist_box, failure_halfspaces, terminal_box, horizon
-    )
+def tube_mpc_filter(*args, **kwargs) -> TubeMPCFilter:
+    """Build a ``TubeMPCFilter`` from its constructor's arguments."""
+    return TubeMPCFilter(*args, **kwargs)

@@ -364,7 +364,7 @@ def test_criterion_6_containment_and_corruption_oracle(robust_bench, tube_bench,
         err = np.zeros(1)
         for tau in range(1, 6):
             err = closed @ err + tb["D"].sample(rng)
-            if not flt.tightened.error_bounds[tau].contains(err, tol=1e-12):
+            if not Box(*flt.tightened.error_bounds[tau]).contains(err, tol=1e-12):
                 bad += 1
     # corrupted-certificate oracle surfaces through cmd_verify
     cfg = yaml.safe_load(open("configs/double_integrator_wall.yaml"))

@@ -106,6 +106,45 @@ def test_run_non_finite_start_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "config, command, key, value",
+    [
+        ("cbf_wall.yaml", "run", "harness.steps", 2.7),
+        ("cbf_wall.yaml", "run", "harness.steps", True),
+        ("cbf_wall.yaml", "run", "harness.seeds", [0, -1]),
+        ("tube_mpc_scalar.yaml", "run", "filter.horizon", 2.5),
+        ("mps_braking.yaml", "run", "filter.horizon", 0),
+        ("exploration.yaml", "run", "filter.horizon", 1.5),
+        ("mps_braking.yaml", "run", "harness.task.u_counts", [0]),
+        ("mps_braking.yaml", "run", "harness.task.u_counts", ["a"]),
+        ("mps_braking.yaml", "run", "harness.task.u_counts", [3, 3]),
+        ("double_integrator_wall.yaml", "solve", "grid.u_counts", [0]),
+        ("double_integrator_wall.yaml", "solve", "grid.d_counts", [3, 3]),
+        ("double_integrator_wall.yaml", "solve", "grid.shape", [1.5, 61]),
+        ("double_integrator_wall.yaml", "solve", "grid.shape", [61]),
+        ("double_integrator_wall.yaml", "solve", "grid.max_iters", 0.5),
+        ("double_integrator_wall.yaml", "verify", "verify.horizon", -1),
+        ("double_integrator_wall.yaml", "verify", "verify.samples", 1e3 + 0.5),
+        ("double_integrator_wall.yaml", "verify", "verify.initial_counts", [0, 3]),
+    ],
+)
+def test_bad_integer_key_is_config_error(tmp_path, capsys, config, command, key, value):
+    import yaml
+
+    cfg = yaml.safe_load((CONFIG_DIR / config).read_text())
+    *parents, leaf = key.split(".")
+    section = cfg
+    for name in parents:
+        section = section[name]
+    section[leaf] = value
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    shutil.copytree(CONFIG_DIR / "worlds", tmp_path / "worlds")
+    code, summary = run_cli(capsys, command, "--config", str(path), "--out", str(tmp_path / "o"))
+    assert code == EXIT_CONFIG
+    assert summary["error"] == "config" and key in summary["message"]
+
+
 def test_missing_config_file(capsys):
     code, summary = run_cli(capsys, "solve", "--config", "/nonexistent.yaml")
     assert code == EXIT_CONFIG

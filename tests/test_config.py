@@ -103,14 +103,17 @@ def test_margin_builders():
 
 def test_grid_settings_validation():
     with pytest.raises(ConfigError, match="tolerance"):
-        build_grid_settings(dict(GOOD["grid"], tolerance=-1.0))
-    gs = build_grid_settings(GOOD["grid"])
+        build_grid_settings(dict(GOOD["grid"], tolerance=-1.0), build_model(GOOD["model"]))
+    gs = build_grid_settings(GOOD["grid"], build_model(GOOD["model"]))
     assert gs.shape == (31, 31)
 
 
 def test_harness_settings_validation():
     with pytest.raises(ConfigError):
         build_harness_settings(dict(GOOD["harness"], seeds="nope"))
+    # integral floats are integers; nothing is truncated
+    hs = build_harness_settings(dict(GOOD["harness"], steps=50.0, seeds=[3.0]))
+    assert hs.steps == 50 and type(hs.steps) is int and hs.seeds == [3]
     with pytest.raises(ConfigError, match="harness.stepz"):
         build_harness_settings(dict(GOOD["harness"], stepz=3))
 
@@ -118,7 +121,7 @@ def test_harness_settings_validation():
 def test_build_filter_kinds(tmp_path):
     model = build_model(GOOD["model"])
     margin = build_margin(GOOD["margin"])
-    gs = build_grid_settings(GOOD["grid"])
+    gs = build_grid_settings(GOOD["grid"], model)
     bundle = build_filter(GOOD["filter"], model, margin, GOOD["margin"], gs)
     assert bundle.filter.name == "least_restrictive"
     assert bundle.grid is not None

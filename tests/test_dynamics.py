@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -222,7 +223,7 @@ def test_margin_box_lower_bounds_are_sound_and_tight():
     # exact for halfspaces: attained at a corner
     g = margin_halfspace([1.0, -2.0], 0.3)
     box = Box([-1.0, -1.0], [1.0, 1.0])
-    corner_min = min(float(g(np.asarray(c))) for c in box.corners())
+    corner_min = min(float(g(np.array(c))) for c in product(*zip(box.lower, box.upper)))
     assert g.box_lower(box) == pytest.approx(corner_min)
 
 

@@ -75,7 +75,12 @@ def minimum(*parts):
 def box_terminal(lower, upper):
     """A box terminal set, for models without a built-in one."""
     box, sbox = Box(lower, upper), SeedBox(lower, upper)
-    terminal = TerminalSafeSet(box.contains, box.contains_box, name="box")
+
+    def contains_bounds(bounds):
+        lo, hi = np.asarray(bounds, dtype=np.float64)
+        return bool(np.all(lo >= box.lower) and np.all(hi <= box.upper))
+
+    terminal = TerminalSafeSet(box.contains, contains_bounds, name="box")
     return terminal, sbox.contains_box
 
 

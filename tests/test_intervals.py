@@ -1,9 +1,15 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
-from safefilter.intervals import Box, cos_interval, linear_image, sin_interval
+from safefilter.intervals import Box, cos_interval, linear_image, sin_interval, support
+
+
+def corners_of(box):
+    """All 2^dim corner points of a box."""
+    return [np.array(c) for c in product(*zip(box.lower, box.upper))]
 
 
 def test_box_validation():
@@ -21,36 +27,30 @@ def test_box_membership_and_corners():
     assert b.contains([0.0, 1.0])
     assert b.contains([1.0, 2.0])  # boundary included
     assert not b.contains([1.0001, 1.0])
-    corners = b.corners()
-    assert len(corners) == 4
-    assert any(np.array_equal(c, [-1.0, 0.0]) for c in corners)
-    assert any(np.array_equal(c, [1.0, 2.0]) for c in corners)
+    assert all(b.contains(c) for c in corners_of(b))
+    assert not b.contains([np.nan, 1.0])
 
 
 def test_zero_dimensional_box():
     b = Box([], [])
     assert b.dim == 0
     assert b.contains(np.zeros(0))
-    corners = b.corners()
-    assert len(corners) == 1 and corners[0].shape == (0,)
+    assert np.asarray(b).shape == (2, 0)
     rng = np.random.default_rng(0)
     assert b.sample(rng).shape == (0,)
 
 
-def test_box_set_operations():
-    a = Box([0.0], [2.0])
-    b = Box([1.0], [3.0])
-    assert a.contains_box(Box([0.5], [1.5]))
-    assert not a.contains_box(b)
-
-
 def test_box_minkowski_and_support():
-    a = Box([0.0, 0.0], [1.0, 1.0])
-    d = Box([-0.1, -0.2], [0.1, 0.2])
-    s = a.add(d)
-    assert np.allclose(s.lower, [-0.1, -0.2])
-    assert np.allclose(s.upper, [1.1, 1.2])
-    assert a.support([1.0, -1.0]) == pytest.approx(1.0)
+    a = np.asarray(Box([0.0, 0.0], [1.0, 1.0]))
+    d = np.asarray(Box([-0.1, -0.2], [0.1, 0.2]))
+    s = a + d  # the Minkowski sum of two boxes adds their bounds
+    assert np.allclose(s, [[-0.1, -0.2], [1.1, 1.2]])
+    assert support(a, [1.0, -1.0]) == pytest.approx(1.0)
+    # on a stack, one support per box; supports add over Minkowski sums
+    assert np.allclose(support(np.stack([a, d, s]), [1.0, -1.0]), [1.0, 0.3, 1.3])
+    # a stack of directions against a stack of boxes broadcasts
+    dirs = np.array([[1.0, 0.0], [0.0, -1.0]])
+    assert np.allclose(support(np.stack([a, s])[None], dirs[:, None]), [[1.0, 1.1], [0.0, 0.2]])
 
 
 def test_box_sampling_within_bounds():
@@ -89,6 +89,6 @@ def test_linear_image_matches_sampling():
     mapped = pts @ M.T
     assert np.all(mapped >= img[0] - 1e-12)
     assert np.all(mapped <= img[1] + 1e-12)
-    corners = np.array([M @ c for c in box.corners()])
+    corners = np.array([M @ c for c in corners_of(box)])
     assert np.allclose(corners.min(axis=0), img[0])
     assert np.allclose(corners.max(axis=0), img[1])

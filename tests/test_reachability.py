@@ -341,7 +341,7 @@ def test_grid_box_min_exact_and_sound():
         vals = grid.values_at(samples)
         assert np.all(vals >= lb - 1e-9)
     point = np.array([0.7, 0.3])
-    assert grid_box_min(grid, Box.point(point)) == pytest.approx(value_at(grid, point), abs=0)
+    assert grid_box_min(grid, Box(point, point)) == pytest.approx(value_at(grid, point), abs=0)
 
 
 def test_grid_box_min_edge_cases():

@@ -35,29 +35,28 @@ def scalar_model():
 
 def test_tightening_zero_disturbance():
     bounds = compute_tightening(A1, B1, K1, Box([0.0], [0.0]), 5)
-    for b in bounds:
-        assert np.allclose(b.lower, 0) and np.allclose(b.upper, 0)
+    assert bounds.shape == (6, 2, 1)
+    assert np.all(bounds == 0.0)
 
 
 def test_tightening_geometric_series():
     bounds = compute_tightening(A1, B1, K1, Box([-1.0], [1.0]), 6)
-    for tau, b in enumerate(bounds):
+    for tau, (lo, hi) in enumerate(bounds):
         expect = 2.0 - 2.0 ** (1 - tau) if tau else 0.0
-        assert b.upper[0] == pytest.approx(expect)
-        assert b.lower[0] == pytest.approx(-expect)
+        assert hi[0] == pytest.approx(expect)
+        assert lo[0] == pytest.approx(-expect)
 
 
 def test_tightening_first_step_equals_disturbance_box():
     bounds = compute_tightening(A1, B1, K1, D1, 3)
-    assert np.array_equal(bounds[1].lower, D1.lower)
-    assert np.array_equal(bounds[1].upper, D1.upper)
-    assert bounds[0].width[0] == 0.0
+    assert np.array_equal(bounds[1], np.asarray(D1))
+    assert np.array_equal(bounds[0], np.zeros((2, 1)))
 
 
 def test_tightening_monotone_stages():
     bounds = compute_tightening(A1, B1, K1, D1, 8)
     for a, b in zip(bounds, bounds[1:]):
-        assert b.upper[0] >= a.upper[0] - 1e-15
+        assert b[1, 0] >= a[1, 0] - 1e-15
 
 
 def test_unstable_gain_rejected():
@@ -175,12 +174,11 @@ def test_deployment_rejected_without_cache():
 def test_zero_disturbance_reduces_to_untightened_mpc():
     flt0 = tube_mpc_filter(A1, B1, K1, U1, Box([0.0], [0.0]), HALFSPACES, TERMINAL, H)
     t = flt0.tightened
-    assert all(np.allclose(b.width, 0) for b in t.error_bounds)
+    assert np.allclose(t.error_bounds, 0)
     for tau in range(H):
-        assert np.array_equal(t.control_boxes[tau].lower, U1.lower)
-        assert np.array_equal(t.control_boxes[tau].upper, U1.upper)
+        assert np.array_equal(t.control_bounds[tau], np.asarray(U1))
         assert t.stage_offsets[0, tau] == pytest.approx(-2.0)
-    assert np.array_equal(t.terminal_box.lower, TERMINAL.lower)
+    assert np.array_equal(t.terminal_bounds, np.asarray(TERMINAL))
     # decisions agree with the robust filter in the common interior and are
     # strictly more permissive near the wall
     flt = scalar_filter()
@@ -202,7 +200,7 @@ def test_tube_error_bounds_sound_random_sequences():
         err = np.zeros(1)
         for tau in range(1, H + 1):
             err = closed @ err + D1.sample(rng)
-            assert flt.tightened.error_bounds[tau].contains(err, tol=1e-12)
+            assert Box(*flt.tightened.error_bounds[tau]).contains(err, tol=1e-12)
 
 
 # --- recursive feasibility (exhaustive shift-and-check) ---------------------------
@@ -226,13 +224,12 @@ def _shifted_plan_satisfies_constraints(flt, plan, x_next, tol=1e-9):
     nominals.append(A1 @ nominals[-1] + B1 @ controls[-1])
     t = flt.tightened
     for tau in range(H):
-        ubox = t.control_boxes[tau]
-        if not ubox.contains(controls[tau], tol=tol):
+        if not Box(*t.control_bounds[tau]).contains(controls[tau], tol=tol):
             return False
-        for i, (nrm, _) in enumerate(flt.halfspaces):
-            if tau >= 1 and float(np.asarray(nrm) @ nominals[tau]) < t.stage_offsets[i, tau] - tol:
+        for i, nrm in enumerate(flt.normals):
+            if tau >= 1 and float(nrm @ nominals[tau]) < t.stage_offsets[i, tau] - tol:
                 return False
-    return t.terminal_box.contains(nominals[H], tol=tol)
+    return Box(*t.terminal_bounds).contains(nominals[H], tol=tol)
 
 
 def test_recursive_feasibility_exhaustive():
