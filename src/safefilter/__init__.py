@@ -42,7 +42,6 @@ from .filters import (
     SafetyFilter,
     SoundnessReport,
     decide,
-    filtered_step,
     least_restrictive_filter,
     passthrough_filter,
     verify_monitor_soundness,

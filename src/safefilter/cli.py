@@ -77,12 +77,12 @@ def _build_common(cfg: dict, config_path: str):
     margin = build_margin(margin_cfg)
     grid_settings = build_grid_settings(cfg["grid"], model) if "grid" in cfg else None
     base_dir = os.path.dirname(os.path.abspath(config_path))
-    return model, margin, margin_cfg, grid_settings, base_dir
+    return model, margin, grid_settings, base_dir
 
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    model, margin, _margin_cfg, grid_settings, _ = _build_common(cfg, args.config)
+    model, margin, grid_settings, _ = _build_common(cfg, args.config)
     if grid_settings is None:
         raise ConfigError("solve needs a [grid] section")
     out = _out_dir(cfg, args)
@@ -116,16 +116,14 @@ def _build_run_pieces(cfg: dict, config_path: str):
     """The model, harness settings, filter bundle and scenario of a run, and
     ``build(filter_cfg)``, which builds another filter on the same model,
     margin and grid settings, reusing the value grids built so far."""
-    model, margin, margin_cfg, grid_settings, base_dir = _build_common(cfg, config_path)
+    model, margin, grid_settings, base_dir = _build_common(cfg, config_path)
     if "harness" not in cfg:
         raise ConfigError("missing config key 'harness'")
     hs = build_harness_settings(cfg["harness"])
     grids = {}
 
     def build(filter_cfg):
-        return build_filter(
-            filter_cfg, model, margin, margin_cfg, grid_settings, base_dir, grids=grids
-        )
+        return build_filter(filter_cfg, model, margin, grid_settings, base_dir, grids=grids)
 
     bundle = build(cfg.get("filter", {"kind": "none"}))
     task = build_task_policy(hs.task_cfg, model, margin, grid_settings)
@@ -221,15 +219,14 @@ _VERIFY_KEYS = {
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    model, margin, margin_cfg, grid_settings, base_dir = _build_common(cfg, args.config)
+    model, margin, grid_settings, base_dir = _build_common(cfg, args.config)
     vcfg = cfg.get("verify", {})
     _check_keys(vcfg, _VERIFY_KEYS, "verify")
     horizon = _integer(vcfg, "horizon", "verify", 6, minimum=0)
     samples = _integer(vcfg, "samples", "verify", 10_000, minimum=0)
     budget = _integer(vcfg, "budget", "verify", 2_000_000, minimum=0)
     bundle = build_filter(
-        cfg.get("filter", {"kind": "none"}), model, margin, margin_cfg,
-        grid_settings, base_dir,
+        cfg.get("filter", {"kind": "none"}), model, margin, grid_settings, base_dir
     )
     out = _out_dir(cfg, args)
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
@@ -243,9 +240,7 @@ def cmd_verify(args) -> int:
             length=model.state_dim,
         )
         initial_states = discretize_box(init_box, counts)
-        d_cands = discretize_box(
-            model.disturbance_set, [2] * model.disturbance_dim
-        ) if model.disturbance_dim else [np.zeros(0)]
+        d_cands = discretize_box(model.disturbance_set, [2] * model.disturbance_dim)
         report = verify_monitor_soundness(
             model, bundle.filter, initial_states, horizon, d_cands, margin, budget
         )
@@ -295,7 +290,6 @@ def cmd_verify(args) -> int:
         upper = flt.tightened.error_bounds[:, 1] + 1e-9
         bad = 0
         for _ in range(samples):
-            rng.uniform(-1.0, 1.0, size=model.state_dim)  # keeps the sample stream
             err = np.zeros(model.state_dim)
             for tau in range(1, flt.horizon + 1):
                 err = closed @ err + model.disturbance_set.sample(rng)

@@ -241,19 +241,6 @@ def build_margin(cfg: dict, path: str = "margin") -> MarginFunction:
     raise ConfigError(f"unknown {path}.kind {kind!r}")
 
 
-def margin_halfspaces(cfg: dict, path: str = "margin") -> list[tuple[np.ndarray, float]]:
-    """Flatten a halfspace / min-of-halfspaces margin config to (normal, offset) pairs."""
-    kind = _require(cfg, "kind", path)
-    if kind == "halfspace":
-        return [(_vector(cfg, "normal", path), _number(cfg, "offset", path))]
-    if kind == "min":
-        out = []
-        for i, p in enumerate(_require(cfg, "parts", path)):
-            out.extend(margin_halfspaces(p, f"{path}.parts[{i}]"))
-        return out
-    raise ConfigError(f"{path}: tube MPC needs halfspace margins, got {kind!r}")
-
-
 # --- grid --------------------------------------------------------------------
 
 
@@ -283,15 +270,24 @@ def build_grid_settings(cfg: dict, model: SystemModel) -> GridSettings:
         raise ConfigError("grid.tolerance must be positive")
     max_iters = _integer(cfg, "max_iters", "grid", 1000, minimum=1)
     u_counts = _integers(cfg, "u_counts", "grid", [3], minimum=1, length=model.control_dim)
-    # a model without disturbance ignores the disturbance lattice
+    # a model without disturbance ignores the disturbance lattice: its counts
+    # are checked, then cut to the empty list of a 0-dimensional box
     d_counts = _integers(
         cfg, "d_counts", "grid", [2], minimum=1, length=model.disturbance_dim or None
-    )
+    )[: model.disturbance_dim]
     try:
         domain = Box(lower, upper)
     except ValueError as e:
         raise ConfigError(f"invalid grid domain: {e}") from e
     return GridSettings(domain, shape, u_counts, d_counts, tolerance, max_iters)
+
+
+def _grid_lattices(model: SystemModel, settings: GridSettings) -> tuple[np.ndarray, np.ndarray]:
+    """The control and disturbance candidate lattices of the grid settings."""
+    return (
+        discretize_box(model.control_set, settings.u_counts),
+        discretize_box(model.disturbance_set, settings.d_counts),
+    )
 
 
 def solve_or_load_grid(
@@ -346,7 +342,6 @@ def build_filter(
     cfg: dict,
     model: SystemModel,
     margin: MarginFunction,
-    margin_cfg: dict,
     grid_settings: Optional[GridSettings],
     base_dir: str = ".",
     grids: Optional[dict] = None,
@@ -380,13 +375,8 @@ def build_filter(
             return FilterBundle(passthrough_filter(model))
         if kind == "least_restrictive":
             grid = _grid()
-            u_cands = discretize_box(model.control_set, grid_settings.u_counts)
-            d_cands = discretize_box(
-                model.disturbance_set,
-                grid_settings.d_counts if model.disturbance_dim else [],
-            )
             return FilterBundle(
-                least_restrictive_filter(model, grid, u_cands, d_cands), grid
+                least_restrictive_filter(model, grid, *_grid_lattices(model, grid_settings)), grid
             )
         if kind == "cbf_qp":
             u_max = float(model.control_set.upper[0])
@@ -405,12 +395,7 @@ def build_filter(
             elif fb_kind == "optimal":
                 _check_keys(fb_cfg, {"kind"}, "filter.fallback")
                 grid = _grid()
-                u_cands = discretize_box(model.control_set, grid_settings.u_counts)
-                d_cands = discretize_box(
-                    model.disturbance_set,
-                    grid_settings.d_counts if model.disturbance_dim else [],
-                )
-                fallback = optimal_fallback(model, grid, u_cands, d_cands)
+                fallback = optimal_fallback(model, grid, *_grid_lattices(model, grid_settings))
             else:
                 raise ConfigError(f"unknown filter.fallback.kind {fb_kind!r}")
             term_kind = _require(term_cfg, "kind", "filter.terminal")
@@ -437,6 +422,8 @@ def build_filter(
         if kind == "tube_mpc":
             if model.linear_maps is None:
                 raise ConfigError("tube_mpc needs model.kind = linear")
+            if margin.halfspaces is None:
+                raise ConfigError(f"margin: tube MPC needs halfspace margins, got {margin.name!r}")
             A, B = model.linear_maps
             flt = tube_mpc_filter(
                 A,
@@ -444,7 +431,7 @@ def build_filter(
                 _matrix(cfg, "gain", "filter"),
                 model.control_set,
                 model.disturbance_set,
-                margin_halfspaces(margin_cfg),
+                margin.halfspaces,
                 Box(
                     _vector(cfg, "terminal_lower", "filter"),
                     _vector(cfg, "terminal_upper", "filter"),
@@ -453,10 +440,11 @@ def build_filter(
             )
             return FilterBundle(flt)
         # exploration
-        world = load_occupancy_world(
-            os.path.join(base_dir, str(_require(cfg, "world", "filter"))),
-            _number(cfg, "cell_size", "filter"),
-        )
+        world_path = os.path.join(base_dir, str(_require(cfg, "world", "filter")))
+        try:
+            world = load_occupancy_world(world_path, _number(cfg, "cell_size", "filter"))
+        except OSError as e:
+            raise ConfigError(f"filter.world: cannot read {world_path}: {e.strerror or e}") from e
         flt = exploration_filter(
             model,
             _number(cfg, "sensor_radius", "filter"),

@@ -10,8 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -326,13 +325,18 @@ class MarginFunction:
     given as [lower, upper] bounds, used by the rollout filters for conservative
     tube checks. It takes a stack of bounds (..., 2, n) and returns one bound per
     box (...,); a single box (2, n), or a ``Box``, gives a float.
+
+    ``halfspaces`` holds the (normal, offset) pairs of a halfspace margin or a
+    min of halfspaces, g(x) = min_i normal_i . x - offset_i; it is None for
+    any other margin.
     """
 
-    def __init__(self, fn, gradient=None, box_lower=None, name: str = ""):
+    def __init__(self, fn, gradient=None, box_lower=None, name: str = "", halfspaces=None):
         self._fn = fn
         self._gradient = gradient
         self._box_lower = box_lower
         self.name = name
+        self.halfspaces = halfspaces
 
     def __call__(self, x):
         return self._fn(np.asarray(x, dtype=np.float64))
@@ -359,9 +363,10 @@ class MarginFunction:
 
 def margin_halfspace(normal, offset: float) -> MarginFunction:
     """g(x) = normal . x - offset; failure is the halfspace normal . x < offset."""
-    n = np.asarray(normal, dtype=np.float64)
+    n = np.array(normal, dtype=np.float64)
     if not np.any(n != 0):
         raise ValueError("halfspace normal must be nonzero")
+    n.flags.writeable = False
     offset = float(offset)
 
     def fn(x):
@@ -375,7 +380,7 @@ def margin_halfspace(normal, offset: float) -> MarginFunction:
     def box_lower(B):  # minus the support of -n over each box, minus the offset
         return -support(B, d) - offset
 
-    return MarginFunction(fn, grad, box_lower, name="halfspace")
+    return MarginFunction(fn, grad, box_lower, name="halfspace", halfspaces=((n, offset),))
 
 
 def margin_keepout_ball(center, radius: float) -> MarginFunction:
@@ -427,25 +432,45 @@ def margin_min(margins: list[MarginFunction]) -> MarginFunction:
         def box_lower(B):  # noqa: F811
             return functools.reduce(np.minimum, [m.box_lower(B) for m in margins])
 
-    return MarginFunction(fn, grad, box_lower, name="min")
+    halfspaces = None
+    if all(m.halfspaces is not None for m in margins):
+        halfspaces = tuple(h for m in margins for h in m.halfspaces)
+    return MarginFunction(fn, grad, box_lower, name="min", halfspaces=halfspaces)
 
 
-def discretize_box(box: Box, counts) -> list[np.ndarray]:
+def _cartesian(coords: Sequence[np.ndarray]) -> np.ndarray:
+    """Cartesian product of per-dimension coordinates, (N, dim), row-major
+    (first dimension slowest); no coordinates give one 0-dimensional point."""
+    out = np.empty(tuple(c.size for c in coords) + (len(coords),))
+    for j, c in enumerate(coords):
+        out[..., j] = c.reshape((-1,) + (1,) * (len(coords) - 1 - j))
+    return out.reshape(math.prod(c.size for c in coords), len(coords))
+
+
+def discretize_box(box: Box, counts) -> np.ndarray:
     """Regular lattice over a box, corners included; a count of 1 gives the center.
 
-    Points are returned in row-major order (first dimension slowest).
+    Returns a float (k, dim) array, one candidate per row in row-major order
+    (first dimension slowest); a 0-dimensional box gives the single empty
+    candidate, shape (1, 0).
     """
     counts = [int(c) for c in np.atleast_1d(counts)]
     if len(counts) != box.dim:
         raise ValueError("counts length must match box dimension")
     if any(c < 1 for c in counts):
         raise ValueError("counts must be at least 1 per dimension")
-    if box.dim == 0:
-        return [np.zeros(0)]
-    axes = []
-    for lo, hi, c in zip(box.lower, box.upper, counts):
-        if c == 1:
-            axes.append(np.array([0.5 * (lo + hi)]))
-        else:
-            axes.append(np.linspace(lo, hi, c))
-    return [np.array(pt) for pt in product(*axes)]
+    return _cartesian([
+        np.array([0.5 * (lo + hi)]) if c == 1 else np.linspace(lo, hi, c)
+        for lo, hi, c in zip(box.lower, box.upper, counts)
+    ])
+
+
+def as_lattice(candidates) -> np.ndarray:
+    """Candidates as a float (k, dim) lattice, one candidate per row.
+
+    A 2-d array passes through; a list of candidates (1-d arrays or scalars)
+    is stacked.
+    """
+    if isinstance(candidates, np.ndarray) and candidates.ndim == 2:
+        return candidates.astype(np.float64, copy=False)
+    return np.stack([np.atleast_1d(np.asarray(c, dtype=np.float64)) for c in candidates])

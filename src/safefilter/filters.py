@@ -14,13 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import InputDomainError, MarginFunction, SystemModel, step
-from .reachability import (
-    ValueGrid,
-    optimal_safety_policy,
-    stack_candidates,
-    successor_values,
-)
+from .dynamics import InputDomainError, MarginFunction, SystemModel, as_lattice
+from .reachability import ValueGrid, optimal_safety_policy, worst_case_next_value
 
 
 class DeploymentRejected(RuntimeError):
@@ -102,8 +97,8 @@ class SafetyFilter:
 def least_restrictive_filter(
     model: SystemModel,
     grid: ValueGrid,
-    u_candidates: Sequence[np.ndarray],
-    d_candidates: Sequence[np.ndarray],
+    u_candidates: np.ndarray,
+    d_candidates: np.ndarray,
 ) -> SafetyFilter:
     """Switch filter on the solved value function.
 
@@ -116,13 +111,10 @@ def least_restrictive_filter(
     if not len(u_candidates) or not len(d_candidates):
         raise ValueError("candidate lists must be nonempty")
     fallback = optimal_safety_policy(model, grid, u_candidates, d_candidates)
-    d_lattice = stack_candidates(d_candidates)
+    D = as_lattice(d_candidates)
 
     def evaluate(x, u):
-        x = np.asarray(x, dtype=np.float64)
-        u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-        # worst_case_next_value, on the lattice stacked once above
-        return float(successor_values(model, grid, x, u[None], d_lattice).min())
+        return worst_case_next_value(model, grid, x, u, D)
 
     monitor = Monitor(evaluate, name="worst_case_next_value")
     return SafetyFilter(monitor, fallback, name="least_restrictive")
@@ -166,19 +158,6 @@ def decide(flt: SafetyFilter, x, u_task) -> FilterDecision:
     )
 
 
-def filtered_step(
-    model: SystemModel,
-    flt: SafetyFilter,
-    task_policy: Callable[[np.ndarray], np.ndarray],
-    x,
-    d,
-) -> tuple[np.ndarray, FilterDecision]:
-    """Run one closed-loop cycle: task proposal, filtering, plant step."""
-    x = np.asarray(x, dtype=np.float64)
-    decision = decide(flt, x, task_policy(x))
-    return step(model, x, decision.applied, d), decision
-
-
 @dataclass
 class SoundnessReport:
     """Result of the exhaustive fallback-rollout monitor check."""
@@ -198,7 +177,7 @@ def verify_monitor_soundness(
     flt: SafetyFilter,
     initial_states: Sequence[np.ndarray],
     horizon: int,
-    d_candidates: Sequence[np.ndarray],
+    d_candidates: np.ndarray,
     failure_margin: MarginFunction,
     budget: int = 2_000_000,
 ) -> SoundnessReport:
@@ -213,10 +192,10 @@ def verify_monitor_soundness(
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    d_candidates = [np.atleast_1d(np.asarray(d, dtype=np.float64)) for d in d_candidates]
-    if not d_candidates:
+    if not len(d_candidates):
         raise ValueError("need at least one disturbance candidate")
-    branching = len(d_candidates)
+    D = as_lattice(d_candidates)
+    branching = len(D)
     if branching == 1:
         per_state = horizon + 1
     else:
@@ -244,6 +223,6 @@ def verify_monitor_soundness(
             if len(d_seq) == horizon:
                 continue
             u = flt.fallback(x)
-            for i, d in enumerate(d_candidates):
+            for i, d in enumerate(D):
                 stack.append((model.step(x, u, d), d_seq + (i,)))
     return report

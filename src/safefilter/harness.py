@@ -8,20 +8,19 @@ decision is logged so runs can be audited and replayed bit-exactly.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import MarginFunction, SystemModel, step
+from .dynamics import MarginFunction, SystemModel, as_lattice, step
 from .filters import (
     DeploymentRejected,
     FilterDecision,
     SafetyFilter,
     decide,
 )
-from .reachability import ValueGrid, stack_candidates, successor_values
+from .reachability import ValueGrid, _eval_on_nodes, successor_states
 
 TaskPolicy = Callable[[np.ndarray, np.random.Generator], np.ndarray]
 DisturbancePolicy = Callable[[np.ndarray, np.ndarray, np.random.Generator], np.ndarray]
@@ -186,58 +185,52 @@ def constant_policy(u) -> TaskPolicy:
     return policy
 
 
+def _first_min(values: np.ndarray) -> int:
+    """Index of the least value, the lowest index on ties. A NaN never wins,
+    and when no value is below +inf (all NaN or +inf) the answer is 0."""
+    return int(np.argmin(np.fmin(values, np.inf)))  # fmin turns NaN into +inf
+
+
 def margin_descent_policy(
-    model: SystemModel, margin: MarginFunction, u_candidates: Sequence[np.ndarray]
+    model: SystemModel, margin: MarginFunction, u_candidates: np.ndarray
 ) -> TaskPolicy:
     """Adversarial task policy: greedily steers the nominal next state toward
-    the failure set (lowest candidate index wins ties)."""
-    cands = [np.atleast_1d(np.asarray(u, dtype=np.float64)) for u in u_candidates]
-    d0 = model.zero_disturbance()
+    the failure set. Ties go to the lowest candidate index, a NaN margin never
+    wins, and candidate 0 is picked when every margin is NaN or +inf."""
+    U = as_lattice(u_candidates)
+    D = model.zero_disturbance()[None]
 
     def policy(x, rng):
-        best = cands[0]
-        best_val = math.inf
-        for u in cands:
-            val = float(margin(model.step(x, u, d0)))
-            if val < best_val:
-                best_val = val
-                best = u
-        return best.copy()
+        return U[_first_min(_eval_on_nodes(margin, successor_states(model, x, U, D)))].copy()
 
     return policy
 
 
 def adversarial_disturbance(
-    model: SystemModel, grid: ValueGrid, d_candidates: Sequence[np.ndarray]
+    model: SystemModel, grid: ValueGrid, d_candidates: np.ndarray
 ) -> DisturbancePolicy:
     """Worst-case-within-lattice disturbance: picks the candidate minimizing the
     value at the next state given the applied control (lowest index on ties)."""
-    d_lattice = stack_candidates(d_candidates)
+    D = as_lattice(d_candidates)
 
     def policy(x, u, rng):
-        u_lattice = np.atleast_1d(np.asarray(u, dtype=np.float64))[None]
-        vals = successor_values(model, grid, x, u_lattice, d_lattice)[0]
-        return d_lattice[int(np.argmin(vals))].copy()
+        U = np.atleast_1d(np.asarray(u, dtype=np.float64))[None]
+        return D[int(np.argmin(grid.values_at(successor_states(model, x, U, D))))].copy()
 
     return policy
 
 
 def margin_descent_disturbance(
-    model: SystemModel, margin: MarginFunction, d_candidates: Sequence[np.ndarray]
+    model: SystemModel, margin: MarginFunction, d_candidates: np.ndarray
 ) -> DisturbancePolicy:
     """Adversarial disturbance for models without a solved value function:
-    picks the candidate that minimizes the next-state failure margin."""
-    cands = [np.atleast_1d(np.asarray(d, dtype=np.float64)) for d in d_candidates]
+    picks the candidate that minimizes the next-state failure margin, with the
+    tie and NaN rules of ``margin_descent_policy``."""
+    D = as_lattice(d_candidates)
 
     def policy(x, u, rng):
-        best = cands[0]
-        best_val = math.inf
-        for d in cands:
-            val = float(margin(model.step(x, u, d)))
-            if val < best_val:
-                best_val = val
-                best = d
-        return best.copy()
+        U = np.atleast_1d(np.asarray(u, dtype=np.float64))[None]
+        return D[_first_min(_eval_on_nodes(margin, successor_states(model, x, U, D)))].copy()
 
     return policy
 

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import MarginFunction, SystemModel, discretize_box
+from .dynamics import MarginFunction, SystemModel, _cartesian, as_lattice, discretize_box
 from .intervals import Box
 
 _EXACT_BOX_MIN_CAP = 65536  # above this many corner evaluations, use the node bound
@@ -200,8 +200,8 @@ def safe_membership(grid: ValueGrid, x) -> bool:
 
 
 def _eval_on_nodes(fn: Callable, nodes: np.ndarray) -> np.ndarray:
-    """Evaluate a margin on all nodes in one call; like ``step``, margins must
-    broadcast over a batch of states (N, n) and return shape (N,)."""
+    """Evaluate a margin on a batch of states (grid nodes or successors) in one
+    call; like ``step``, margins must broadcast over (N, n) and return (N,)."""
     out = np.asarray(fn(nodes), dtype=np.float64)
     if out.shape != (nodes.shape[0],):
         raise ValueError(
@@ -354,8 +354,8 @@ def backward_step(
     model: SystemModel,
     g: MarginFunction,
     v_next: ValueGrid,
-    u_candidates: Sequence[np.ndarray],
-    d_candidates: Sequence[np.ndarray],
+    u_candidates: np.ndarray,
+    d_candidates: np.ndarray,
 ) -> ValueGrid:
     """One exact backup of the min-max recursion; the input grid is not modified."""
     if not len(u_candidates) or not len(d_candidates):
@@ -509,28 +509,16 @@ def solve(
     )
 
 
-def successor_values(
-    model: SystemModel,
-    grid: ValueGrid,
-    x,
-    u_lattice: np.ndarray,
-    d_lattice: np.ndarray,
-) -> np.ndarray:
-    """Interpolated value at f(x, u, d) for every row pair, shape (|U|, |D|).
+def successor_states(model: SystemModel, x, U: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """f(x, u, d) for every row pair of the lattices ``U`` and ``D``, shape
+    (|U| * |D|, n) with the control slowest.
 
-    ``u_lattice`` and ``d_lattice`` stack the candidates as rows. All |U|*|D|
-    successors go through one ``step`` call, on x copied into a (|U|, |D|, n)
-    state block, and one ``values_at`` call.
+    All successors go through one ``step`` call, on x copied into a
+    (|U|, |D|, n) state block.
     """
-    xs = np.empty((len(u_lattice), len(d_lattice), np.size(x)))
+    xs = np.empty((len(U), len(D), np.size(x)))
     xs[...] = x
-    nxt = _batch_next_states(model, xs, u_lattice[:, None], d_lattice[None])
-    return grid.values_at(nxt.reshape(-1, xs.shape[-1])).reshape(xs.shape[:2])
-
-
-def stack_candidates(candidates: Sequence[np.ndarray]) -> np.ndarray:
-    """Candidate list as a float lattice with one candidate per row."""
-    return np.stack([np.atleast_1d(np.asarray(c, dtype=np.float64)) for c in candidates])
+    return _batch_next_states(model, xs, U[:, None], D[None]).reshape(-1, xs.shape[-1])
 
 
 def worst_case_next_value(
@@ -538,18 +526,18 @@ def worst_case_next_value(
     grid: ValueGrid,
     x,
     u,
-    d_candidates: Sequence[np.ndarray],
+    d_candidates: np.ndarray,
 ) -> float:
     """min over disturbance candidates of the interpolated value at f(x, u, d)."""
-    u_lattice = np.atleast_1d(np.asarray(u, dtype=np.float64))[None]
-    return float(successor_values(model, grid, x, u_lattice, stack_candidates(d_candidates)).min())
+    U = np.atleast_1d(np.asarray(u, dtype=np.float64))[None]
+    return float(grid.values_at(successor_states(model, x, U, as_lattice(d_candidates))).min())
 
 
 def optimal_safety_policy(
     model: SystemModel,
     grid: ValueGrid,
-    u_candidates: Sequence[np.ndarray],
-    d_candidates: Sequence[np.ndarray],
+    u_candidates: np.ndarray,
+    d_candidates: np.ndarray,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """argmax over control candidates of the worst-case next value.
 
@@ -558,12 +546,11 @@ def optimal_safety_policy(
     """
     if not len(u_candidates) or not len(d_candidates):
         raise ValueError("candidate lists must be nonempty")
-    u_lattice = stack_candidates(u_candidates)
-    d_lattice = stack_candidates(d_candidates)
+    U, D = as_lattice(u_candidates), as_lattice(d_candidates)
 
     def policy(x) -> np.ndarray:
-        worst = successor_values(model, grid, x, u_lattice, d_lattice).min(axis=1)
-        return u_lattice[int(np.argmax(worst))].copy()
+        worst = grid.values_at(successor_states(model, x, U, D)).reshape(len(U), -1).min(axis=1)
+        return U[int(np.argmax(worst))].copy()
 
     return policy
 
@@ -589,14 +576,6 @@ def box_node_ranges(grid: ValueGrid, lower: np.ndarray, upper: np.ndarray):
         inner.append(slice(a, b))
         cover.append(slice(min(max(a - 1, 0), c.size - 2), min(max(b, 1), c.size - 1) + 1))
     return tuple(inner), tuple(cover)
-
-
-def _cartesian(coords: Sequence[np.ndarray]) -> np.ndarray:
-    """Cartesian product of per-dimension coordinates, (N, dim), row-major."""
-    out = np.empty(tuple(c.size for c in coords) + (len(coords),))
-    for j, c in enumerate(coords):
-        out[..., j] = c.reshape((-1,) + (1,) * (len(coords) - 1 - j))
-    return out.reshape(-1, len(coords))
 
 
 def grid_box_min(grid: ValueGrid, bounds) -> float:

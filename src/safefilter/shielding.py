@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -313,11 +313,7 @@ def _check_terminal_invariance(
     """Exhaustive lattice rollout: every member lattice state must stay a member
     under the fallback for all disturbance-corner sequences."""
     starts = [x for x in discretize_box(state_box, counts) if terminal.membership(x)]
-    d_cands = (
-        discretize_box(model.disturbance_set, [2] * model.disturbance_dim)
-        if model.disturbance_dim
-        else [np.zeros(0)]
-    )
+    d_cands = discretize_box(model.disturbance_set, [2] * model.disturbance_dim)
     expanded = 0
     for x0 in starts:
         stack = [(x0, 0)]
@@ -382,8 +378,8 @@ def value_grid_terminal_set(grid: ValueGrid) -> TerminalSafeSet:
 def optimal_fallback(
     model: SystemModel,
     grid: ValueGrid,
-    u_candidates: Sequence[np.ndarray],
-    d_candidates: Sequence[np.ndarray],
+    u_candidates: np.ndarray,
+    d_candidates: np.ndarray,
 ) -> FallbackPolicy:
     """Optimal safety policy as a fallback. The policy is piecewise constant in
     the state (an argmax over candidates), so its only sound control enclosure

@@ -2,6 +2,7 @@
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -1058,3 +1059,68 @@ class SeedTubeMPCFilter(SafetyFilter):
         self.last_degraded = False
         self._plan = None
         self._last_query = None
+
+
+# --- candidate lattices as lists, margin descent candidate by candidate -------
+#
+# ``discretize_box`` as it was when it returned a list of 1-d arrays, and the
+# two margin-descent adversaries as they were when they stepped and scored one
+# candidate at a time.
+
+
+def seed_discretize_box(box: Box, counts) -> list[np.ndarray]:
+    """Regular lattice over a box, corners included; a count of 1 gives the center.
+
+    Points are returned in row-major order (first dimension slowest).
+    """
+    counts = [int(c) for c in np.atleast_1d(counts)]
+    if len(counts) != box.dim:
+        raise ValueError("counts length must match box dimension")
+    if any(c < 1 for c in counts):
+        raise ValueError("counts must be at least 1 per dimension")
+    if box.dim == 0:
+        return [np.zeros(0)]
+    axes = []
+    for lo, hi, c in zip(box.lower, box.upper, counts):
+        if c == 1:
+            axes.append(np.array([0.5 * (lo + hi)]))
+        else:
+            axes.append(np.linspace(lo, hi, c))
+    return [np.array(pt) for pt in product(*axes)]
+
+
+def seed_margin_descent_policy(model, margin, u_candidates):
+    """Adversarial task policy: greedily steers the nominal next state toward
+    the failure set (lowest candidate index wins ties)."""
+    cands = [np.atleast_1d(np.asarray(u, dtype=np.float64)) for u in u_candidates]
+    d0 = model.zero_disturbance()
+
+    def policy(x, rng):
+        best = cands[0]
+        best_val = math.inf
+        for u in cands:
+            val = float(margin(model.step(x, u, d0)))
+            if val < best_val:
+                best_val = val
+                best = u
+        return best.copy()
+
+    return policy
+
+
+def seed_margin_descent_disturbance(model, margin, d_candidates):
+    """Adversarial disturbance for models without a solved value function:
+    picks the candidate that minimizes the next-state failure margin."""
+    cands = [np.atleast_1d(np.asarray(d, dtype=np.float64)) for d in d_candidates]
+
+    def policy(x, u, rng):
+        best = cands[0]
+        best_val = math.inf
+        for d in cands:
+            val = float(margin(model.step(x, u, d)))
+            if val < best_val:
+                best_val = val
+                best = d
+        return best.copy()
+
+    return policy

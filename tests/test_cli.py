@@ -341,3 +341,28 @@ def test_unreadable_value_grid_is_config_error(tmp_path, capsys, wall_cfg, conte
     assert code == EXIT_CONFIG
     assert summary["error"] == "config"
     assert "v.grid" in summary["message"]
+
+
+def test_missing_exploration_world_is_config_error(tmp_path, capsys):
+    # the stock config copied without its worlds/ folder
+    shutil.copy(CONFIG_DIR / "exploration.yaml", tmp_path / "exploration.yaml")
+    code, summary = run_cli(
+        capsys, "run", "--config", str(tmp_path / "exploration.yaml"),
+        "--out", str(tmp_path / "o"), "--seed", "0",
+    )
+    assert code == EXIT_CONFIG
+    assert summary["error"] == "config"
+    assert "filter.world" in summary["message"]
+    assert str(tmp_path / "worlds" / "room.txt") in summary["message"]
+
+
+def test_tube_mpc_with_ball_margin_is_config_error(tmp_path, capsys):
+    import yaml
+
+    cfg = yaml.safe_load((CONFIG_DIR / "tube_mpc_scalar.yaml").read_text())
+    cfg["margin"] = {"kind": "ball", "center": [3.0], "radius": 0.5}
+    path = tmp_path / "tube_ball.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    code, summary = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert code == EXIT_CONFIG
+    assert "halfspace margins, got 'keepout_ball'" in summary["message"]

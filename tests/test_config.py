@@ -10,7 +10,6 @@ from safefilter.config import (
     build_margin,
     build_model,
     dump_resolved_config,
-    margin_halfspaces,
 )
 
 GOOD = {
@@ -93,12 +92,17 @@ def test_margin_builders():
         {"kind": "ball", "center": [2.0], "radius": 0.5},
     ]})
     assert float(g(np.array([1.0]))) == pytest.approx(0.5)
+    assert g.halfspaces is None
     with pytest.raises(ConfigError):
         build_margin({"kind": "donut"})
-    pairs = margin_halfspaces({"kind": "halfspace", "normal": [-1.0], "offset": -2.0})
-    assert len(pairs) == 1 and pairs[0][1] == -2.0
-    with pytest.raises(ConfigError):
-        margin_halfspaces({"kind": "ball", "center": [0.0], "radius": 1.0})
+    pairs = build_margin({"kind": "halfspace", "normal": [-1.0], "offset": -2.0}).halfspaces
+    assert len(pairs) == 1 and pairs[0][0].tolist() == [-1.0] and pairs[0][1] == -2.0
+    pairs = build_margin({"kind": "min", "parts": [
+        {"kind": "halfspace", "normal": [1.0, 0.0], "offset": 0.5},
+        {"kind": "min", "parts": [{"kind": "halfspace", "normal": [0.0, -1.0], "offset": -3.0}]},
+    ]}).halfspaces
+    assert [(n.tolist(), c) for n, c in pairs] == [([1.0, 0.0], 0.5), ([0.0, -1.0], -3.0)]
+    assert build_margin({"kind": "ball", "center": [0.0], "radius": 1.0}).halfspaces is None
 
 
 def test_grid_settings_validation():
@@ -122,18 +126,22 @@ def test_build_filter_kinds(tmp_path):
     model = build_model(GOOD["model"])
     margin = build_margin(GOOD["margin"])
     gs = build_grid_settings(GOOD["grid"], model)
-    bundle = build_filter(GOOD["filter"], model, margin, GOOD["margin"], gs)
+    bundle = build_filter(GOOD["filter"], model, margin, gs)
     assert bundle.filter.name == "least_restrictive"
     assert bundle.grid is not None
     with pytest.raises(ConfigError):
-        build_filter({"kind": "unknown"}, model, margin, GOOD["margin"], gs)
-    # tube_mpc demands a linear model
+        build_filter({"kind": "unknown"}, model, margin, gs)
+    # tube_mpc demands a linear model and a halfspace margin
+    tube = {"kind": "tube_mpc", "gain": [[-0.5]], "terminal_lower": [-0.5],
+            "terminal_upper": [0.5], "horizon": 5}
     with pytest.raises(ConfigError, match="linear"):
-        build_filter(
-            {"kind": "tube_mpc", "gain": [[-0.5]], "terminal_lower": [-0.5],
-             "terminal_upper": [0.5], "horizon": 5},
-            model, margin, GOOD["margin"], gs,
-        )
+        build_filter(tube, model, margin, gs)
+    linear = build_model({"kind": "linear", "a": [[1.0]], "b": [[1.0]],
+                          "control_lower": [-1.0], "control_upper": [1.0],
+                          "dist_lower": [-0.1], "dist_upper": [0.1]})
+    ball = build_margin({"kind": "ball", "center": [0.0], "radius": 1.0})
+    with pytest.raises(ConfigError, match="halfspace margins, got 'keepout_ball'"):
+        build_filter(tube, linear, ball, None)
 
 
 def test_resolved_dump_round_trip(tmp_path):

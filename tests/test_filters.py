@@ -6,7 +6,6 @@ from safefilter import (
     BudgetExceededError,
     decide,
     discretize_box,
-    filtered_step,
     least_restrictive_filter,
     make_double_integrator,
     margin_halfspace,
@@ -84,13 +83,6 @@ def test_decision_record_contract(wall_setup):
     assert d2.overridden
     assert not np.array_equal(d2.applied, d2.candidate)
     assert d2.monitor_value < 0
-
-
-def test_filtered_step_runs_plant(wall_setup):
-    model, g, grid, u_cands, d_cands, flt = wall_setup
-    x = np.array([2.0, 0.0])
-    x_next, decision = filtered_step(model, flt, lambda s: np.array([0.5]), x, np.array([0.1]))
-    assert np.array_equal(x_next, model.step(x, decision.applied, np.array([0.1])))
 
 
 def test_task_equal_to_fallback_never_overridden(wall_setup):

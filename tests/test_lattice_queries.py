@@ -18,6 +18,8 @@ from safefilter import (
     backward_step,
     discretize_box,
     make_double_integrator,
+    margin_descent_disturbance,
+    margin_descent_policy,
     margin_halfspace,
     optimal_safety_policy,
     solve,
@@ -179,3 +181,8 @@ def test_step_without_batch_support_is_rejected():
         adversarial_disturbance(model, grid, [np.zeros(0), np.zeros(0)])(x, u_cands[0], None)
     with pytest.raises(ValueError, match="scalar_only"):
         backward_step(model, margin_halfspace([1.0, 0.0], 0.0), grid, u_cands, d_cands)
+    wall = margin_halfspace([1.0, 0.0], 0.0)
+    with pytest.raises(ValueError, match="model 'scalar_only'.*must broadcast"):
+        margin_descent_policy(model, wall, u_cands)(x, None)
+    with pytest.raises(ValueError, match="model 'scalar_only'.*must broadcast"):
+        margin_descent_disturbance(model, wall, [np.zeros(0), np.zeros(0)])(x, u_cands[0], None)
