@@ -64,7 +64,11 @@ def _emit(payload: dict) -> None:
 
 
 def _out_dir(cfg: dict, args) -> str:
-    out = args.out or cfg.get("output", {}).get("directory", "out")
+    output = cfg.get("output", {})
+    _check_keys(output, {"directory"}, "output")
+    out = args.out or output.get("directory", "out")
+    if not isinstance(out, str):
+        raise ConfigError("config key output.directory must be a path")
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -149,29 +153,19 @@ def cmd_run(args) -> int:
     seeds = [args.seed] if args.seed is not None else hs.seeds
     if args.verbose and isinstance(bundle.filter, TubeMPCFilter):
         bundle.filter.plan_log_dir = out
-    results = run_scenario(model, bundle.filter, scenario, seeds)
     total_violations = 0
-    rows = []
-    for seed, (traj, metrics) in zip(seeds, results):
-        write_decisions_csv(traj, os.path.join(out, f"episode_{seed}.csv"))
-        total_violations += metrics.violations
-        rows.append(
-            {
-                "seed": seed,
-                "violations": metrics.violations,
-                "interventions": metrics.intervention_count,
-                "intervention_rate": metrics.intervention_rate,
-                "task_cost": metrics.task_cost,
-                "chatter": metrics.chatter_count,
-                "min_monitor": metrics.min_monitor,
-            }
+    # not write_series_csv: metrics.csv ends its lines in "\n", and the
+    # reference digests pin its bytes
+    lines = ["seed,violations,interventions,intervention_rate,task_cost,chatter,min_monitor\n"]
+    for traj, m in run_scenario(model, bundle.filter, scenario, seeds):
+        write_decisions_csv(traj, os.path.join(out, f"episode_{traj.seed}.csv"))
+        total_violations += m.violations
+        lines.append(
+            f"{traj.seed},{m.violations},{m.intervention_count},{m.intervention_rate!r},"
+            f"{m.task_cost!r},{m.chatter_count},{m.min_monitor!r}\n"
         )
     with open(os.path.join(out, "metrics.csv"), "w") as f:
-        cols = ["seed", "violations", "interventions", "intervention_rate",
-                "task_cost", "chatter", "min_monitor"]
-        f.write(",".join(cols) + "\n")
-        for row in rows:
-            f.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in cols) + "\n")
+        f.writelines(lines)
     dump_resolved_config(cfg, os.path.join(out, "resolved_config.yaml"))
     _emit(
         {
@@ -187,13 +181,16 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     model, hs, _bundle, scenario, build = _build_run_pieces(cfg, args.config)
-    compare_cfg = cfg.get("compare")
-    if not compare_cfg or "filters" not in compare_cfg:
-        raise ConfigError("compare needs a [compare] section with a filters list")
+    compare_cfg = cfg.get("compare") or {}
+    _check_keys(compare_cfg, {"filters"}, "compare")
+    filters = compare_cfg.get("filters")
+    if not isinstance(filters, list):
+        raise ConfigError("compare needs a [compare] section with a compare.filters list")
     named = []
-    for i, entry in enumerate(compare_cfg["filters"]):
+    for i, entry in enumerate(filters):
         if not isinstance(entry, dict) or "name" not in entry or "filter" not in entry:
             raise ConfigError(f"compare.filters[{i}] needs 'name' and 'filter'")
+        _check_keys(entry, {"name", "filter"}, f"compare.filters[{i}]")
         named.append((str(entry["name"]), build(entry["filter"]).filter))
     out = _out_dir(cfg, args)
     seeds = [args.seed] if args.seed is not None else hs.seeds

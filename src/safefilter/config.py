@@ -67,9 +67,13 @@ def load_config(path) -> dict:
     return data
 
 
-def _check_keys(mapping, allowed, path) -> None:
+def _section(mapping, path) -> None:
     if not isinstance(mapping, dict):
         raise ConfigError(f"section {path or '<root>'} must be a mapping")
+
+
+def _check_keys(mapping, allowed, path) -> None:
+    _section(mapping, path)
     unknown = set(mapping) - set(allowed)
     if unknown:
         key = sorted(unknown)[0]
@@ -78,6 +82,7 @@ def _check_keys(mapping, allowed, path) -> None:
 
 
 def _require(mapping, key, path):
+    _section(mapping, path)
     if key not in mapping:
         loc = f"{path}.{key}" if path else key
         raise ConfigError(f"missing config key {loc!r}")
@@ -174,7 +179,7 @@ _MODEL_KEYS = {
 
 def build_model(cfg: dict) -> SystemModel:
     kind = _require(cfg, "kind", "model")
-    if kind not in _MODEL_KEYS:
+    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
         raise ConfigError(f"unknown model.kind {kind!r}")
     _check_keys(cfg, _MODEL_KEYS[kind], "model")
     try:
@@ -354,7 +359,7 @@ def build_filter(
     built here is added to it, so filters built with one dict share a solve.
     """
     kind = _require(cfg, "kind", "filter")
-    if kind not in _FILTER_KEYS:
+    if not isinstance(kind, str) or kind not in _FILTER_KEYS:
         raise ConfigError(f"unknown filter.kind {kind!r}")
     _check_keys(cfg, _FILTER_KEYS[kind], "filter")
     grid = None

@@ -60,6 +60,13 @@ class SystemModel:
         return np.zeros(self.disturbance_dim)
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite, tested on Python floats: a few
+    times cheaper than ``np.isfinite(a).all()`` on the short vectors of one
+    closed-loop step."""
+    return all(map(math.isfinite, a.ravel().tolist()))
+
+
 def step(model: SystemModel, x, u, d) -> np.ndarray:
     """Validated single step: raises ``InputDomainError`` for a non-finite state
     and for a control or disturbance outside its box (NaN included), and
@@ -67,7 +74,7 @@ def step(model: SystemModel, x, u, d) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
     d = np.atleast_1d(np.asarray(d, dtype=np.float64))
-    if not all(map(math.isfinite, x.reshape(-1).tolist())):
+    if not all_finite(x):
         raise InputDomainError(f"state {x} is not finite")
     if not model.control_set.contains(u):
         raise InputDomainError(f"control {u} outside admissible set")

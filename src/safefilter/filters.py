@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import InputDomainError, MarginFunction, SystemModel, as_lattice
+from .dynamics import InputDomainError, MarginFunction, SystemModel, all_finite, as_lattice
 from .reachability import ValueGrid, optimal_safety_policy, worst_case_next_value
 
 
@@ -127,12 +127,6 @@ def passthrough_filter(model: SystemModel, name: str = "passthrough") -> SafetyF
     return SafetyFilter(monitor, lambda x: u_rest.copy(), name=name)
 
 
-def _finite(a: np.ndarray) -> bool:
-    # on Python floats: a few times cheaper than np.isfinite(a).all() on the
-    # short vectors of one decision
-    return all(map(math.isfinite, a.ravel().tolist()))
-
-
 def decide(flt: SafetyFilter, x, u_task) -> FilterDecision:
     """Evaluate the monitor on the candidate, intervene, and record the event.
 
@@ -143,9 +137,9 @@ def decide(flt: SafetyFilter, x, u_task) -> FilterDecision:
     """
     x = np.asarray(x, dtype=np.float64)
     u_task = np.atleast_1d(np.asarray(u_task, dtype=np.float64))
-    if not _finite(x):
+    if not all_finite(x):
         raise InputDomainError(f"state {x} is not finite")
-    monitor_value = flt.monitor(x, u_task) if _finite(u_task) else math.nan
+    monitor_value = flt.monitor(x, u_task) if all_finite(u_task) else math.nan
     applied = np.atleast_1d(
         np.asarray(flt.intervene(x, u_task, monitor_value), dtype=np.float64)
     )

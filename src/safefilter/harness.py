@@ -8,8 +8,9 @@ decision is logged so runs can be audited and replayed bit-exactly.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+import os
+from dataclasses import astuple, dataclass
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -19,8 +20,9 @@ from .filters import (
     FilterDecision,
     SafetyFilter,
     decide,
+    passthrough_filter,
 )
-from .reachability import ValueGrid, _eval_on_nodes, successor_states
+from .reachability import ValueGrid, _eval_on_nodes, _first_min, successor_states
 
 TaskPolicy = Callable[[np.ndarray, np.random.Generator], np.ndarray]
 DisturbancePolicy = Callable[[np.ndarray, np.ndarray, np.random.Generator], np.ndarray]
@@ -33,7 +35,6 @@ class Trajectory:
     disturbances: np.ndarray
     decisions: list[FilterDecision]
     seed: int
-    termination: str = "completed"
 
     @property
     def steps(self) -> int:
@@ -185,12 +186,6 @@ def constant_policy(u) -> TaskPolicy:
     return policy
 
 
-def _first_min(values: np.ndarray) -> int:
-    """Index of the least value, the lowest index on ties. A NaN never wins,
-    and when no value is below +inf (all NaN or +inf) the answer is 0."""
-    return int(np.argmin(np.fmin(values, np.inf)))  # fmin turns NaN into +inf
-
-
 def margin_descent_policy(
     model: SystemModel, margin: MarginFunction, u_candidates: np.ndarray
 ) -> TaskPolicy:
@@ -210,12 +205,13 @@ def adversarial_disturbance(
     model: SystemModel, grid: ValueGrid, d_candidates: np.ndarray
 ) -> DisturbancePolicy:
     """Worst-case-within-lattice disturbance: picks the candidate minimizing the
-    value at the next state given the applied control (lowest index on ties)."""
+    value at the next state given the applied control, with the tie and NaN
+    rules of ``margin_descent_policy``."""
     D = as_lattice(d_candidates)
 
     def policy(x, u, rng):
         U = np.atleast_1d(np.asarray(u, dtype=np.float64))[None]
-        return D[int(np.argmin(grid.values_at(successor_states(model, x, U, D))))].copy()
+        return D[_first_min(grid.values_at(successor_states(model, x, U, D)))].copy()
 
     return policy
 
@@ -258,6 +254,23 @@ def zero_disturbance(model: SystemModel) -> DisturbancePolicy:
 # --- experiments ------------------------------------------------------------
 
 
+def run_scenario(
+    model: SystemModel,
+    flt: SafetyFilter,
+    scenario: Scenario,
+    seeds: Iterable[int],
+) -> Iterator[tuple[Trajectory, EpisodeMetrics]]:
+    """One episode of ``scenario`` per seed, in seed order: the one loop over
+    seeds behind every experiment. Episodes are yielded as they finish, so a
+    caller that consumes them as it goes holds one trajectory at a time."""
+    for seed in seeds:
+        yield run_episode(
+            model, flt, scenario.task_policy, scenario.disturbance_policy,
+            scenario.x0, scenario.steps, seed, scenario.failure_margin,
+            scenario.goal, scenario.control_weight,
+        )
+
+
 @dataclass
 class SeparationReport:
     """Side-by-side unfiltered/filtered runs of the same goal-seeking policy."""
@@ -283,34 +296,17 @@ class SeparationReport:
 def separation_experiment(
     model: SystemModel,
     flt: SafetyFilter,
-    task_policy: TaskPolicy,
-    failure_margin: MarginFunction,
-    x0,
-    steps: int,
-    seeds: Sequence[int],
-    disturbance_policy: Optional[DisturbancePolicy] = None,
-    goal=None,
-    control_weight: float = 0.1,
+    scenario: Scenario,
+    seeds: Iterable[int],
 ) -> SeparationReport:
-    from .filters import passthrough_filter
-
-    if disturbance_policy is None:
-        disturbance_policy = zero_disturbance(model)
-    unfiltered_rows = []
-    filtered_rows = []
-    raw = passthrough_filter(model)
-    for seed in seeds:
-        _, m_raw = run_episode(
-            model, raw, task_policy, disturbance_policy, x0, steps, seed,
-            failure_margin, goal, control_weight,
-        )
-        _, m_flt = run_episode(
-            model, flt, task_policy, disturbance_policy, x0, steps, seed,
-            failure_margin, goal, control_weight,
-        )
-        unfiltered_rows.append(m_raw)
-        filtered_rows.append(m_flt)
-    return SeparationReport(unfiltered_rows, filtered_rows, list(seeds))
+    """The scenario's seeds run once through the pass-through filter and once
+    through ``flt``."""
+    seeds = list(seeds)
+    return SeparationReport(
+        [m for _, m in run_scenario(model, passthrough_filter(model), scenario, seeds)],
+        [m for _, m in run_scenario(model, flt, scenario, seeds)],
+        seeds,
+    )
 
 
 @dataclass
@@ -348,20 +344,16 @@ def monte_carlo_safety(
     confidence: float = 0.95,
     disturbance_policy: Optional[DisturbancePolicy] = None,
 ) -> MonteCarloReport:
-    """Fraction of episodes that ever enter the failure set, with an exact
-    binomial interval. Disturbances default to uniform draws over their box."""
+    """Fraction of episodes (seeds ``seed`` to ``seed + n_episodes - 1``) that
+    ever enter the failure set, with an exact binomial interval. Disturbances
+    default to uniform draws over their box."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be at least 1")
     if disturbance_policy is None:
         disturbance_policy = random_disturbance(model)
-    failures = 0
-    for i in range(n_episodes):
-        _, metrics = run_episode(
-            model, flt, task_policy, disturbance_policy, x0, steps, seed + i,
-            failure_margin,
-        )
-        if metrics.violations > 0:
-            failures += 1
+    scenario = Scenario(x0, steps, failure_margin, task_policy, disturbance_policy)
+    seeds = (seed + i for i in range(n_episodes))
+    failures = sum(m.violations > 0 for _, m in run_scenario(model, flt, scenario, seeds))
     lo, hi = clopper_pearson(failures, n_episodes, confidence)
     return MonteCarloReport(
         episodes=n_episodes,
@@ -383,27 +375,11 @@ class FilterComparison:
     mean_monitor: float
 
 
-def run_scenario(
-    model: SystemModel,
-    flt: SafetyFilter,
-    scenario: Scenario,
-    seeds: Sequence[int],
-) -> list[tuple[Trajectory, EpisodeMetrics]]:
-    return [
-        run_episode(
-            model, flt, scenario.task_policy, scenario.disturbance_policy,
-            scenario.x0, scenario.steps, seed, scenario.failure_margin,
-            scenario.goal, scenario.control_weight,
-        )
-        for seed in seeds
-    ]
-
-
 def compare_filters(
     model: SystemModel,
-    named_filters: Sequence[tuple[str, SafetyFilter]],
+    named_filters: Iterable[tuple[str, SafetyFilter]],
     scenario: Scenario,
-    seeds: Sequence[int],
+    seeds: Iterable[int],
     out_dir=None,
 ) -> list[FilterComparison]:
     """Run the same scenario and seeds through each filter and tabulate.
@@ -414,7 +390,7 @@ def compare_filters(
     rows = []
     traces = {}
     for name, flt in named_filters:
-        results = run_scenario(model, flt, scenario, seeds)
+        results = list(run_scenario(model, flt, scenario, seeds))
         metrics = [m for _, m in results]
         rows.append(
             FilterComparison(
@@ -428,28 +404,21 @@ def compare_filters(
         )
         traces[name] = results[0][0]
     if out_dir is not None:
-        import os
-
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "comparison.csv"), "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(
-                ["filter", "violations", "intervention_rate", "task_cost",
-                 "chatter_count", "mean_monitor"]
-            )
-            for r in rows:
-                writer.writerow(
-                    [r.name, r.violations, repr(r.intervention_rate),
-                     repr(r.task_cost), r.chatter_count, repr(r.mean_monitor)]
-                )
+        write_series_csv(
+            os.path.join(out_dir, "comparison.csv"),
+            ["filter", "violations", "intervention_rate", "task_cost",
+             "chatter_count", "mean_monitor"],
+            (astuple(r) for r in rows),
+        )
         for name, traj in traces.items():
             write_series_csv(
                 os.path.join(out_dir, f"trace_{name}.csv"),
                 ["t", "monitor_value", "overridden"],
-                [
-                    [t, repr(d.monitor_value), int(d.overridden)]
+                (
+                    [t, d.monitor_value, int(d.overridden)]
                     for t, d in enumerate(traj.decisions)
-                ],
+                ),
             )
     return rows
 
@@ -461,28 +430,23 @@ def write_decisions_csv(traj: Trajectory, path) -> None:
     """Per-step audit log: t, state, candidate, applied, monitor value, override flag."""
     n = traj.states.shape[1]
     m = traj.controls.shape[1] if traj.steps else 0
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            ["t"]
-            + [f"x{i}" for i in range(n)]
-            + [f"candidate{i}" for i in range(m)]
-            + [f"applied{i}" for i in range(m)]
-            + ["monitor_value", "overridden"]
-        )
-        for t, d in enumerate(traj.decisions):
-            writer.writerow(
-                [t]
-                + [repr(float(v)) for v in traj.states[t]]
-                + [repr(float(v)) for v in d.candidate]
-                + [repr(float(v)) for v in d.applied]
-                + [repr(float(d.monitor_value)), int(d.overridden)]
-            )
+    write_series_csv(
+        path,
+        ["t", *(f"x{i}" for i in range(n)), *(f"candidate{i}" for i in range(m)),
+         *(f"applied{i}" for i in range(m)), "monitor_value", "overridden"],
+        (
+            [t, *traj.states[t].tolist(), *d.candidate.tolist(), *d.applied.tolist(),
+             float(d.monitor_value), int(d.overridden)]
+            for t, d in enumerate(traj.decisions)
+        ),
+    )
 
 
-def write_series_csv(path, header: Sequence[str], rows) -> None:
+def write_series_csv(path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """A header line and one line per row, ending in ``\\r\\n``. The csv module
+    writes each cell as its ``str``, which for a float64 is the shortest
+    round-trip form."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(list(header))
-        for row in rows:
-            writer.writerow(list(row))
+        writer.writerow(header)
+        writer.writerows(rows)

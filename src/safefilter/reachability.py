@@ -521,6 +521,12 @@ def successor_states(model: SystemModel, x, U: np.ndarray, D: np.ndarray) -> np.
     return _batch_next_states(model, xs, U[:, None], D[None]).reshape(-1, xs.shape[-1])
 
 
+def _first_min(values: np.ndarray) -> int:
+    """Index of the least value, the lowest index on ties. A NaN never wins,
+    and when no value is below +inf (all NaN or +inf) the answer is 0."""
+    return int(np.argmin(np.fmin(values, np.inf)))  # fmin turns NaN into +inf
+
+
 def worst_case_next_value(
     model: SystemModel,
     grid: ValueGrid,
@@ -542,7 +548,8 @@ def optimal_safety_policy(
     """argmax over control candidates of the worst-case next value.
 
     Ties break to the lowest candidate index, so the policy is deterministic;
-    a state from which every candidate leaves the domain gets the first one.
+    a candidate whose worst-case value is NaN never wins, and a state from
+    which every candidate leaves the domain (or scores NaN) gets the first one.
     """
     if not len(u_candidates) or not len(d_candidates):
         raise ValueError("candidate lists must be nonempty")
@@ -550,7 +557,7 @@ def optimal_safety_policy(
 
     def policy(x) -> np.ndarray:
         worst = grid.values_at(successor_states(model, x, U, D)).reshape(len(U), -1).min(axis=1)
-        return U[int(np.argmax(worst))].copy()
+        return U[_first_min(-worst)].copy()
 
     return policy
 

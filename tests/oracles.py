@@ -1124,3 +1124,154 @@ def seed_margin_descent_disturbance(model, margin, d_candidates):
         return best.copy()
 
     return policy
+
+
+# --- experiments with their own seed loops, CSV writers with their own blocks --
+#
+# ``separation_experiment`` and the ``monte_carlo_safety`` loop as they were
+# when each ran its own loop over seeds, and the decision log, comparison table
+# and monitor traces as they were written before every harness log went
+# through one ``write_series_csv``.
+
+
+def seed_separation_experiment(
+    model,
+    flt,
+    task_policy,
+    failure_margin,
+    x0,
+    steps,
+    seeds,
+    disturbance_policy=None,
+    goal=None,
+    control_weight=0.1,
+):
+    from safefilter.filters import passthrough_filter
+    from safefilter.harness import SeparationReport, run_episode, zero_disturbance
+
+    if disturbance_policy is None:
+        disturbance_policy = zero_disturbance(model)
+    unfiltered_rows = []
+    filtered_rows = []
+    raw = passthrough_filter(model)
+    for seed in seeds:
+        _, m_raw = run_episode(
+            model, raw, task_policy, disturbance_policy, x0, steps, seed,
+            failure_margin, goal, control_weight,
+        )
+        _, m_flt = run_episode(
+            model, flt, task_policy, disturbance_policy, x0, steps, seed,
+            failure_margin, goal, control_weight,
+        )
+        unfiltered_rows.append(m_raw)
+        filtered_rows.append(m_flt)
+    return SeparationReport(unfiltered_rows, filtered_rows, list(seeds))
+
+
+def seed_monte_carlo_safety(
+    model,
+    flt,
+    task_policy,
+    x0,
+    steps,
+    n_episodes,
+    failure_margin,
+    seed=0,
+    confidence=0.95,
+    disturbance_policy=None,
+):
+    """Fraction of episodes that ever enter the failure set, with an exact
+    binomial interval. Disturbances default to uniform draws over their box."""
+    from safefilter.harness import (
+        MonteCarloReport,
+        clopper_pearson,
+        random_disturbance,
+        run_episode,
+    )
+
+    if n_episodes < 1:
+        raise ValueError("n_episodes must be at least 1")
+    if disturbance_policy is None:
+        disturbance_policy = random_disturbance(model)
+    failures = 0
+    for i in range(n_episodes):
+        _, metrics = run_episode(
+            model, flt, task_policy, disturbance_policy, x0, steps, seed + i,
+            failure_margin,
+        )
+        if metrics.violations > 0:
+            failures += 1
+    lo, hi = clopper_pearson(failures, n_episodes, confidence)
+    return MonteCarloReport(
+        episodes=n_episodes,
+        failures=failures,
+        estimate=failures / n_episodes,
+        confidence=confidence,
+        lower=lo,
+        upper=hi,
+    )
+
+
+def seed_write_decisions_csv(traj, path) -> None:
+    """Per-step audit log: t, state, candidate, applied, monitor value, override flag."""
+    import csv
+
+    n = traj.states.shape[1]
+    m = traj.controls.shape[1] if traj.steps else 0
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(
+            ["t"]
+            + [f"x{i}" for i in range(n)]
+            + [f"candidate{i}" for i in range(m)]
+            + [f"applied{i}" for i in range(m)]
+            + ["monitor_value", "overridden"]
+        )
+        for t, d in enumerate(traj.decisions):
+            writer.writerow(
+                [t]
+                + [repr(float(v)) for v in traj.states[t]]
+                + [repr(float(v)) for v in d.candidate]
+                + [repr(float(v)) for v in d.applied]
+                + [repr(float(d.monitor_value)), int(d.overridden)]
+            )
+
+
+def seed_write_series_csv(path, header, rows) -> None:
+    import csv
+
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(list(header))
+        for row in rows:
+            writer.writerow(list(row))
+
+
+def seed_write_comparison(rows, traces, out_dir) -> None:
+    """The CSV block of ``compare_filters``: ``rows`` are its
+    ``FilterComparison`` rows and ``traces`` maps each filter name to the
+    trajectory of the first seed."""
+    import csv
+    import os
+
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "comparison.csv"), "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(
+            ["filter", "violations", "intervention_rate", "task_cost",
+             "chatter_count", "mean_monitor"]
+        )
+        for r in rows:
+            writer.writerow(
+                [r.name, r.violations, repr(r.intervention_rate),
+                 repr(r.task_cost), r.chatter_count, repr(r.mean_monitor)]
+            )
+    for name, traj in traces.items():
+        seed_write_series_csv(
+            os.path.join(out_dir, f"trace_{name}.csv"),
+            ["t", "monitor_value", "overridden"],
+            [
+                [t, repr(d.monitor_value), int(d.overridden)]
+                for t, d in enumerate(traj.decisions)
+            ],
+        )

@@ -17,6 +17,7 @@ from oracles import game_tree_node_values
 
 from safefilter import (
     Box,
+    Scenario,
     SystemModel,
     ValueGrid,
     adversarial_disturbance,
@@ -472,10 +473,9 @@ def test_criterion_9_separation_and_monte_carlo(robust_bench, tube_bench, cbf_be
     model, wall = rb["model"], rb["wall"]
     lr = least_restrictive_filter(model, rb["grid"], rb["u5"], rb["d3"])
     task = proportional_policy([[1.0, 1.5]], [-1.0, 0.0], model.control_set)  # goal beyond the wall
-    report = separation_experiment(
-        model, lr, task, wall, rb["x0"], 200, seeds=[0, 1, 2],
-        disturbance_policy=random_disturbance(model), goal=[-1.0, 0.0],
-    )
+    scenario = Scenario(rb["x0"], 200, wall, task, random_disturbance(model),
+                        goal=np.array([-1.0, 0.0]))
+    report = separation_experiment(model, lr, scenario, seeds=[0, 1, 2])
     sep_ok = (
         report.unfiltered_violations > 0
         and report.filtered_violations == 0

@@ -366,3 +366,61 @@ def test_tube_mpc_with_ball_margin_is_config_error(tmp_path, capsys):
     code, summary = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "o"))
     assert code == EXIT_CONFIG
     assert "halfspace margins, got 'keepout_ball'" in summary["message"]
+
+
+_MINIMAL = {
+    "model": {"kind": "double_integrator", "u_max": 1.0, "d_max": 0.1, "dt": 0.1},
+    "margin": {"kind": "halfspace", "normal": [1.0, 0.0], "offset": 0.0},
+    "filter": {"kind": "none"},
+    "harness": {"x0": [1.5, 0.0], "steps": 2, "seeds": [0],
+                "task": {"kind": "constant", "value": [0.0]}},
+    "compare": {"filters": [{"name": "raw", "filter": {"kind": "none"}}]},
+}
+_MPS = {"kind": "mps", "horizon": 3, "fallback": {"kind": "braking", "v_tol": 0.1},
+        "terminal": {"kind": "value_grid"}}
+
+
+@pytest.mark.parametrize(
+    "command, key, value, section",
+    [
+        ("run", "model", 5, "model"),
+        ("run", "margin", 5, "margin"),
+        ("run", "margin", {"kind": "min", "parts": [5]}, "margin.parts[0]"),
+        ("run", "filter", 5, "filter"),
+        ("run", "filter", dict(_MPS, fallback=5), "filter.fallback"),
+        ("run", "filter", dict(_MPS, terminal=5), "filter.terminal"),
+        ("run", "harness.task", 5, "harness.task"),
+        ("run", "harness.disturbance", 5, "harness.disturbance"),
+        ("run", "model.kind", ["double_integrator"], "model.kind"),
+        ("run", "filter.kind", ["none"], "filter.kind"),
+        ("run", "output", 5, "output"),
+        ("run", "output", {"directroy": "x"}, "output.directroy"),
+        ("run", "output", {"directory": 5}, "output.directory"),
+        ("compare", "compare", 5, "compare"),
+        ("compare", "compare.filters", 5, "compare.filters"),
+        ("compare", "compare.extra", 1, "compare.extra"),
+        ("compare", "compare.filters",
+         [{"name": "raw", "filter": {"kind": "none"}, "extra": 1}], "compare.filters[0].extra"),
+    ],
+)
+def test_malformed_section_is_config_error(tmp_path, capsys, monkeypatch, command, key, value,
+                                           section):
+    """A section of the wrong type or with an unknown key exits 2 naming it,
+    also where the output directory comes from the config (no --out)."""
+    import copy
+
+    import yaml
+
+    cfg = copy.deepcopy(_MINIMAL)
+    *parents, leaf = key.split(".")
+    node = cfg
+    for name in parents:
+        node = node[name]
+    node[leaf] = value
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    monkeypatch.chdir(tmp_path)
+    code, summary = run_cli(capsys, command, "--config", str(path))
+    assert code == EXIT_CONFIG
+    assert summary["error"] == "config" and section in summary["message"]
+    assert not (tmp_path / "out").exists()

@@ -136,10 +136,9 @@ def test_separation_experiment(bench):
     model, g, grid, u_cands, d_cands, flt = bench
     # goal beyond the wall: unfiltered runs crash, filtered runs never do
     task = proportional_policy([[1.0, 1.2]], [-1.0, 0.0], model.control_set)
-    report = separation_experiment(
-        model, flt, task, g, [1.5, 0.0], 200, seeds=[0, 1, 2],
-        disturbance_policy=zero_disturbance(model), goal=[-1.0, 0.0],
-    )
+    scenario = Scenario(np.array([1.5, 0.0]), 200, g, task, zero_disturbance(model),
+                        goal=np.array([-1.0, 0.0]))
+    report = separation_experiment(model, flt, scenario, seeds=[0, 1, 2])
     assert report.unfiltered_violations > 0
     assert report.filtered_violations == 0
     assert np.isfinite(report.mean_cost_inflation)
@@ -150,10 +149,9 @@ def test_separation_experiment(bench):
 def test_separation_benign_goal_identical(bench):
     model, g, grid, u_cands, d_cands, flt = bench
     task = proportional_policy([[1.0, 1.5]], [2.0, 0.0], model.control_set)
-    report = separation_experiment(
-        model, flt, task, g, [1.8, 0.0], 100, seeds=[0],
-        disturbance_policy=zero_disturbance(model), goal=[2.0, 0.0],
-    )
+    scenario = Scenario(np.array([1.8, 0.0]), 100, g, task, zero_disturbance(model),
+                        goal=np.array([2.0, 0.0]))
+    report = separation_experiment(model, flt, scenario, seeds=[0])
     assert report.filtered[0].intervention_count == 0
     assert report.mean_cost_inflation == pytest.approx(0.0, abs=1e-12)
 

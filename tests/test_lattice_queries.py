@@ -186,3 +186,32 @@ def test_step_without_batch_support_is_rejected():
         margin_descent_policy(model, wall, u_cands)(x, None)
     with pytest.raises(ValueError, match="model 'scalar_only'.*must broadcast"):
         margin_descent_disturbance(model, wall, [np.zeros(0), np.zeros(0)])(x, u_cands[0], None)
+
+
+def test_nan_nodes_never_win_lattice_picks():
+    # NaN node values make some candidates' values NaN; the batched policy and
+    # adversary must skip them exactly as the reference loops do (a NaN never
+    # compares better)
+    model = make_double_integrator(1.0, 0.1, 0.1)
+    wall = margin_halfspace([1.0, 0.0], 0.0)
+    grid, _ = solve(model, wall, (Box([0.0, -2.0], [3.0, 2.0]), (41, 41)), [5], [3])
+    rng = np.random.default_rng(12)
+    values = grid.values.copy()
+    values[rng.choice(values.size, 40, replace=False)] = np.nan
+    nan_grid = ValueGrid(grid.domain, grid.shape, values, grid.out_of_domain_value)
+    u_cands = discretize_box(model.control_set, [5])
+    d_cands = discretize_box(model.disturbance_set, [3])
+    states = rng.uniform([0.0, -2.0], [3.0, 2.0], size=(2000, 2))
+    controls = rng.uniform(-1.0, 1.0, size=(len(states), 1))
+
+    policy = optimal_safety_policy(model, nan_grid, u_cands, d_cands)
+    ref_policy = reference_optimal_safety_policy(model, nan_grid, u_cands, d_cands)
+    adversary = adversarial_disturbance(model, nan_grid, d_cands)
+    ref_adversary = reference_adversarial_disturbance(model, nan_grid, d_cands)
+    mixed = 0
+    for x, u in zip(states, controls):
+        worst = [worst_case_next_value(model, nan_grid, x, v, d_cands) for v in u_cands]
+        mixed += any(map(math.isnan, worst)) and not all(map(math.isnan, worst))
+        assert policy(x).tobytes() == ref_policy(x).tobytes(), x
+        assert adversary(x, u, None).tobytes() == ref_adversary(x, u, None).tobytes(), x
+    assert mixed > 100  # the NaN nodes touch many lattices
