@@ -1,13 +1,19 @@
-"""Control-barrier-function filters with exact QP-based smooth intervention.
+"""Control-barrier-function filters with exact closed-form smooth intervention.
 
 The decrease condition grad_h(x) . (f(x) + g(x) u) >= -alpha(h(x)) is affine in
-the control for control-affine models, so the minimal-deviation program
+the control for control-affine models, a . u >= rhs, so the minimal-deviation
+program
 
-    min 0.5 ||u - u_task||^2   s.t.  decrease condition,  u in control box
+    min 0.5 ||u - u_task||^2   s.t.  a . u >= rhs,  u in control box
 
-is solved exactly by the dual active-set QP solver of ``qp.py`` over the
-halfspace row and the box rows, after a support check for infeasibility and a
-pass-through for candidates that already satisfy every row.
+has one halfspace row. After a support check for infeasibility and a
+pass-through for candidates that already satisfy every row, it is solved in
+closed form: the step u_task + lam a onto the halfspace when that stays in the
+box, which is the first and only iteration the dual active-set QP of ``qp.py``
+makes there, bit for bit; otherwise a breakpoint search on the
+one-dimensional dual lam (a continuous quadratic knapsack, Kiwiel 2008), whose
+answer may differ from that QP's in the last bits. No stock configuration
+reaches the search.
 
 The condition is enforced at discrete control cycles; the integration error of
 h between cycles is not compensated, only bounded: see euler_slack_bound.
@@ -22,9 +28,11 @@ import numpy as np
 
 from .dynamics import SystemModel
 from .filters import Monitor, SafetyFilter
-from .qp import InfeasibleQP, solve_qp
 
 _FEAS_TOL = 1e-9
+# row tolerance of the halfspace step: a row with slack at least
+# -_STEP_TOL * max(1, |row|) counts as satisfied, as in qp.solve_qp
+_STEP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -87,27 +95,91 @@ def _min_nan(h: float, decrease: float) -> float:
 def _project_halfspace_box(u_task, a, rhs, lo, hi):
     """Exact solution of min 0.5||u - u_task||^2 s.t. a.u >= rhs, lo <= u <= hi.
 
-    Solved with the dual active-set QP over the halfspace row and the box rows.
     Returns None when the program is infeasible. Returns u_task itself (same
     object) when it is already feasible. A right-hand side up to _FEAS_TOL
     above the box support counts as feasible and yields the supporting corner,
-    and the result never leaves the box, although the QP accepts rows violated
-    by its own tolerance.
+    and the result never leaves the box.
+
+    Otherwise the halfspace offset is b = min(rhs, support) and the answer is
+    the step u_task + lam a onto a.u = b, clipped, when that step stays in the
+    box (within _STEP_TOL); these are the operations, and the bits, of the
+    first iteration of the dual active-set QP in ``qp.py``, which then stops.
+    A candidate outside the box, or a step that leaves it, goes to the
+    breakpoint search of ``_breakpoint_projection``, whose answer may differ
+    from that QP's in the last bits (the QP stops within its own tolerance).
+    So does a gain with |a|^2 at most _STEP_TOL, which is projected where the
+    QP's pivot test declared the program infeasible.
     """
-    m = u_task.size
     support = float(np.sum(np.where(a >= 0, a * hi, a * lo)))
     if support < rhs - _FEAS_TOL:
         return None
-    if np.all(u_task >= lo) and np.all(u_task <= hi) and float(a @ u_task) >= rhs - _FEAS_TOL:
+    a_u = float(a @ u_task)
+    if np.all(u_task >= lo) and np.all(u_task <= hi) and a_u >= rhs - _FEAS_TOL:
         return u_task
-    eye = np.eye(m)
-    rows = np.vstack([a, eye, -eye])
-    offsets = np.concatenate([[min(rhs, support)], lo, -hi])
-    try:
-        u = solve_qp(eye, -u_task, rows, offsets)
-    except InfeasibleQP:
-        return None
-    return np.clip(u, lo, hi)
+    b = min(rhs, support)
+    # the QP's termination test on its worst row, then its step on the
+    # halfspace row; np.linalg.solve(I, v), its start and step direction, is v
+    # bit for bit for one control, and for more can flip the sign of a zero
+    m = u_task.size
+    eye = None if m == 1 else np.eye(m)
+    u0 = u_task if eye is None else np.linalg.solve(eye, u_task)
+    a_a = float(a @ a)
+    norm = math.sqrt(a_a)
+    row_slack = a_u - b if norm > _STEP_TOL else math.inf  # tiny rows are constants
+    box_slack = _box_slack(u0, lo, hi)
+    if row_slack <= box_slack:
+        if row_slack >= -_STEP_TOL * max(1.0, norm):
+            return np.clip(u0, lo, hi)
+        if a_a > _STEP_TOL * max(1.0, a_a):
+            z = a if eye is None else np.linalg.solve(eye, a)
+            x = u0 + ((b - float(a @ u0)) / float(z @ a)) * z
+            if _box_slack(x, lo, hi) >= -_STEP_TOL:
+                return np.clip(x, lo, hi)
+    elif box_slack >= -_STEP_TOL:
+        return np.clip(u0, lo, hi)
+    # the clipped candidate, when it meets the halfspace to the QP's tolerance
+    u = np.clip(u_task, lo, hi)
+    if norm <= _STEP_TOL or float(a @ u) - b >= -_STEP_TOL * max(1.0, norm):
+        return u
+    return _breakpoint_projection(u_task, a, b, lo, hi)
+
+
+def _box_slack(v, lo, hi) -> float:
+    """The least slack of the rows lo <= v <= hi, v - lo and hi - v, which
+    ``qp.solve_qp`` computes to the same bits."""
+    return min(min(p - l, h - p) for p, l, h in zip(v.tolist(), lo.tolist(), hi.tolist()))
+
+
+def _breakpoint_projection(u_task, a, b, lo, hi):
+    """Projection of u_task onto {a.u >= b} in the box, for a.clip(u_task) < b
+    <= the box support.
+
+    The minimizer is clip(u_task + lam a, lo, hi) for the smallest lam >= 0
+    with a . clip(u_task + lam a, lo, hi) >= b. That function of lam is
+    nondecreasing and piecewise linear, with a kink wherever a coordinate
+    leaves or reaches a bound, so the search walks the sorted kinks and
+    solves for lam on the first piece that reaches b. When rounding keeps
+    every piece below b (b at the support), the answer is the supporting
+    corner.
+    """
+    moving = a != 0
+    first = np.where(a > 0, lo, hi)  # the bound a coordinate leaves as lam grows
+    last = np.where(a > 0, hi, lo)  # the bound it runs into
+    with np.errstate(divide="ignore", invalid="ignore"):
+        leave = np.where(moving, (first - u_task) / a, -math.inf)
+        reach = np.where(moving, (last - u_task) / a, -math.inf)
+    knots = np.unique(np.concatenate([leave, reach]))
+    start = 0.0
+    for end in knots[knots > 0].tolist() + [math.inf]:
+        free = moving & (leave <= start) & (reach >= end)
+        value = np.where(free, u_task, np.where(reach <= start, last, first))
+        offset = float(a[moving] @ value[moving])
+        slope = float(a[free] @ a[free])
+        if (offset if slope == 0.0 else offset + slope * end) >= b:
+            lam = start if slope == 0.0 else max(start, (b - offset) / slope)
+            return np.clip(u_task + lam * a, lo, hi)
+        start = end
+    return np.where(a > 0, hi, np.where(a < 0, lo, np.clip(u_task, lo, hi)))
 
 
 class CBFQPFilter(SafetyFilter):
@@ -149,10 +221,14 @@ class CBFQPFilter(SafetyFilter):
         """Project u_task onto the decrease condition, from one evaluation of
         the affine terms and of h; an infeasible program, or a NaN monitor
         value (a non-finite candidate), takes the decrease-maximizing control
-        from the same terms."""
+        from the same terms. A candidate in the control box with a
+        nonnegative monitor value is returned as it is, with no evaluation of
+        the barrier."""
         self.last_degraded = False
         x = np.asarray(x, dtype=np.float64)
         u_task = np.atleast_1d(np.asarray(u_task, dtype=np.float64))
+        if monitor_value >= 0.0 and self.model.control_set.contains(u_task):
+            return u_task
         drift_term, a = _affine_terms(self.model, self.barrier, x)
         if math.isnan(monitor_value):
             self.last_degraded = True

@@ -118,16 +118,19 @@ def cmd_solve(args) -> int:
 
 def _build_run_pieces(cfg: dict, config_path: str):
     """The model, harness settings, filter bundle and scenario of a run, and
-    ``build(filter_cfg)``, which builds another filter on the same model,
-    margin and grid settings, reusing the value grids built so far."""
+    ``build(filter_cfg, path)``, which builds another filter, the section at
+    ``path``, on the same model, margin and grid settings, reusing the value
+    grids built so far."""
     model, margin, grid_settings, base_dir = _build_common(cfg, config_path)
     if "harness" not in cfg:
         raise ConfigError("missing config key 'harness'")
     hs = build_harness_settings(cfg["harness"])
     grids = {}
 
-    def build(filter_cfg):
-        return build_filter(filter_cfg, model, margin, grid_settings, base_dir, grids=grids)
+    def build(filter_cfg, path="filter"):
+        return build_filter(
+            filter_cfg, model, margin, grid_settings, base_dir, grids=grids, path=path
+        )
 
     bundle = build(cfg.get("filter", {"kind": "none"}))
     task = build_task_policy(hs.task_cfg, model, margin, grid_settings)
@@ -191,7 +194,8 @@ def cmd_compare(args) -> int:
         if not isinstance(entry, dict) or "name" not in entry or "filter" not in entry:
             raise ConfigError(f"compare.filters[{i}] needs 'name' and 'filter'")
         _check_keys(entry, {"name", "filter"}, f"compare.filters[{i}]")
-        named.append((str(entry["name"]), build(entry["filter"]).filter))
+        bundle = build(entry["filter"], f"compare.filters[{i}].filter")
+        named.append((str(entry["name"]), bundle.filter))
     out = _out_dir(cfg, args)
     seeds = [args.seed] if args.seed is not None else hs.seeds
     rows = compare_filters(model, named, scenario, seeds, out_dir=out)

@@ -350,29 +350,31 @@ def build_filter(
     grid_settings: Optional[GridSettings],
     base_dir: str = ".",
     grids: Optional[dict] = None,
+    path: str = "filter",
 ) -> FilterBundle:
-    """Build the configured filter.
+    """Build the filter configured in ``cfg``, the section at ``path``.
 
-    A filter that needs a value grid solves it, or loads ``filter.value_grid``,
+    A filter that needs a value grid solves it, or loads its ``value_grid``,
     once. ``grids`` maps a grid file path, or None for the solved grid, to a
     grid already built for this model, margin and grid settings; the grid
     built here is added to it, so filters built with one dict share a solve.
+    Every ``ConfigError`` names its key under ``path``.
     """
-    kind = _require(cfg, "kind", "filter")
+    kind = _require(cfg, "kind", path)
     if not isinstance(kind, str) or kind not in _FILTER_KEYS:
-        raise ConfigError(f"unknown filter.kind {kind!r}")
-    _check_keys(cfg, _FILTER_KEYS[kind], "filter")
+        raise ConfigError(f"unknown {path}.kind {kind!r}")
+    _check_keys(cfg, _FILTER_KEYS[kind], path)
     grid = None
 
     def _grid():
         nonlocal grid
         if grid is None:
             if grid_settings is None:
-                raise ConfigError("this filter kind needs a [grid] section")
-            path = cfg.get("value_grid")
-            if path is not None:
-                path = os.path.join(base_dir, path)
-            grid = _shared_grid(grids, path, model, margin, grid_settings)
+                raise ConfigError(f"{path}.kind {kind!r} needs a [grid] section")
+            grid_path = cfg.get("value_grid")
+            if grid_path is not None:
+                grid_path = os.path.join(base_dir, grid_path)
+            grid = _shared_grid(grids, grid_path, model, margin, grid_settings)
         return grid
 
     try:
@@ -384,83 +386,90 @@ def build_filter(
                 least_restrictive_filter(model, grid, *_grid_lattices(model, grid_settings)), grid
             )
         if kind == "cbf_qp":
+            if model.name != "double_integrator":
+                raise ConfigError(
+                    f"{path}.kind 'cbf_qp' needs model.kind double_integrator (its built-in "
+                    f"barrier is the double integrator's stopping distance), got {model.name!r}"
+                )
             u_max = float(model.control_set.upper[0])
-            kappa = _number(cfg, "kappa", "filter", 0.5 / model.dt)
-            wall = _number(cfg, "wall", "filter", 0.0)
+            kappa = _number(cfg, "kappa", path, 0.5 / model.dt)
+            wall = _number(cfg, "wall", path, 0.0)
             barrier = builtin_barrier_double_integrator(u_max, kappa, wall)
             return FilterBundle(cbf_qp_filter(model, barrier))
         if kind == "mps":
-            horizon = _integer(cfg, "horizon", "filter", minimum=1)
-            fb_cfg = _require(cfg, "fallback", "filter")
-            term_cfg = _require(cfg, "terminal", "filter")
-            fb_kind = _require(fb_cfg, "kind", "filter.fallback")
+            horizon = _integer(cfg, "horizon", path, minimum=1)
+            fb_cfg = _require(cfg, "fallback", path)
+            term_cfg = _require(cfg, "terminal", path)
+            fb_kind = _require(fb_cfg, "kind", f"{path}.fallback")
             if fb_kind == "braking":
-                _check_keys(fb_cfg, {"kind", "v_tol"}, "filter.fallback")
-                fallback = braking_fallback(model, _number(fb_cfg, "v_tol", "filter.fallback"))
+                _check_keys(fb_cfg, {"kind", "v_tol"}, f"{path}.fallback")
+                fallback = braking_fallback(model, _number(fb_cfg, "v_tol", f"{path}.fallback"))
             elif fb_kind == "optimal":
-                _check_keys(fb_cfg, {"kind"}, "filter.fallback")
+                _check_keys(fb_cfg, {"kind"}, f"{path}.fallback")
                 grid = _grid()
                 fallback = optimal_fallback(model, grid, *_grid_lattices(model, grid_settings))
             else:
-                raise ConfigError(f"unknown filter.fallback.kind {fb_kind!r}")
-            term_kind = _require(term_cfg, "kind", "filter.terminal")
+                raise ConfigError(f"unknown {path}.fallback.kind {fb_kind!r}")
+            term_kind = _require(term_cfg, "kind", f"{path}.terminal")
             if term_kind == "braking":
                 _check_keys(
-                    term_cfg, {"kind", "v_tol", "safe_lower", "safe_upper"}, "filter.terminal"
+                    term_cfg, {"kind", "v_tol", "safe_lower", "safe_upper"}, f"{path}.terminal"
                 )
                 terminal = braking_terminal_set(
                     model,
-                    _number(term_cfg, "v_tol", "filter.terminal"),
+                    _number(term_cfg, "v_tol", f"{path}.terminal"),
                     Box(
-                        _vector(term_cfg, "safe_lower", "filter.terminal"),
-                        _vector(term_cfg, "safe_upper", "filter.terminal"),
+                        _vector(term_cfg, "safe_lower", f"{path}.terminal"),
+                        _vector(term_cfg, "safe_upper", f"{path}.terminal"),
                     ),
                 )
             elif term_kind == "value_grid":
-                _check_keys(term_cfg, {"kind"}, "filter.terminal")
+                _check_keys(term_cfg, {"kind"}, f"{path}.terminal")
                 terminal = value_grid_terminal_set(_grid())
             else:
-                raise ConfigError(f"unknown filter.terminal.kind {term_kind!r}")
+                raise ConfigError(f"unknown {path}.terminal.kind {term_kind!r}")
             return FilterBundle(
                 mps_filter(model, fallback, terminal, margin, horizon), grid
             )
         if kind == "tube_mpc":
             if model.linear_maps is None:
-                raise ConfigError("tube_mpc needs model.kind = linear")
+                raise ConfigError(f"{path}.kind 'tube_mpc' needs model.kind = linear")
             if margin.halfspaces is None:
-                raise ConfigError(f"margin: tube MPC needs halfspace margins, got {margin.name!r}")
+                raise ConfigError(
+                    f"margin: tube MPC ({path}) needs halfspace margins, got {margin.name!r}"
+                )
             A, B = model.linear_maps
             flt = tube_mpc_filter(
                 A,
                 B,
-                _matrix(cfg, "gain", "filter"),
+                _matrix(cfg, "gain", path),
                 model.control_set,
                 model.disturbance_set,
                 margin.halfspaces,
                 Box(
-                    _vector(cfg, "terminal_lower", "filter"),
-                    _vector(cfg, "terminal_upper", "filter"),
+                    _vector(cfg, "terminal_lower", path),
+                    _vector(cfg, "terminal_upper", path),
                 ),
-                _integer(cfg, "horizon", "filter", minimum=1),
+                _integer(cfg, "horizon", path, minimum=1),
             )
             return FilterBundle(flt)
         # exploration
-        world_path = os.path.join(base_dir, str(_require(cfg, "world", "filter")))
+        world_path = os.path.join(base_dir, str(_require(cfg, "world", path)))
         try:
-            world = load_occupancy_world(world_path, _number(cfg, "cell_size", "filter"))
+            world = load_occupancy_world(world_path, _number(cfg, "cell_size", path))
         except OSError as e:
-            raise ConfigError(f"filter.world: cannot read {world_path}: {e.strerror or e}") from e
+            raise ConfigError(f"{path}.world: cannot read {world_path}: {e.strerror or e}") from e
         flt = exploration_filter(
             model,
-            _number(cfg, "sensor_radius", "filter"),
+            _number(cfg, "sensor_radius", path),
             world,
-            _integer(cfg, "horizon", "filter", minimum=1),
+            _integer(cfg, "horizon", path, minimum=1),
         )
         return FilterBundle(flt)
     except ConfigError:
         raise
     except ValueError as e:
-        raise ConfigError(f"invalid filter configuration: {e}") from e
+        raise ConfigError(f"invalid {path} configuration: {e}") from e
 
 
 # --- harness policies ----------------------------------------------------------

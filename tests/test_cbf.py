@@ -150,6 +150,17 @@ def test_projection_rhs_within_tolerance_above_support_gives_exact_corner(excess
     assert u is not None and np.all(u <= hi) and np.allclose(u, hi, rtol=0.0, atol=1e-12)
 
 
+
+def test_projection_small_gain_is_projected():
+    # |a|^2 = 1e-12 is below the QP's 1e-10 pivot tolerance, so the QP declared
+    # this feasible program infeasible; the closed form projects it
+    lo, hi = np.array([-1.0]), np.array([1.0])
+    u = _project_halfspace_box(np.array([0.0]), np.array([1e-6]), 0.5e-6, lo, hi)
+    assert u is not None and u[0] == pytest.approx(0.5, abs=1e-9)
+    lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+    u = _project_halfspace_box(np.array([0.3, -2.0]), np.array([1e-6, 0.0]), 0.5e-6, lo, hi)
+    assert u is not None and u[0] == pytest.approx(0.5, abs=1e-9) and u[1] == -1.0
+
 # --- built-in barrier ---------------------------------------------------------
 
 

@@ -101,6 +101,90 @@ def test_degraded_decide_evaluates_grad_h_twice():
     assert len(calls) == 2
 
 
+
+def _counting_filter(calls):
+    model = make_double_integrator(U_MAX, 0.0, DT)
+    barrier = builtin_barrier_double_integrator(U_MAX, KAPPA)
+
+    def grad_h(x):
+        calls.append(1)
+        return barrier.grad_h(x)
+
+    return cbf_qp_filter(model, dataclasses.replace(barrier, grad_h=grad_h))
+
+
+def test_passing_decide_evaluates_grad_h_once():
+    # the monitor's evaluation certifies a candidate in the box; the
+    # intervention returns it with no second evaluation
+    calls = []
+    u = np.array([0.5])
+    decision = decide(_counting_filter(calls), np.array([2.0, 0.0]), u)
+    assert not decision.overridden and decision.monitor_value >= 0.0
+    assert decision.applied.tobytes() == u.tobytes()
+    assert len(calls) == 1
+
+
+def test_projected_decide_evaluates_grad_h_twice():
+    calls = []
+    decision = decide(_counting_filter(calls), np.array([0.2, -0.5]), np.array([-1.0]))
+    assert decision.overridden and not decision.degraded
+    assert decision.applied[0] == pytest.approx(0.25)
+    assert len(calls) == 2
+
+
+def test_decide_needs_no_qp_solver(monkeypatch):
+    """The projection is closed-form: with the QP solver raising, every
+    decision of the oracle's state set comes out as the oracle's."""
+    import sys
+
+    import safefilter.qp
+
+    def no_qp(*args, **kwargs):
+        raise AssertionError("the CBF projection called the QP solver")
+
+    model = make_double_integrator(U_MAX, 0.0, DT)
+    flt = cbf_qp_filter(model, builtin_barrier_double_integrator(U_MAX, KAPPA))
+    rng = np.random.default_rng(41)
+    cases = []
+    for _, x in _states(rng, 0.0):
+        cases += [(x, u) for u in (model.control_set.sample(rng), np.array([-1.0]), np.array([0.0]))]
+    with monkeypatch.context() as patch:
+        # every module that holds the solver, including any that imported it by name
+        solver = safefilter.qp.solve_qp
+        for name, module in list(sys.modules.items()):
+            if name.startswith("safefilter") and getattr(module, "solve_qp", None) is solver:
+                patch.setattr(module, "solve_qp", no_qp)
+        got = [decide(flt, x, u) for x, u in cases]
+    seed_model = dataclasses.replace(model, continuous_affine=seed_double_integrator_affine())
+    ref = seed_cbf_qp_filter(seed_model, seed_barrier_double_integrator(U_MAX, KAPPA, 0.0))
+    projected = 0
+    for (x, u), decision in zip(cases, got):
+        want = decide(ref, x, u)
+        assert decision.applied.tobytes() == want.applied.tobytes(), (x, u)
+        assert decision.degraded == want.degraded
+        projected += decision.overridden and not decision.degraded
+    assert projected > 100
+
+
+def test_out_of_box_candidate_is_projected_like_the_oracle():
+    """A candidate outside the control box never passes, whatever its monitor
+    value; it is projected into the box, where the QP's answer may differ in
+    the last bits."""
+    model = make_double_integrator(U_MAX, 0.0, DT)
+    flt = cbf_qp_filter(model, builtin_barrier_double_integrator(U_MAX, KAPPA))
+    seed_model = dataclasses.replace(model, continuous_affine=seed_double_integrator_affine())
+    ref = seed_cbf_qp_filter(seed_model, seed_barrier_double_integrator(U_MAX, KAPPA, 0.0))
+    passed_monitor = 0
+    for _, x in _states(np.random.default_rng(43), 0.0)[::4]:
+        for u in (np.array([3.0]), np.array([-1.5]), np.array([1.0 + 1e-12])):
+            got, want = decide(flt, x, u), decide(ref, x, u)
+            assert got.overridden and want.overridden
+            assert got.degraded == want.degraded
+            assert model.control_set.contains(got.applied)
+            assert abs(got.applied[0] - want.applied[0]) <= 1e-12, (x, u)
+            passed_monitor += got.monitor_value >= 0.0
+    assert passed_monitor > 100
+
 def _state_batches(rng, dim):
     x = rng.uniform(-3.0, 3.0, (7, dim))
     x[0, :] = 0.0

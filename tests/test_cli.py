@@ -424,3 +424,57 @@ def test_malformed_section_is_config_error(tmp_path, capsys, monkeypatch, comman
     assert code == EXIT_CONFIG
     assert summary["error"] == "config" and section in summary["message"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "model, state_dim, control_dim",
+    [
+        ({"kind": "dubins_car", "speed": 1.0, "omega_max": 1.0, "dt": 0.1}, 3, 1),
+        ({"kind": "planar_double_integrator", "u_max": 1.0, "dt": 0.1}, 4, 2),
+        ({"kind": "inverted_pendulum", "torque_max": 2.0, "dt": 0.05}, 2, 1),
+    ],
+    ids=["dubins_car", "planar_double_integrator", "inverted_pendulum"],
+)
+def test_cbf_qp_on_other_model_is_config_error(tmp_path, capsys, model, state_dim, control_dim):
+    """The built-in barrier is the double integrator's stopping distance; on
+    another model ``cbf_qp`` exits 2 naming the filter kind and the model."""
+    import yaml
+
+    cfg = {
+        "model": model,
+        "margin": {"kind": "halfspace", "normal": [1.0] + [0.0] * (state_dim - 1), "offset": 0.0},
+        "filter": {"kind": "cbf_qp"},
+        "harness": {"x0": [1.5] + [0.0] * (state_dim - 1), "steps": 2, "seeds": [0],
+                    "task": {"kind": "constant", "value": [0.0] * control_dim}},
+    }
+    path = tmp_path / "cbf_other.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    code, summary = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert code == EXIT_CONFIG
+    assert summary["error"] == "config"
+    assert "filter.kind" in summary["message"] and model["kind"] in summary["message"]
+
+
+@pytest.mark.parametrize(
+    "entry_filter, where",
+    [
+        (5, "section compare.filters[0].filter must be a mapping"),
+        ({"kind": "none", "horizon": 3}, "'compare.filters[0].filter.horizon'"),
+        ({"kind": "warp"}, "unknown compare.filters[0].filter.kind 'warp'"),
+    ],
+    ids=["not_a_mapping", "unknown_key", "unknown_kind"],
+)
+def test_bad_compare_filter_is_named_by_its_entry(tmp_path, capsys, monkeypatch, entry_filter,
+                                                  where):
+    import copy
+
+    import yaml
+
+    cfg = copy.deepcopy(_MINIMAL)
+    cfg["compare"]["filters"] = [{"name": "x", "filter": entry_filter}]
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    monkeypatch.chdir(tmp_path)
+    code, summary = run_cli(capsys, "compare", "--config", str(path))
+    assert code == EXIT_CONFIG
+    assert summary["error"] == "config" and where in summary["message"]
