@@ -4,25 +4,102 @@ Solves  min 0.5 x'Gx + a'x  subject to  A x >= b  for symmetric positive
 definite G. Starts from the unconstrained optimum and adds the most violated
 constraint at a time, dropping actives whose multiplier would go negative.
 All pivot choices break ties at the lowest index, so runs are reproducible.
-Sized for the tiny problems used here (a few variables, tens of constraints);
-each step refactorizes from scratch rather than updating factors.
+Sized for the tiny problems used here (a few variables, tens of constraints).
+
+Pivot metric: a row n enters with a primal step only when its step direction
+z keeps a share of its length in the G^-1 metric, z'n > 1e-13 * n'G^-1 n (the
+squared sine of its angle to the active rows, about 500 ulps); otherwise it
+is taken as dependent on the active rows. The test does not depend on the
+scale of G or of the row; it is kept apart from ``tol``, which bounds slacks.
+
+Memo: everything an inner step computes apart from the point and the
+multipliers (z, the multiplier update r and the pivot verdict) is a function
+of G, A, the active set and the entering row alone. It is kept per program in
+a bounded process-wide memo keyed by the bytes and shapes of G and A and by
+tol; each entry is computed on first use by the same linear solves that
+recomputation would make, so every result is bit-identical to solving from
+scratch. A repeated program makes one linear solve per QP, for the
+unconstrained start.
+
+Verified return: before it returns, the solver checks every non-constant row
+of the final point, active rows included, against tol * max(1, |row|), and
+raises ``InfeasibleQP`` rather than return a point that misses one.
 """
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 
 import numpy as np
 
+_MAX_PROGRAMS = 32   # distinct (G, A, tol) programs kept, oldest evicted first
+_MAX_STEPS = 4096    # memoized (active set, entering row) steps per program
+_DEPENDENT = 1e-13   # z'n / n'G^-1 n at or below which a row is dependent
+
 
 class InfeasibleQP(RuntimeError):
-    """The constraint system A x >= b has no solution."""
+    """No verified solution: the constraint system A x >= b has none, or the
+    iteration ended on a point that misses a row by more than its tolerance
+    (the point was not verified)."""
+
+
+class _Program:
+    """Memo record of one (G, A, tol): row data and the inner steps."""
+
+    __slots__ = ("row_floor", "constant_rows", "varying_rows", "steps")
+
+    def __init__(self, A: np.ndarray, tol: float):
+        row_norms = np.linalg.norm(A, axis=1) if A.shape[0] else np.zeros(0)
+        self.constant_rows = row_norms <= tol
+        self.varying_rows = np.flatnonzero(~self.constant_rows)
+        # the slack a row must reach: -tol * max(1, |row|)
+        self.row_floor = -tol * np.maximum(1.0, row_norms)
+        self.steps: dict = {}
+
+
+_programs: OrderedDict = OrderedDict()
+_insert_lock = threading.Lock()  # lookups are lock-free; inserts check the caps
+
+
+def _program(G: np.ndarray, A: np.ndarray, tol: float) -> _Program:
+    key = (G.shape, A.shape, G.tobytes(), A.tobytes(), tol)
+    prog = _programs.get(key)
+    if prog is None:
+        prog = _Program(A, tol)
+        with _insert_lock:
+            _programs[key] = prog
+            while len(_programs) > _MAX_PROGRAMS:
+                _programs.popitem(last=False)
+    return prog
+
+
+def _step(G, A, active: list[int], worst: int):
+    """The step of entering row ``worst`` into ``active``: the multiplier
+    update r, the primal direction z, z'n and the pivot verdict."""
+    n_p = A[worst]
+    g_inv_np = np.linalg.solve(G, n_p)
+    if active:
+        N = A[np.asarray(active)].T  # (n, q)
+        g_inv_N = np.linalg.solve(G, N)
+        M = N.T @ g_inv_N
+        r = np.linalg.solve(M, N.T @ g_inv_np)
+        z = g_inv_np - g_inv_N @ r
+    else:
+        r = np.zeros(0)
+        z = g_inv_np
+    znp = float(z @ n_p)
+    pivot_ok = znp > _DEPENDENT * float(n_p @ g_inv_np)
+    z.flags.writeable = False
+    return tuple(r.tolist()), z, znp, pivot_ok
 
 
 def solve_qp(G, a, A, b, tol: float = 1e-10, max_iter: int | None = None) -> np.ndarray:
-    """Return the minimizer; raises InfeasibleQP when the constraints are empty.
+    """Return the minimizer; raises InfeasibleQP when the constraints are empty
+    or the final point fails its check.
 
-    ``A`` may have zero rows (unconstrained). Rows of A equal to zero are
-    treated as constant constraints: feasible iff b_i <= tol.
+    ``A`` may have zero rows (unconstrained). Rows of A with norm at most tol
+    are treated as constant constraints: feasible iff b_i <= tol.
     """
     G = np.asarray(G, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
@@ -33,8 +110,8 @@ def solve_qp(G, a, A, b, tol: float = 1e-10, max_iter: int | None = None) -> np.
     if b.shape != (p,):
         raise ValueError("b length does not match constraint rows")
 
-    row_norms = np.linalg.norm(A, axis=1) if p else np.zeros(0)
-    constant_rows = row_norms <= tol
+    prog = _program(G, A, tol)
+    constant_rows, row_floor, steps = prog.constant_rows, prog.row_floor, prog.steps
     if np.any(b[constant_rows] > tol):
         raise InfeasibleQP("constant constraint row 0 >= b with b > 0")
 
@@ -52,23 +129,21 @@ def solve_qp(G, a, A, b, tol: float = 1e-10, max_iter: int | None = None) -> np.
         if active:
             slack[np.asarray(active)] = math.inf
         worst = int(np.argmin(slack))
-        if slack[worst] >= -tol * max(1.0, float(row_norms[worst])):
+        if slack[worst] >= row_floor[worst]:
+            _verify(A @ x - b, prog)
             return x
-        n_p = A[worst]
         b_p = b[worst]
         u_p = 0.0
 
         while True:
-            g_inv_np = np.linalg.solve(G, n_p)
-            if active:
-                N = A[np.asarray(active)].T  # (n, q)
-                g_inv_N = np.linalg.solve(G, N)
-                M = N.T @ g_inv_N
-                r = np.linalg.solve(M, N.T @ g_inv_np)
-                z = g_inv_np - g_inv_N @ r
-            else:
-                r = np.zeros(0)
-                z = g_inv_np
+            key = (tuple(active), worst)
+            entry = steps.get(key)
+            if entry is None:
+                entry = _step(G, A, active, worst)
+                with _insert_lock:
+                    if len(steps) < _MAX_STEPS:
+                        steps[key] = entry
+            r, z, znp, pivot_ok = entry
 
             # dual blocking step: first active whose multiplier hits zero
             t1 = math.inf
@@ -80,9 +155,8 @@ def solve_qp(G, a, A, b, tol: float = 1e-10, max_iter: int | None = None) -> np.
                         t1 = ratio
                         k_drop = j
             # full step that makes the new constraint tight
-            znp = float(z @ n_p)
-            if znp > tol * max(1.0, float(n_p @ n_p)):
-                t2 = (b_p - float(n_p @ x)) / znp
+            if pivot_ok:
+                t2 = (b_p - float(A[worst] @ x)) / znp
             else:
                 t2 = math.inf
 
@@ -103,3 +177,14 @@ def solve_qp(G, a, A, b, tol: float = 1e-10, max_iter: int | None = None) -> np.
 
     raise RuntimeError("active-set iteration limit exceeded")
 
+
+def _verify(slack: np.ndarray, prog: _Program) -> None:
+    """Raise InfeasibleQP when a non-constant row's slack (NaN included)
+    falls below its floor."""
+    rows = prog.varying_rows
+    missed = rows[~(slack[rows] >= prog.row_floor[rows])]
+    if missed.size:
+        i = int(missed[0])
+        raise InfeasibleQP(
+            f"row {i} misses its bound by {-float(slack[i]):.3g}: point not verified"
+        )

@@ -153,9 +153,16 @@ class TubeMPCFilter(SafetyFilter):
             for j in range(tau):
                 self._conv[tau, :, j * m : (j + 1) * m] = self._powers[tau - 1 - j] @ B
         self._build_constraints()
+        # the two QP programs: the pinned solve (G = I) and the replan, which
+        # scores stage 0 and regularizes later stages
+        self._pinned_G = np.eye((H - 1) * m)
+        self._pinned_a = np.zeros((H - 1) * m)
+        self._replan_G = np.eye(H * m) * _REG
+        self._replan_G[:m, :m] = np.eye(m)
 
         self._plan: _Plan | None = None
         self._last_query = None
+        self._last_state = None
         # when set, every accepted plan is dumped as CSV into this directory
         self.plan_log_dir: str | None = None
         self._plan_counter = 0
@@ -198,13 +205,25 @@ class TubeMPCFilter(SafetyFilter):
     def _stage0_ok(self, x: np.ndarray) -> bool:
         return bool(np.all(self.normals @ x >= self.offsets - 1e-12))
 
+    def _state_offsets(self, x: np.ndarray):
+        """The plan offsets off(x), or None when x itself breaks a failure
+        halfspace; computed once per state and kept until the next state."""
+        key = x.tobytes()
+        if self._last_state is None or self._last_state[0] != key:
+            off = self._constraint_offsets(x) if self._stage0_ok(x) else None
+            if off is not None:
+                off.flags.writeable = False
+            self._last_state = (key, off)
+        return self._last_state[1]
+
     def _solve_plan(self, x: np.ndarray, u_ref: np.ndarray, pin_first: bool):
         """Nominal plan from x; either pins the first control to u_ref or
         minimizes its deviation from u_ref. Returns a _Plan or None."""
-        if not self._stage0_ok(x):
+        off = self._state_offsets(x)
+        if off is None:
             return None
         H, m = self.horizon, self.m
-        rows, off = self._rows, self._constraint_offsets(x)
+        rows = self._rows
         if pin_first:
             sub_off = off - rows[:, :m] @ u_ref
             if np.any(sub_off[~self._keep] > 1e-9):
@@ -214,21 +233,16 @@ class TubeMPCFilter(SafetyFilter):
             else:
                 try:
                     w_rest = solve_qp(
-                        np.eye((H - 1) * m),
-                        np.zeros((H - 1) * m),
-                        self._pinned_rows,
-                        sub_off[self._keep],
+                        self._pinned_G, self._pinned_a, self._pinned_rows, sub_off[self._keep]
                     )
                 except InfeasibleQP:
                     return None
             w = np.concatenate([u_ref, w_rest])
         else:
-            G = np.eye(H * m) * _REG
-            G[:m, :m] = np.eye(m)
             a = np.zeros(H * m)
             a[:m] = -u_ref
             try:
-                w = solve_qp(G, a, rows, off)
+                w = solve_qp(self._replan_G, a, rows, off)
             except InfeasibleQP:
                 return None
         nominals = self._powers @ x + self._conv @ w
