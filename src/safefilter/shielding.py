@@ -10,14 +10,18 @@ not necessary, so it is deliberately conservative.
 The tube is one (H+1, 2, n) array of ``[lower, upper]`` bounds, and every
 callable it meets takes bounds: the model's ``interval_step``, a fallback's
 ``control_box``, the margin's ``box_lower`` (on the whole stack at once) and
-the terminal set's ``box_containment``.
+the terminal set's ``box_containment``. A fallback's ``control_box`` may
+instead be a fixed (2, m) enclosure that holds over every state box, as the
+optimal safety fallback's full control set does; a tube clips it to the
+control set once, at its first nondegenerate box, and hands the same
+read-only bounds to every later step.
 """
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -64,14 +68,38 @@ class TerminalSafeSet:
 @dataclass(frozen=True)
 class FallbackPolicy:
     """A fallback control law plus the information needed to evaluate it soundly
-    over a state box: either an exact control-range enclosure, mapping state
-    bounds (2, n) to control bounds (2, m), or a Lipschitz bound (infinity
-    norm) for center-plus-inflation evaluation."""
+    over a state box.
+
+    ``control_box`` is an exact control-range enclosure: either a callable
+    mapping state bounds (2, n) to control bounds (2, m), or fixed (2, m)
+    control bounds that hold over every state box, which a tube clips to the
+    control set once instead of once per step. Without one, ``lipschitz`` is a
+    Lipschitz bound (infinity norm) for center-plus-inflation evaluation. A
+    fixed enclosure is stored as a read-only float64 copy and, like a callable
+    one, takes no part in equality and hashing.
+    """
 
     policy: Callable[[np.ndarray], np.ndarray]
-    control_box: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    control_box: Union[Callable[[np.ndarray], np.ndarray], np.ndarray, None] = field(
+        default=None, compare=False
+    )
     lipschitz: Optional[float] = None
     name: str = ""
+
+    def __post_init__(self):
+        if self.control_box is None or callable(self.control_box):
+            return
+        enc = np.array(self.control_box, dtype=np.float64)
+        if enc.ndim != 2 or enc.shape[0] != 2 or enc.shape[1] == 0:
+            raise ValueError(
+                f"a fixed control enclosure must be (2, m) bounds, got shape {enc.shape}"
+            )
+        if np.isnan(enc).any():
+            raise ValueError("a fixed control enclosure must not contain NaN")
+        if (enc[0] > enc[1]).any():
+            raise ValueError("a fixed control enclosure has a lower bound above its upper bound")
+        enc.flags.writeable = False
+        object.__setattr__(self, "control_box", enc)
 
     def __call__(self, x) -> np.ndarray:
         return self.policy(x)
@@ -83,15 +111,41 @@ def _as_fallback(fallback) -> FallbackPolicy:
     return FallbackPolicy(policy=fallback)
 
 
-def _control_enclosure(fb: FallbackPolicy, X: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Bounds (2, m) of the fallback control over the state box X, within U."""
-    lo, hi = X
-    if (hi - lo <= 0.0).all():  # a point: evaluate the policy there
-        u = np.atleast_1d(np.asarray(fb.policy(0.5 * (lo + hi)), dtype=np.float64))
+def _is_point(X: np.ndarray) -> bool:
+    """Whether every width upper - lower of the (2, n) bounds X is <= 0 (a NaN
+    width is not), tested on Python floats: several times cheaper than numpy on
+    the short rows of one tube step."""
+    lo, hi = X.tolist()
+    for l, h in zip(lo, hi):
+        if not h - l <= 0.0:
+            return False
+    return True
+
+
+def _control_enclosure(
+    fb: FallbackPolicy, X: np.ndarray, U: np.ndarray, clipped: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Bounds (2, m) of the fallback control over the state box X, within U.
+
+    A fixed enclosure comes back read-only; a caller that passes it back as
+    ``clipped`` gets it again for every nondegenerate box, with no work.
+    """
+    if _is_point(X):  # a point: evaluate the policy there
+        u = np.atleast_1d(np.asarray(fb.policy(0.5 * (X[0] + X[1])), dtype=np.float64))
         return np.array([u, u])
-    if fb.control_box is not None:
-        enc = np.asarray(fb.control_box(X), dtype=np.float64)
+    if clipped is not None:
+        return clipped
+    cb = fb.control_box
+    if callable(cb):
+        enc = np.asarray(cb(X), dtype=np.float64)
+    elif cb is not None:
+        if cb.shape != U.shape:
+            raise ValueError(
+                f"fixed control enclosure has shape {cb.shape}, the control set {U.shape}"
+            )
+        enc = cb
     elif fb.lipschitz is not None:
+        lo, hi = X
         u = np.atleast_1d(np.asarray(fb.policy(0.5 * (lo + hi)), dtype=np.float64))
         inflation = fb.lipschitz * float((0.5 * (hi - lo)).max())
         enc = np.array([u - inflation, u + inflation])
@@ -105,6 +159,8 @@ def _control_enclosure(fb: FallbackPolicy, X: np.ndarray, U: np.ndarray) -> np.n
     np.minimum(enc[1], U[1], out=out[1])
     if (out[0] > out[1]).any():
         raise ValueError("fallback control enclosure does not meet the control set")
+    if enc is cb:
+        out.flags.writeable = False
     return out
 
 
@@ -128,9 +184,13 @@ def propagate_frs(
     bounds = np.empty((horizon + 1, 2, x.size))
     bounds[0] = x
     bounds[1] = model.interval_step(bounds[0], np.array([u0, u0]), D)
+    clipped = None  # a fixed enclosure within U, once a box has needed it
     for tau in range(1, horizon):
         X = bounds[tau]
-        bounds[tau + 1] = model.interval_step(X, _control_enclosure(fb, X, U), D)
+        enc = _control_enclosure(fb, X, U, clipped)
+        if not enc.flags.writeable:
+            clipped = enc
+        bounds[tau + 1] = model.interval_step(X, enc, D)
     return FRSTube(bounds)
 
 
@@ -383,10 +443,11 @@ def optimal_fallback(
 ) -> FallbackPolicy:
     """Optimal safety policy as a fallback. The policy is piecewise constant in
     the state (an argmax over candidates), so its only sound control enclosure
-    over a box is the full control set."""
+    over a box is the full control set, which it declares as a fixed one."""
     policy = optimal_safety_policy(model, grid, u_candidates, d_candidates)
-    U = np.asarray(model.control_set)
-    return FallbackPolicy(policy, control_box=lambda X: U, name="optimal_safety")
+    return FallbackPolicy(
+        policy, control_box=np.asarray(model.control_set), name="optimal_safety"
+    )
 
 
 def write_tube_csv(tube: FRSTube, path) -> None:
