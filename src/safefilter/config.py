@@ -34,7 +34,7 @@ from .exploration import (
 )
 from .filters import SafetyFilter, least_restrictive_filter, passthrough_filter
 from .intervals import Box
-from .reachability import ValueGrid, load_value_grid, solve
+from .reachability import ValueGrid, grid_axes, load_value_grid, solve
 from .shielding import (
     braking_fallback,
     braking_terminal_set,
@@ -282,8 +282,9 @@ def build_grid_settings(cfg: dict, model: SystemModel) -> GridSettings:
     )[: model.disturbance_dim]
     try:
         domain = Box(lower, upper)
+        grid_axes(domain, shape)
     except ValueError as e:
-        raise ConfigError(f"invalid grid domain: {e}") from e
+        raise ConfigError(f"invalid grid domain (grid.lower, grid.upper): {e}") from e
     return GridSettings(domain, shape, u_counts, d_counts, tolerance, max_iters)
 
 

@@ -368,7 +368,8 @@ def test_criterion_6_containment_and_corruption_oracle(robust_bench, tube_bench,
             if not Box(*flt.tightened.error_bounds[tau]).contains(err, tol=1e-12):
                 bad += 1
     # corrupted-certificate oracle surfaces through cmd_verify
-    cfg = yaml.safe_load(open("configs/double_integrator_wall.yaml"))
+    with open("configs/double_integrator_wall.yaml") as f:
+        cfg = yaml.safe_load(f)
     cfg["verify"]["samples"] = 500
     path = tmp_path / "verify.yaml"
     path.write_text(yaml.safe_dump(cfg))

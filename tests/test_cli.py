@@ -145,6 +145,36 @@ def test_bad_integer_key_is_config_error(tmp_path, capsys, config, command, key,
     assert summary["error"] == "config" and key in summary["message"]
 
 
+@pytest.mark.parametrize("command", ["solve", "run"])
+def test_zero_width_grid_axis_is_config_error(tmp_path, capsys, wall_cfg, command):
+    import yaml
+
+    cfg = yaml.safe_load(Path(wall_cfg).read_text())
+    cfg["grid"]["lower"], cfg["grid"]["upper"] = [0.0, 0.0], [3.0, 0.0]
+    path = tmp_path / "flat.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    code, summary = run_cli(capsys, command, "--config", str(path), "--out", str(tmp_path / "o"))
+    assert code == EXIT_CONFIG
+    assert summary["error"] == "config" and "grid.upper" in summary["message"]
+    assert not (tmp_path / "o" / "value_function.grid").exists()
+
+
+def test_value_grid_file_with_a_zero_width_axis_is_config_error(tmp_path, capsys, wall_cfg):
+    import yaml
+
+    cfg = yaml.safe_load(Path(wall_cfg).read_text())
+    cfg["filter"] = {"kind": "least_restrictive", "value_grid": "v.grid"}
+    path = tmp_path / "grid_file.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    header = "SAFEFILTER-VALUEGRID 1 2 61 61 0.0 -2.0 3.0 -2.0 -0.8\n"
+    (tmp_path / "v.grid").write_bytes(header.encode() + np.full(61 * 61, -0.8).tobytes())
+    code, summary = run_cli(
+        capsys, "run", "--config", str(path), "--out", str(tmp_path / "o"), "--seed", "0"
+    )
+    assert code == EXIT_CONFIG
+    assert "v.grid" in summary["message"] and "grid domain axis 1" in summary["message"]
+
+
 def test_missing_config_file(capsys):
     code, summary = run_cli(capsys, "solve", "--config", "/nonexistent.yaml")
     assert code == EXIT_CONFIG

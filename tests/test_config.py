@@ -110,6 +110,11 @@ def test_grid_settings_validation():
         build_grid_settings(dict(GOOD["grid"], tolerance=-1.0), build_model(GOOD["model"]))
     gs = build_grid_settings(GOOD["grid"], build_model(GOOD["model"]))
     assert gs.shape == (31, 31)
+    # a zero-width axis would certify failure states: every weight is 0/0
+    for lower, upper in (([0.0, 0.0], [3.0, 0.0]), ([1.0, -2.0], [1.0, 2.0])):
+        with pytest.raises(ConfigError, match="grid domain"):
+            build_grid_settings(dict(GOOD["grid"], lower=lower, upper=upper),
+                                build_model(GOOD["model"]))
 
 
 def test_harness_settings_validation():

@@ -71,7 +71,7 @@ def reference_apply_interp(values, corner_idx, weights, oob, oodv):
     # poison finite interpolation through 0 * inf = nan
     with np.errstate(invalid="ignore"):
         terms = np.where(weights > 0.0, weights * values[corner_idx], 0.0)
-    out = terms.sum(axis=1)
+        out = terms.sum(axis=1)
     if oob.any():
         out = np.where(oob, oodv, out)
     return out
@@ -103,6 +103,16 @@ def reference_solve(*args, **kwargs):
 
 def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+def _bits_any_nan(a):
+    """The bytes of ``a`` with every NaN made the same NaN; every other bit
+    counts, signed zeros included. IEEE 754 leaves the sign and payload of a
+    NaN result open, and the numpy kernel gives a cell of +inf and -inf
+    corners differently signed NaNs at different batch sizes."""
+    a = np.array(a, dtype=np.float64)
+    a[np.isnan(a)] = np.nan
+    return a.tobytes()
 
 
 def _query_points(grid, rng, n_random=400):
@@ -153,16 +163,29 @@ def _grids(domain, shape, rng):
     ]
 
 
-@pytest.mark.parametrize(
-    "domain, shape",
-    [
-        (Box([-1.0], [2.0]), (31,)),
-        (Box([0.0], [1.0]), (2,)),
-        (Box([0.0, -2.0], [3.0, 2.0]), (61, 61)),
-        (Box([-1.5, 0.0], [1.5, 1e-3]), (7, 3)),
-        (Box([-2.0, -2.0, -np.pi], [2.0, 2.0, np.pi]), (9, 11, 13)),
-    ],
-)
+def _special_grid(domain, shape, rng):
+    """A grid holding +-inf and NaN nodes, with a NaN sentinel."""
+    size = int(np.prod(shape))
+    values = rng.standard_normal(size)
+    values[rng.random(size) < 0.3] = -np.inf
+    values[rng.random(size) < 0.1] = np.inf
+    values[rng.random(size) < 0.1] = np.nan
+    return ValueGrid(domain, shape, values, out_of_domain_value=np.nan)
+
+
+GRID_CASES = [
+    (Box([-1.0], [2.0]), (31,)),
+    (Box([0.0], [1.0]), (2,)),
+    (Box([0.0, -2.0], [3.0, 2.0]), (61, 61)),
+    (Box([-1.5, 0.0], [1.5, 1e-3]), (7, 3)),
+    (Box([-2.0, -2.0, -np.pi], [2.0, 2.0, np.pi]), (9, 11, 13)),
+]
+
+# the largest batch interpolated on Python floats
+K = reachability._FLOAT_KERNEL_MAX_POINTS
+
+
+@pytest.mark.parametrize("domain, shape", GRID_CASES)
 def test_values_at_matches_reference_kernel(domain, shape):
     rng = np.random.default_rng(sum(shape))
     for grid in _grids(domain, shape, rng):
@@ -176,6 +199,37 @@ def test_values_at_matches_reference_kernel(domain, shape):
             assert _bits(grid.values_at(p[None])) == _bits(reference_values_at(grid, p[None]))
 
 
+def _in_batches(grid, pts, n):
+    """values_at over consecutive batches of ``n`` points, concatenated."""
+    return np.concatenate([grid.values_at(pts[i : i + n]) for i in range(0, len(pts), n)])
+
+
+def _float_kernel_takes(grid, n):
+    return grid.domain.dim == 2 and n <= K
+
+
+@pytest.mark.parametrize("domain, shape", GRID_CASES)
+def test_values_at_matches_reference_at_every_batch_size_across_the_crossover(domain, shape):
+    # on a 2-D grid batches of 1 to K points take the float kernel, larger
+    # ones numpy; the oracle is per point, so every batching must give the
+    # same bits
+    rng = np.random.default_rng(7 * sum(shape))
+    for grid in _grids(domain, shape, rng) + [_special_grid(domain, shape, rng)]:
+        special = np.isnan(grid.out_of_domain_value)
+        pts = _query_points(grid, rng, n_random=100)
+        # at most 1500 of the regular points, every outside and special one
+        keep = np.concatenate([rng.permutation(len(pts) - 8)[:1500], np.arange(-8, 0)])
+        pts = pts[rng.permutation(keep)]
+        want = reference_values_at(grid, pts)
+        for n in range(1, K + 3):
+            got = _in_batches(grid, pts, n)
+            if special and not _float_kernel_takes(grid, n):
+                # numpy's NaN signs vary with the batch size
+                assert _bits_any_nan(got) == _bits_any_nan(want), n
+            else:
+                assert _bits(got) == _bits(want), n
+
+
 def test_values_at_interior_cells_with_a_neg_inf_corner():
     # a -inf node leaves the cells around it at -inf and every other cell finite
     grid = ValueGrid(Box([0.0, 0.0], [4.0, 4.0]), (5, 5), np.arange(25.0))
@@ -184,8 +238,44 @@ def test_values_at_interior_cells_with_a_neg_inf_corner():
     grid = grid.with_values(vals)
     pts = np.random.default_rng(0).uniform(0.0, 4.0, size=(500, 2))
     pts = np.concatenate([pts, grid.nodes])
-    assert _bits(grid.values_at(pts)) == _bits(reference_values_at(grid, pts))
+    want = _bits(reference_values_at(grid, pts))
+    assert _bits(grid.values_at(pts)) == want
+    for n in (1, 2, 3, K - 1, K, K + 1):
+        assert _bits(_in_batches(grid, pts, n)) == want, n
     assert np.isfinite(grid.values_at(np.array([[0.5, 0.5], [3.5, 3.5]]))).all()
+
+
+def _numpy_kernel_calls(monkeypatch):
+    calls = []
+    weights = reachability._interp_weights
+    monkeypatch.setattr(reachability, "_interp_weights",
+                        lambda layout, pts: calls.append(len(pts)) or weights(layout, pts))
+    return calls
+
+
+@pytest.mark.parametrize("domain, shape", GRID_CASES)
+def test_batch_size_selects_the_kernel(domain, shape, monkeypatch):
+    grid = ValueGrid(domain, shape, np.arange(float(np.prod(shape))))
+    calls = _numpy_kernel_calls(monkeypatch)
+    pts = grid.domain.sample(np.random.default_rng(0), K + 1)
+    for n in range(K + 2):
+        got = grid.values_at(pts[:n])
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert _bits(got) == _bits(reference_values_at(grid, pts[:n]))
+    assert calls == [n for n in range(K + 2) if not _float_kernel_takes(grid, n)]
+
+
+def test_four_dimensional_grid_stays_on_numpy(monkeypatch):
+    domain, shape = Box([0.0, -1.0, -2.0, 0.0], [1.0, 1.0, 2.0, 3.0]), (3, 4, 5, 3)
+    rng = np.random.default_rng(4)
+    calls = _numpy_kernel_calls(monkeypatch)
+    for grid in _grids(domain, shape, rng):
+        pts = _query_points(grid, rng, n_random=50)
+        want = _bits(reference_values_at(grid, pts))
+        for n in (1, 3, K):
+            calls.clear()
+            assert _bits(_in_batches(grid, pts, n)) == want, n
+            assert calls == [len(b) for b in np.array_split(pts, range(n, len(pts), n))]
 
 
 def test_values_at_empty_query():

@@ -373,3 +373,40 @@ def test_grid_file_rejects_malformed_header(tmp_path, header, match):
     path.write_bytes(header + b"\x00" * 8)
     with pytest.raises(ValueError, match=match):
         load_value_grid(path)
+
+
+# --- grid domains --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "lower, upper, shape",
+    [
+        ([0.0, 0.0], [3.0, 0.0], (61, 61)),  # a zero-width axis
+        ([1.0], [1.0], (2,)),
+        ([0.0, math.nan], [3.0, 2.0], (5, 5)),
+        ([0.0, -2.0], [math.nan, 2.0], (5, 5)),
+        ([0.0, -math.inf], [3.0, 2.0], (5, 5)),
+        ([0.0], [math.inf], (5,)),
+        ([0.0], [5e-324], (3,)),  # the middle node rounds onto the lower one
+        ([-1e308], [1e308], (3,)),  # the width overflows
+    ],
+)
+def test_grid_domain_needs_finite_distinct_nodes(lower, upper, shape):
+    with pytest.raises(ValueError, match="grid domain axis"):
+        ValueGrid(Box(lower, upper), shape, np.zeros(math.prod(shape)))
+
+
+def test_grid_file_with_a_degenerate_domain_is_rejected(tmp_path):
+    for bounds in ("0.0 0.0 3.0 0.0", "0.0 0.0 3.0 nan"):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(f"SAFEFILTER-VALUEGRID 1 2 2 2 {bounds} -inf\n".encode()
+                         + np.full(4, -0.8).tobytes())
+        with pytest.raises(ValueError, match="grid domain axis 1"):
+            load_value_grid(path)
+
+
+def test_solve_rejects_a_zero_width_axis():
+    model = make_double_integrator(1.0, 0.1, 0.1)
+    with pytest.raises(ValueError, match="grid domain axis 1"):
+        solve(model, margin_halfspace([1.0, 0.0], 0.1),
+              (Box([0.0, 0.0], [3.0, 0.0]), (61, 61)), [5], [3])
