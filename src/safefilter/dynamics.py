@@ -35,9 +35,11 @@ class SystemModel:
     built-in models satisfy it. ``interval_step(X, U, D)`` takes the (2, n)
     ``[lower, upper]`` bound arrays of a state, control and disturbance box
     and returns the bounds of a superset of the true one-step image. A model
-    whose ``step`` is nondecreasing in every argument passes ``step`` itself:
+    whose ``step`` is nondecreasing in every argument may pass ``step`` itself:
     broadcast over the two rows, it maps lower bounds to lower bounds and upper
-    to upper. ``linear_maps`` is the (A, B) pair of a linear model
+    to upper. The double integrator instead repeats ``step``'s operations on
+    each row on Python floats, which is bit for bit the same and cheaper on
+    (2, 2) bounds. ``linear_maps`` is the (A, B) pair of a linear model
     ``x' = A x + B u + d`` and None otherwise. ``continuous_affine`` is an optional
     (drift, input-matrix) pair f(x), g(x) for control-affine models; when
     present, ``step`` is the forward-Euler discretization of f(x) + g(x) u with
@@ -125,6 +127,19 @@ def make_double_integrator(u_max: float, d_max: float, dt: float) -> SystemModel
         out[..., 1] = v_next
         return out
 
+    def interval_fn(X, U, D) -> np.ndarray:
+        # step_fn is nondecreasing in x, u and d, so its IEEE operations on the
+        # lower row and on the upper row give the bounds; on Python floats,
+        # without numpy's fixed cost per call on these (2, 2) bounds
+        (pl, vl), (ph, vh) = np.asarray(X, dtype=np.float64).tolist()
+        (ul,), (uh,) = np.asarray(U, dtype=np.float64).tolist()
+        if has_d:
+            (dl,), (dh,) = np.asarray(D, dtype=np.float64).tolist()
+        else:
+            dl = dh = 0.0  # u + 0.0, so a -0.0 control gives +0.0 as in step_fn
+        return np.array([[pl + vl * dt, vl + (ul + dl) * dt],
+                         [ph + vh * dt, vh + (uh + dh) * dt]])
+
     def drift(x):
         x = np.asarray(x, dtype=np.float64)
         out = np.empty(x.shape[:-1] + (2,))
@@ -145,7 +160,7 @@ def make_double_integrator(u_max: float, d_max: float, dt: float) -> SystemModel
         step=step_fn,
         control_set=Box([-u_max], [u_max]),
         disturbance_set=Box([-d_max], [d_max]) if has_d else Box([], []),
-        interval_step=step_fn,  # monotone in x, u and d
+        interval_step=interval_fn,
         continuous_affine=(drift, input_map),
         name="double_integrator",
     )

@@ -25,7 +25,8 @@ _TRIG_GUARD = 1e-12
 class Box:
     """Axis-aligned box {x : lower <= x <= upper}.
 
-    Zero-width boxes (points) and 0-dimensional boxes are valid. ``Box`` is the
+    Zero-width boxes (points) and 0-dimensional boxes are valid; a NaN bound
+    or a lower bound above its upper one raises ``ValueError``. ``Box`` is the
     public value type; the interval layer itself works on ``[lower, upper]``
     bound arrays of shape (2, dim), and ``np.asarray(box)`` gives them, so a
     box passes wherever bounds are expected.
@@ -39,7 +40,9 @@ class Box:
         hi = np.atleast_1d(np.asarray(self.upper, dtype=np.float64))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("box bounds must be 1-d arrays of equal length")
-        if lo.size and bool(np.any(lo > hi)):
+        if not (lo <= hi).all():
+            if np.isnan(lo).any() or np.isnan(hi).any():
+                raise ValueError("box bounds must not be NaN")
             raise ValueError("box lower bound exceeds upper bound")
         lo.flags.writeable = False
         hi.flags.writeable = False

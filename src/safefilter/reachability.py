@@ -34,9 +34,10 @@ _EXACT_BOX_MIN_CAP = 65536  # above this many corner evaluations, use the node b
 _FLOAT_KERNEL_MAX_POINTS = 24
 
 
-def grid_axes(domain: Box, shape: Sequence[int]) -> list[np.ndarray]:
+def grid_axes(domain, shape: Sequence[int]) -> list[np.ndarray]:
     """The nodes of each grid axis: ``shape[j]`` evenly spaced coordinates
-    from ``domain.lower[j]`` to ``domain.upper[j]``.
+    from ``domain.lower[j]`` to ``domain.upper[j]``; the domain is a ``Box``
+    or its (2, dim) ``[lower, upper]`` bounds.
 
     Raise ``ValueError`` unless every axis has finite bounds with lower <
     upper and distinct finite nodes. On a zero-width axis every interpolation
@@ -44,7 +45,8 @@ def grid_axes(domain: Box, shape: Sequence[int]) -> list[np.ndarray]:
     node value.
     """
     axes = []
-    for j, (lo, hi, n) in enumerate(zip(domain.lower.tolist(), domain.upper.tolist(), shape)):
+    lower, upper = np.asarray(domain, dtype=np.float64).tolist()
+    for j, (lo, hi, n) in enumerate(zip(lower, upper, shape)):
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"grid domain axis {j}: needs finite lower < upper, "
                              f"got [{lo!r}, {hi!r}]")
@@ -106,6 +108,17 @@ class ValueGrid:
             (tuple(c), tuple(c[1:-1]), tuple(np.diff(c).tolist()))
             for c in (a.tolist() for a in self.axes)
         )
+
+    @cached_property
+    def nonnegative_cells(self) -> list:
+        """Per cell, flat in row-major cell order (cell i spans nodes i and
+        i + 1 on each axis), whether every corner node is >= 0 (NaN is not).
+        Multilinear weights are nonnegative, so every value interpolated in
+        such a cell is >= 0."""
+        dim = len(self.shape)
+        corners = np.lib.stride_tricks.sliding_window_view(
+            self.values.reshape(self.shape) >= 0.0, (2,) * dim)
+        return corners.all(axis=tuple(range(dim, 2 * dim))).ravel().tolist()
 
     def values_at(self, pts: np.ndarray) -> np.ndarray:
         """Multilinear interpolation at points of shape (N, dim).
@@ -787,4 +800,6 @@ def load_value_grid(path) -> ValueGrid:
         if len(raw) != 8 * count:
             raise ValueError("truncated grid file: missing node values")
         values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return ValueGrid(Box(bounds[:dim], bounds[dim : 2 * dim]), shape, values, bounds[-1])
+    domain = [bounds[:dim], bounds[dim : 2 * dim]]
+    grid_axes(domain, shape)  # names the axis of a NaN bound, which ``Box`` rejects
+    return ValueGrid(Box(*domain), shape, values, bounds[-1])

@@ -3,11 +3,17 @@
 ``grid_box_min`` reads the node points strictly inside a box from the grid and
 interpolates only the points on its faces; it must equal the seed's minimum
 over the whole face-and-node mesh (``==``, with NaN matching NaN). The terminal
-set's ``box_containment`` settles most boxes from node values alone; it must
-equal ``seed >= 0.0`` on every box.
+set's ``box_containment`` settles most boxes from node values alone and, on a
+2-D grid, interpolates only the face points in a cell with a corner node that
+is not >= 0; it must equal ``seed >= 0.0`` on every box, and
+``grid_box_min(grid, X) >= 0.0`` on the boxes of the property tests.
 """
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import SeedBox, seed_grid_box_min
 from safefilter import (
@@ -195,8 +201,8 @@ def test_node_settled_boxes_make_no_values_at_call(wall_grid, monkeypatch):
     assert points == [] and box_min_calls == []
 
     # a box whose inner nodes are >= 0 but whose covering cells hold a
-    # negative node goes to grid_box_min (through the shielding module name),
-    # which interpolates only the points on the box faces
+    # negative node is decided without grid_box_min: of its face points, only
+    # those in a cell with a corner node that is not >= 0 are interpolated
     c0, c1 = wall_grid.axes
     neg = np.argwhere(block < 0.0)
     i, j = next((i, j) for i, j in neg
@@ -204,8 +210,88 @@ def test_node_settled_boxes_make_no_values_at_call(wall_grid, monkeypatch):
                 and (block[i + 2, j - 1 : j + 2] >= 0.0).all())
     edge = np.array([[0.5 * (c0[i] + c0[i + 1]), c1[j - 1]], [c0[i + 2], c1[j + 1]]])
     expected = seed_grid_box_min(wall_grid, SeedBox(*edge)) >= 0.0
+    # mesh: 2 + 1 inner nodes by 2 + 1 inner nodes, of which 8 are face points
+    near_negative, face_points = _face_points_in_negative_cells(wall_grid, edge)
+    assert face_points == 3 * 3 - 1 and 0 < near_negative < face_points
     points.clear()
     assert terminal.box_containment(edge) == expected
-    assert box_min_calls == [1]
-    # mesh: 2 + 1 inner nodes by 2 + 1 inner nodes; the one inner node is read
-    assert points == [3 * 3 - 1]
+    assert box_min_calls == []
+    assert points == [near_negative]
+
+
+def _face_points_in_negative_cells(grid, B):
+    """(points of ``grid_box_min``'s face-and-node mesh over the box B that lie
+    on a face and in a cell with a corner node that is not >= 0, all its face
+    points), with each point's cell found as ``values_at`` finds it."""
+    block = grid.values.reshape(grid.shape)
+    faces = [[lo] if hi <= lo else [lo, hi] for lo, hi in zip(*B)]
+    inner = [list(c[(c > lo) & (c < hi)]) for c, lo, hi in zip(grid.axes, *B)]
+    near_negative = face_points = 0
+    for p in itertools.product(*(f + n for f, n in zip(faces, inner))):
+        if not any(q in f for q, f in zip(p, faces)):
+            continue  # a node inside the box, read from the grid
+        face_points += 1
+        cell = [np.searchsorted(c[1:-1], q, side="right") for c, q in zip(grid.axes, p)]
+        near_negative += not (block[tuple(slice(k, k + 2) for k in cell)] >= 0.0).all()
+    return near_negative, face_points
+
+
+# --- the terminal verdict against grid_box_min, as properties ----------------------
+
+PROPERTY = settings(max_examples=300, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def stock_grid():
+    """The stock config's 61x61 grid: the wall margin set back by 0.1."""
+    model = make_double_integrator(1.0, 0.1, 0.1)
+    grid, report = solve(model, margin_halfspace([1.0, 0.0], 0.1),
+                         (Box([0.0, -2.0], [3.0, 2.0]), (61, 61)), [5], [3], 1e-6, 1000)
+    assert report.converged
+    return grid
+
+
+def _special_grids():
+    domain = Box([-1.0, -2.0], [2.0, 2.5])
+    return [ValueGrid(domain, (61, 61), _special_values(np.random.default_rng(seed), 61 * 61),
+                      sentinel)
+            for seed, sentinel in ((21, -np.inf), (22, 0.0), (23, np.nan))]
+
+
+SPECIAL_GRIDS = _special_grids()
+
+
+@st.composite
+def _node_boxes(draw, grid, centres):
+    """A box around a node of ``centres``: per axis a half-width (zero for a
+    zero-width axis), and each face either where it falls or snapped to the
+    nearest node."""
+    k = draw(st.sampled_from(centres))
+    lower, upper = [], []
+    for c, i in zip(grid.axes, np.unravel_index(k, grid.shape)):
+        half = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.4)))
+        faces = [c[i] - half, c[i] + half] if half else [c[i]] * 2
+        for f, snap in enumerate(draw(st.lists(st.booleans(), min_size=2, max_size=2))):
+            if snap and half:
+                faces[f] = c[np.abs(c - faces[f]).argmin()]
+        lower.append(min(faces))
+        upper.append(max(faces))
+    return np.array([lower, upper])
+
+
+def _verdicts_agree(grid, X):
+    assert value_grid_terminal_set(grid).box_containment(X) == (grid_box_min(grid, X) >= 0.0), X
+
+
+@PROPERTY
+@given(data=st.data())
+def test_terminal_verdict_equals_grid_box_min_near_the_zero_level(stock_grid, data):
+    centres = np.flatnonzero(np.abs(stock_grid.values) < 0.3)
+    _verdicts_agree(stock_grid, data.draw(_node_boxes(stock_grid, centres)))
+
+
+@PROPERTY
+@given(grid=st.sampled_from(SPECIAL_GRIDS), data=st.data())
+def test_terminal_verdict_equals_grid_box_min_on_special_value_grids(grid, data):
+    centres = np.arange(grid.values.size)
+    _verdicts_agree(grid, data.draw(_node_boxes(grid, centres)))

@@ -22,6 +22,19 @@ def test_box_validation():
     assert np.allclose(b.center, [0.5, 0.0])
 
 
+@pytest.mark.parametrize("lower, upper", [
+    ([0.0, math.nan], [3.0, 2.0]),
+    ([math.nan], [1.0]),
+    ([0.0], [math.nan]),
+    ([-math.nan, 0.0], [-math.nan, 1.0]),
+])
+def test_box_rejects_nan_bounds(lower, upper):
+    with pytest.raises(ValueError, match="must not be NaN"):
+        Box(lower, upper)
+    with pytest.raises(ValueError, match="must not be NaN"):
+        Box(np.array(lower), np.array(upper))
+
+
 def test_box_membership_and_corners():
     b = Box([-1.0, 0.0], [1.0, 2.0])
     assert b.contains([0.0, 1.0])

@@ -1,0 +1,38 @@
+"""The benchmark's tracer finds every library name it rebinds.
+
+``bench/tracing.py`` wraps library functions by rebinding module and class
+attributes for the length of a traced run (``--trace 1``), reading each
+original from ``owner.__dict__``. A refactor that drops or renames one of
+those names would make the traced run fail; this test enters and leaves the
+instrumentation without running anything and checks that every rebound
+attribute exists, is replaced while active, and is restored afterwards.
+"""
+import sys
+from pathlib import Path
+
+import safefilter
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import tracing  # noqa: E402
+
+
+_MISSING = object()
+
+
+def test_every_traced_attribute_exists_and_is_restored(monkeypatch):
+    rebound = []  # (owner, attribute, replacement, original)
+    patched = tracing.patched
+
+    def recording(targets):
+        rebound.extend((owner, attr, new, vars(owner).get(attr, _MISSING))
+                       for owner, attr, new in targets)
+        missing = [(owner, attr) for owner, attr, _, old in rebound if old is _MISSING]
+        assert not missing, f"the tracer rebinds attributes that do not exist: {missing}"
+        return patched(targets)
+
+    monkeypatch.setattr(tracing, "patched", recording)
+    with tracing.Instrument(safefilter, tracing.Tracer()).active():
+        assert rebound
+        assert all(vars(owner)[attr] is new for owner, attr, new, _ in rebound)
+    for owner, attr, _, old in rebound:
+        assert vars(owner)[attr] is old, (owner, attr)
