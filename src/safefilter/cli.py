@@ -78,7 +78,7 @@ def _build_common(cfg: dict, config_path: str):
     margin_cfg = cfg.get("margin")
     if margin_cfg is None:
         raise ConfigError("missing config key 'margin'")
-    margin = build_margin(margin_cfg)
+    margin = build_margin(margin_cfg, model.state_dim)
     grid_settings = build_grid_settings(cfg["grid"], model) if "grid" in cfg else None
     base_dir = os.path.dirname(os.path.abspath(config_path))
     return model, margin, grid_settings, base_dir
@@ -124,7 +124,7 @@ def _build_run_pieces(cfg: dict, config_path: str):
     model, margin, grid_settings, base_dir = _build_common(cfg, config_path)
     if "harness" not in cfg:
         raise ConfigError("missing config key 'harness'")
-    hs = build_harness_settings(cfg["harness"])
+    hs = build_harness_settings(cfg["harness"], model.state_dim)
     grids = {}
 
     def build(filter_cfg, path="filter"):
@@ -235,7 +235,9 @@ def cmd_verify(args) -> int:
 
     # 1. monitor soundness by exhaustive fallback rollout
     if "initial_lower" in vcfg:
-        init_box = Box(_vector(vcfg, "initial_lower", "verify"), _vector(vcfg, "initial_upper", "verify"))
+        n = model.state_dim
+        init_box = Box(_vector(vcfg, "initial_lower", "verify", n),
+                       _vector(vcfg, "initial_upper", "verify", n))
         counts = _integers(
             vcfg, "initial_counts", "verify", [3] * model.state_dim, minimum=1,
             length=model.state_dim,

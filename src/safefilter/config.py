@@ -152,14 +152,19 @@ def _finite_array(mapping, key, path, what):
     return arr
 
 
-def _vector(mapping, key, path):
-    return _finite_array(mapping, key, path, "list").reshape(-1)
+def _vector(mapping, key, path, length=None):
+    vec = _finite_array(mapping, key, path, "list").reshape(-1)
+    if length is not None and vec.size != length:
+        raise ConfigError(f"config key {path}.{key} must have {length} entries, got {vec.size}")
+    return vec
 
 
-def _matrix(mapping, key, path):
+def _matrix(mapping, key, path, shape=None):
     arr = _finite_array(mapping, key, path, "matrix")
     if arr.ndim != 2:
         raise ConfigError(f"config key {path}.{key} must be a 2-d matrix")
+    if shape is not None and arr.shape != shape:
+        raise ConfigError(f"config key {path}.{key} must have shape {shape}, got {arr.shape}")
     return arr
 
 
@@ -222,22 +227,24 @@ def build_model(cfg: dict) -> SystemModel:
 # --- margin ------------------------------------------------------------------
 
 
-def build_margin(cfg: dict, path: str = "margin") -> MarginFunction:
+def build_margin(cfg: dict, dim: int, path: str = "margin") -> MarginFunction:
+    """The margin at ``path`` over states of ``dim`` entries."""
     kind = _require(cfg, "kind", path)
     try:
         if kind == "halfspace":
             _check_keys(cfg, {"kind", "normal", "offset"}, path)
-            return margin_halfspace(_vector(cfg, "normal", path), _number(cfg, "offset", path))
+            return margin_halfspace(_vector(cfg, "normal", path, dim), _number(cfg, "offset", path))
         if kind == "ball":
             _check_keys(cfg, {"kind", "center", "radius"}, path)
-            return margin_keepout_ball(_vector(cfg, "center", path), _number(cfg, "radius", path))
+            center = _vector(cfg, "center", path, dim)
+            return margin_keepout_ball(center, _number(cfg, "radius", path))
         if kind == "min":
             _check_keys(cfg, {"kind", "parts"}, path)
             parts = _require(cfg, "parts", path)
             if not isinstance(parts, list) or not parts:
                 raise ConfigError(f"{path}.parts must be a nonempty list")
             return margin_min(
-                [build_margin(p, f"{path}.parts[{i}]") for i, p in enumerate(parts)]
+                [build_margin(p, dim, f"{path}.parts[{i}]") for i, p in enumerate(parts)]
             )
     except ConfigError:
         raise
@@ -491,12 +498,12 @@ class HarnessSettings:
     disturbance_cfg: dict
 
 
-def build_harness_settings(cfg: dict) -> HarnessSettings:
+def build_harness_settings(cfg: dict, state_dim: int) -> HarnessSettings:
     _check_keys(cfg, _HARNESS_KEYS, "harness")
-    x0 = _vector(cfg, "x0", "harness")
+    x0 = _vector(cfg, "x0", "harness", state_dim)
     steps = _integer(cfg, "steps", "harness", minimum=0)
     seeds = _integers(cfg, "seeds", "harness", [0], minimum=0)
-    goal = _vector(cfg, "goal", "harness") if "goal" in cfg else None
+    goal = _vector(cfg, "goal", "harness", state_dim) if "goal" in cfg else None
     weight = _number(cfg, "control_weight", "harness", 0.1)
     task_cfg = cfg.get("task", {"kind": "constant", "value": []})
     dist_cfg = cfg.get("disturbance", {"kind": "zero"})
@@ -513,8 +520,8 @@ def build_task_policy(
     if kind == "goal":
         _check_keys(cfg, {"kind", "gain", "goal"}, "harness.task")
         return harness.proportional_policy(
-            _matrix(cfg, "gain", "harness.task"),
-            _vector(cfg, "goal", "harness.task"),
+            _matrix(cfg, "gain", "harness.task", (model.control_dim, model.state_dim)),
+            _vector(cfg, "goal", "harness.task", model.state_dim),
             model.control_set,
         )
     if kind == "random":
@@ -532,7 +539,7 @@ def build_task_policy(
         )
     if kind == "constant":
         _check_keys(cfg, {"kind", "value"}, "harness.task")
-        return harness.constant_policy(_vector(cfg, "value", "harness.task"))
+        return harness.constant_policy(_vector(cfg, "value", "harness.task", model.control_dim))
     raise ConfigError(f"unknown harness.task.kind {kind!r}")
 
 
@@ -556,7 +563,9 @@ def build_disturbance_policy(
         return harness.random_disturbance(model)
     if kind == "constant":
         _check_keys(cfg, {"kind", "value"}, "harness.disturbance")
-        return harness.constant_disturbance(_vector(cfg, "value", "harness.disturbance"))
+        return harness.constant_disturbance(
+            _vector(cfg, "value", "harness.disturbance", model.disturbance_dim)
+        )
     if kind == "adversarial":
         _check_keys(cfg, {"kind", "d_counts"}, "harness.disturbance")
         if model.disturbance_dim == 0:

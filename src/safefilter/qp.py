@@ -10,19 +10,19 @@ Pivot metric: a row n enters with a primal step only when its step direction
 z keeps a share of its length in the G^-1 metric, z'n > 1e-13 * n'G^-1 n (the
 squared sine of its angle to the active rows, about 500 ulps); otherwise it
 is taken as dependent on the active rows. The test does not depend on the
-scale of G or of the row; it is kept apart from ``tol``, which bounds slacks.
+scale of G or of the row; it is kept apart from ``_TOL``, which bounds slacks.
 
 Memo: everything an inner step computes apart from the point and the
 multipliers (z, the multiplier update r and the pivot verdict) is a function
 of G, A, the active set and the entering row alone. It is kept per program in
-a bounded process-wide memo keyed by the bytes and shapes of G and A and by
-tol; each entry is computed on first use by the same linear solves that
+a bounded process-wide memo keyed by the bytes and shapes of G and A; each
+entry is computed on first use by the same linear solves that
 recomputation would make, so every result is bit-identical to solving from
 scratch. A repeated program makes one linear solve per QP, for the
 unconstrained start.
 
 Verified return: before it returns, the solver checks every non-constant row
-of the final point, active rows included, against tol * max(1, |row|), and
+of the final point, active rows included, against _TOL * max(1, |row|), and
 raises ``InfeasibleQP`` rather than return a point that misses one.
 """
 from __future__ import annotations
@@ -33,7 +33,8 @@ from collections import OrderedDict
 
 import numpy as np
 
-_MAX_PROGRAMS = 32   # distinct (G, A, tol) programs kept, oldest evicted first
+_TOL = 1e-10        # slack tolerance of a row; rows of norm at most _TOL are constant
+_MAX_PROGRAMS = 32   # distinct (G, A) programs kept, oldest evicted first
 _MAX_STEPS = 4096    # memoized (active set, entering row) steps per program
 _DEPENDENT = 1e-13   # z'n / n'G^-1 n at or below which a row is dependent
 
@@ -45,16 +46,16 @@ class InfeasibleQP(RuntimeError):
 
 
 class _Program:
-    """Memo record of one (G, A, tol): row data and the inner steps."""
+    """Memo record of one (G, A): row data and the inner steps."""
 
     __slots__ = ("row_floor", "constant_rows", "varying_rows", "steps")
 
-    def __init__(self, A: np.ndarray, tol: float):
+    def __init__(self, A: np.ndarray):
         row_norms = np.linalg.norm(A, axis=1) if A.shape[0] else np.zeros(0)
-        self.constant_rows = row_norms <= tol
+        self.constant_rows = row_norms <= _TOL
         self.varying_rows = np.flatnonzero(~self.constant_rows)
-        # the slack a row must reach: -tol * max(1, |row|)
-        self.row_floor = -tol * np.maximum(1.0, row_norms)
+        # the slack a row must reach: -_TOL * max(1, |row|)
+        self.row_floor = -_TOL * np.maximum(1.0, row_norms)
         self.steps: dict = {}
 
 
@@ -62,11 +63,11 @@ _programs: OrderedDict = OrderedDict()
 _insert_lock = threading.Lock()  # lookups are lock-free; inserts check the caps
 
 
-def _program(G: np.ndarray, A: np.ndarray, tol: float) -> _Program:
-    key = (G.shape, A.shape, G.tobytes(), A.tobytes(), tol)
+def _program(G: np.ndarray, A: np.ndarray) -> _Program:
+    key = (G.shape, A.shape, G.tobytes(), A.tobytes())
     prog = _programs.get(key)
     if prog is None:
-        prog = _Program(A, tol)
+        prog = _Program(A)
         with _insert_lock:
             _programs[key] = prog
             while len(_programs) > _MAX_PROGRAMS:
@@ -94,12 +95,12 @@ def _step(G, A, active: list[int], worst: int):
     return tuple(r.tolist()), z, znp, pivot_ok
 
 
-def solve_qp(G, a, A, b, tol: float = 1e-10, max_iter: int | None = None) -> np.ndarray:
+def solve_qp(G, a, A, b) -> np.ndarray:
     """Return the minimizer; raises InfeasibleQP when the constraints are empty
     or the final point fails its check.
 
-    ``A`` may have zero rows (unconstrained). Rows of A with norm at most tol
-    are treated as constant constraints: feasible iff b_i <= tol.
+    ``A`` may have zero rows (unconstrained). Rows of A with norm at most
+    ``_TOL`` are treated as constant constraints: feasible iff b_i <= ``_TOL``.
     """
     G = np.asarray(G, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
@@ -110,9 +111,9 @@ def solve_qp(G, a, A, b, tol: float = 1e-10, max_iter: int | None = None) -> np.
     if b.shape != (p,):
         raise ValueError("b length does not match constraint rows")
 
-    prog = _program(G, A, tol)
+    prog = _program(G, A)
     constant_rows, row_floor, steps = prog.constant_rows, prog.row_floor, prog.steps
-    if np.any(b[constant_rows] > tol):
+    if np.any(b[constant_rows] > _TOL):
         raise InfeasibleQP("constant constraint row 0 >= b with b > 0")
 
     x = np.linalg.solve(G, -a)
@@ -120,10 +121,8 @@ def solve_qp(G, a, A, b, tol: float = 1e-10, max_iter: int | None = None) -> np.
         return x
     active: list[int] = []
     multipliers: list[float] = []
-    if max_iter is None:
-        max_iter = 20 * (p + n) + 50
 
-    for _ in range(max_iter):
+    for _ in range(20 * (p + n) + 50):
         slack = A @ x - b
         slack[constant_rows] = math.inf
         if active:
@@ -149,7 +148,7 @@ def solve_qp(G, a, A, b, tol: float = 1e-10, max_iter: int | None = None) -> np.
             t1 = math.inf
             k_drop = -1
             for j in range(len(active)):
-                if r[j] > tol:
+                if r[j] > _TOL:
                     ratio = multipliers[j] / r[j]
                     if ratio < t1 - 1e-14:
                         t1 = ratio

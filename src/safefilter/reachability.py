@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -667,27 +667,62 @@ def optimal_safety_policy(
     return policy
 
 
-def box_node_ranges(grid: ValueGrid, lower: np.ndarray, upper: np.ndarray):
-    """Node index ranges of the box [lower, upper], or None when the box is not
-    inside the grid domain (a NaN bound included).
+def _box_mesh(grid: ValueGrid, bounds):
+    """The mesh of ``grid_box_min`` over the box with (2, n) bounds [lower,
+    upper] (or a ``Box``) as (axes, inner, cover), or None when the box is
+    not inside the grid domain (a NaN bound included).
 
-    Per dimension, ``inner`` holds the nodes strictly inside the box and
-    ``cover`` the nodes of the cells covering it, the only nodes its
-    interpolant reads with positive weight; both are tuples of slices into the
-    node block ``values.reshape(shape)``.
+    Per dimension, ``axes`` holds the face coordinates, each with the flat
+    offset (as in ``ValueGrid.nonnegative_cells``) of the cell ``values_at``
+    reads it from; the range of the nodes strictly inside the box; and the
+    cell stride, inner node k lying in cell k. ``inner`` and ``cover`` slice
+    the node block ``values.reshape(shape)``: the nodes strictly inside the
+    box, and those of the cells covering it, the only nodes its interpolant
+    reads with positive weight.
     """
-    if lower.size != grid.domain.dim:
+    lower, upper = np.asarray(bounds, dtype=np.float64).tolist()
+    if len(lower) != len(grid.shape):
         raise ValueError("box dimension does not match grid")
-    inner, cover = [], []
-    for c, d_lo, d_hi, lo, hi in zip(grid.axes, grid.domain.lower.tolist(),
-                                     grid.domain.upper.tolist(), lower.tolist(), upper.tolist()):
-        if not (lo >= d_lo and hi <= d_hi):
+    axes, inner, cover = [], [], []
+    stride = math.prod(n - 1 for n in grid.shape)
+    for (c, interior, _), lo, hi in zip(grid.float_axes, lower, upper):
+        if not (lo >= c[0] and hi <= c[-1]):
             return None
-        a = int(c.searchsorted(lo, "right"))  # first node > lo
-        b = int(c.searchsorted(hi, "left"))  # first node >= hi
+        stride //= len(c) - 1
+        a, b = bisect_right(c, lo), bisect_left(c, hi)  # first nodes > lo and >= hi
+        first = min(a - 1, len(c) - 2)  # the cell of lo: bisect_right(interior, lo)
+        faces = [(lo, first * stride)]
+        if hi > lo:
+            faces.append((hi, bisect_right(interior, hi) * stride))
+        axes.append((faces, range(a, b), stride))
         inner.append(slice(a, b))
-        cover.append(slice(min(max(a - 1, 0), c.size - 2), min(max(b, 1), c.size - 1) + 1))
-    return tuple(inner), tuple(cover)
+        cover.append(slice(first, max(b, 1) + 1))
+    return axes, tuple(inner), tuple(cover)
+
+
+def _face_points(grid: ValueGrid, axes, cells=None):
+    """The face points of the mesh ``axes`` as coordinate tuples, or None
+    above ``_EXACT_BOX_MIN_CAP`` mesh points; with ``cells`` (a grid's
+    ``nonnegative_cells``), only those whose cell is False in it. They are
+    listed by the first dimension j whose coordinate is a face (inner nodes
+    before j, faces then inner nodes after it), each part in row-major order.
+    """
+    if math.prod(len(faces) + len(ks) for faces, ks, _ in axes) > _EXACT_BOX_MIN_CAP:
+        return None
+    nodes = [[(c[k], k * stride) for k in ks]
+             for (c, _, _), (_, ks, stride) in zip(grid.float_axes, axes)]
+    full = [faces + ns for (faces, _, _), ns in zip(axes, nodes)]
+    pts = []
+    for j, (faces, _, _) in enumerate(axes):
+        *head, last = nodes[:j] + [faces] + full[j + 1 :]
+        prefix = [((), 0)]
+        for axis in head:
+            prefix = [(p + (q,), o + k) for p, o in prefix for q, k in axis]
+        if cells is None:
+            pts += [p + (q,) for p, _ in prefix for q, _ in last]
+        else:
+            pts += [p + (q,) for p, o in prefix for q, k in last if not cells[o + k]]
+    return pts
 
 
 def grid_box_min(grid: ValueGrid, bounds) -> float:
@@ -704,30 +739,41 @@ def grid_box_min(grid: ValueGrid, bounds) -> float:
     the domain return the out-of-domain sentinel. A NaN anywhere in the min
     gives NaN.
     """
-    lower, upper = np.asarray(bounds, dtype=np.float64)
-    ranges = box_node_ranges(grid, lower, upper)
-    if ranges is None:
+    mesh = _box_mesh(grid, bounds)
+    if mesh is None:
         return grid.out_of_domain_value
-
+    axes, inner, cover = mesh
     block = grid.values.reshape(grid.shape)
-    inner, cover = ranges
-    faces = [np.array([lo]) if hi <= lo else np.array([lo, hi])
-             for lo, hi in zip(lower.tolist(), upper.tolist())]
-    nodes = [c[s] for c, s in zip(grid.axes, inner)]
-    if math.prod(f.size + n.size for f, n in zip(faces, nodes)) > _EXACT_BOX_MIN_CAP:
+    pts = _face_points(grid, axes)
+    if pts is None:
         return float(block[cover].min())
+    out = grid.values_at(np.array(pts)).min()
+    return float(np.minimum(out, block[inner].min(initial=math.inf)))
 
-    # face points, partitioned by the first dimension j whose coordinate is a
-    # face: node coordinates before j, a face at j, anything after j
-    full = [np.concatenate((f, n)) for f, n in zip(faces, nodes)]
-    face_pts = np.concatenate(
-        [_cartesian(nodes[:j] + [faces[j]] + full[j + 1 :]) for j in range(len(faces))]
-    )
-    out = grid.values_at(face_pts).min()
-    core = block[inner]
-    if core.size:
-        out = np.minimum(out, core.min())
-    return float(out)
+
+def _grid_box_nonnegative(grid: ValueGrid, X) -> bool:
+    """``grid_box_min(grid, X) >= 0.0``, decided on its mesh with as little
+    interpolation as the node values allow, in this order: a box that leaves
+    the domain takes the sign of the out-of-domain value; covering-cell nodes
+    all >= 0 decide True, as multilinear weights are nonnegative; an inner
+    node that is not >= 0 (NaN included) decides False. Of the face points,
+    only those in a cell with a corner node that is not >= 0 can be negative
+    or NaN, so only they are interpolated; above ``_EXACT_BOX_MIN_CAP`` the
+    node bound, which the covering cells have made negative or NaN, decides.
+    """
+    mesh = _box_mesh(grid, X)
+    if mesh is None:
+        return grid.out_of_domain_value >= 0.0
+    axes, inner, cover = mesh
+    block = grid.values.reshape(grid.shape)
+    if (block[cover] >= 0.0).all():
+        return True
+    if not (block[inner] >= 0.0).all():
+        return False
+    pts = _face_points(grid, axes, grid.nonnegative_cells)
+    if pts is None:
+        return False
+    return not pts or bool((grid.values_at(np.array(pts)) >= 0.0).all())
 
 
 # --- value grid file format ------------------------------------------------

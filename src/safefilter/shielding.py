@@ -15,14 +15,14 @@ instead be a fixed (2, m) enclosure that holds over every state box, as the
 optimal safety fallback's full control set does; a tube clips it to the
 control set once, at its first nondegenerate box, and hands the same
 read-only bounds to every later step. The value-grid terminal set decides a
-box from node values where they settle it and, on a 2-D grid, interpolates
-only the face points whose cell has a corner node that is not >= 0.
+box from node values where they settle it and otherwise interpolates only
+the face points whose cell has a corner node that is not >= 0, in any grid
+dimension (``reachability._grid_box_nonnegative``).
 """
 from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -31,14 +31,8 @@ import numpy as np
 from .dynamics import MarginFunction, SystemModel, discretize_box
 from .filters import BudgetExceededError, Monitor, SafetyFilter
 from .intervals import Box
-from .reachability import (
-    _EXACT_BOX_MIN_CAP,
-    ValueGrid,
-    box_node_ranges,
-    grid_box_min,
-    optimal_safety_policy,
-    value_at,
-)
+from .reachability import ValueGrid, _grid_box_nonnegative, optimal_safety_policy, value_at
+from .reachability import grid_box_min  # noqa: F401 (bench/tracing.py rebinds it here)
 
 _REST_EPS = 1e-12  # velocities below this count as numerically at rest
 
@@ -404,61 +398,6 @@ def _check_terminal_invariance(
 
 
 # --- terminal sets and fallbacks built on a solved value grid ---------------
-
-
-def _grid_box_nonnegative(grid: ValueGrid, X) -> bool:
-    """``grid_box_min(grid, X) >= 0.0``, decided with as little interpolation
-    as the node values allow.
-
-    A box that leaves the domain takes the sign of the out-of-domain value. A
-    node strictly inside the box is a point of the exact minimum, so one that
-    is not >= 0 (NaN included) decides False. Multilinear weights are
-    nonnegative, so when every node of the covering cells is >= 0 so is every
-    interpolated value in the box, which decides True. On a 2-D grid the rest
-    is decided here: of the face points ``grid_box_min`` would interpolate,
-    only those whose cell (as ``values_at`` picks it) has a corner that is not
-    >= 0 can be negative or NaN, so only they are interpolated; a box above
-    ``_EXACT_BOX_MIN_CAP`` takes the node bound, which the covering cells have
-    already made negative or NaN. Grids of other dimensions hand the box to
-    ``grid_box_min``.
-    """
-    lower, upper = np.asarray(X, dtype=np.float64)
-    ranges = box_node_ranges(grid, lower, upper)
-    if ranges is None:
-        return grid.out_of_domain_value >= 0.0
-    inner, cover = ranges
-    block = grid.values.reshape(grid.shape)
-    if (block[cover] >= 0.0).all():
-        return True
-    if not (block[inner] >= 0.0).all():
-        return False
-    if len(grid.shape) != 2:
-        return grid_box_min(grid, X) >= 0.0
-    pts = _face_points_in_negative_cells_2d(grid, lower.tolist(), upper.tolist(), inner)
-    if pts is None:
-        return False
-    return not pts or bool((grid.values_at(np.array(pts)) >= 0.0).all())
-
-
-def _face_points_in_negative_cells_2d(grid: ValueGrid, lower, upper, inner):
-    """The face points of ``grid_box_min``'s mesh over a box in a 2-D grid
-    whose cell has a corner node that is not >= 0, or None above
-    ``_EXACT_BOX_MIN_CAP``.
-
-    Per axis, a face coordinate lies in cell ``bisect_right`` over the
-    interior nodes, as in ``values_at``, and the inner node k in cell k.
-    """
-    axes = []
-    for (c, interior, _), lo, hi, s in zip(grid.float_axes, lower, upper, inner):
-        faces = [(q, bisect_right(interior, q)) for q in ((lo,) if hi <= lo else (lo, hi))]
-        axes.append((faces, [(c[k], k) for k in range(s.start, s.stop)]))
-    (faces0, nodes0), (faces1, nodes1) = axes
-    full1 = faces1 + nodes1
-    if (len(faces0) + len(nodes0)) * len(full1) > _EXACT_BOX_MIN_CAP:
-        return None
-    ok, row = grid.nonnegative_cells, grid.shape[1] - 1
-    return ([(q0, q1) for q0, i in faces0 for q1, j in full1 if not ok[i * row + j]]
-            + [(q0, q1) for q0, i in nodes0 for q1, j in faces1 if not ok[i * row + j]])
 
 
 def value_grid_terminal_set(grid: ValueGrid) -> TerminalSafeSet:

@@ -126,6 +126,25 @@ def test_run_non_finite_start_is_config_error(tmp_path, capsys):
         ("double_integrator_wall.yaml", "verify", "verify.horizon", -1),
         ("double_integrator_wall.yaml", "verify", "verify.samples", 1e3 + 0.5),
         ("double_integrator_wall.yaml", "verify", "verify.initial_counts", [0, 3]),
+        # list lengths that do not match the model's state, control or
+        # disturbance dimension; a dict value replaces a whole section
+        ("double_integrator_wall.yaml", "solve", "margin.normal", [1.0]),
+        ("double_integrator_wall.yaml", "solve", "margin.normal", [1.0, 0.0, 0.0]),
+        ("double_integrator_wall.yaml", "solve", "margin",
+         {"kind": "ball", "center": [1.0, 0.0, 0.0], "radius": 0.5}),
+        ("double_integrator_wall.yaml", "solve", "margin",
+         {"kind": "ball", "center": [1.0], "radius": 0.5}),
+        ("exploration.yaml", "run", "margin.parts[1].normal", [-1.0, 0.0]),
+        ("cbf_wall.yaml", "run", "harness.x0", [2.0]),
+        ("cbf_wall.yaml", "run", "harness.x0", [2.0, 0.0, 0.0]),
+        ("cbf_wall.yaml", "run", "harness.goal", [2.0]),
+        ("tube_mpc_scalar.yaml", "run", "harness.task.value", [1.0, 0.0]),
+        ("cbf_wall.yaml", "run", "harness.task",
+         {"kind": "goal", "gain": [[1.0, 1.5, 0.0]], "goal": [2.0, 0.0]}),
+        ("cbf_wall.yaml", "run", "harness.task", {"kind": "goal", "gain": [[1.0, 1.5]], "goal": [2.0]}),
+        ("cbf_wall.yaml", "run", "harness.disturbance", {"kind": "constant", "value": [0.1]}),
+        ("double_integrator_wall.yaml", "verify", "verify.initial_lower", [0.5]),
+        ("double_integrator_wall.yaml", "verify", "verify.initial_upper", [2.5, 1.0, 0.0]),
     ],
 )
 def test_bad_integer_key_is_config_error(tmp_path, capsys, config, command, key, value):
@@ -134,8 +153,9 @@ def test_bad_integer_key_is_config_error(tmp_path, capsys, config, command, key,
     cfg = yaml.safe_load((CONFIG_DIR / config).read_text())
     *parents, leaf = key.split(".")
     section = cfg
-    for name in parents:
-        section = section[name]
+    for name in parents:  # "parts[1]" is entry 1 of the list at "parts"
+        name, _, index = name.rstrip("]").partition("[")
+        section = section[name][int(index)] if index else section[name]
     section[leaf] = value
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(cfg))

@@ -90,19 +90,19 @@ def test_margin_builders():
     g = build_margin({"kind": "min", "parts": [
         {"kind": "halfspace", "normal": [1.0], "offset": 0.0},
         {"kind": "ball", "center": [2.0], "radius": 0.5},
-    ]})
+    ]}, 1)
     assert float(g(np.array([1.0]))) == pytest.approx(0.5)
     assert g.halfspaces is None
     with pytest.raises(ConfigError):
-        build_margin({"kind": "donut"})
-    pairs = build_margin({"kind": "halfspace", "normal": [-1.0], "offset": -2.0}).halfspaces
+        build_margin({"kind": "donut"}, 1)
+    pairs = build_margin({"kind": "halfspace", "normal": [-1.0], "offset": -2.0}, 1).halfspaces
     assert len(pairs) == 1 and pairs[0][0].tolist() == [-1.0] and pairs[0][1] == -2.0
     pairs = build_margin({"kind": "min", "parts": [
         {"kind": "halfspace", "normal": [1.0, 0.0], "offset": 0.5},
         {"kind": "min", "parts": [{"kind": "halfspace", "normal": [0.0, -1.0], "offset": -3.0}]},
-    ]}).halfspaces
+    ]}, 2).halfspaces
     assert [(n.tolist(), c) for n, c in pairs] == [([1.0, 0.0], 0.5), ([0.0, -1.0], -3.0)]
-    assert build_margin({"kind": "ball", "center": [0.0], "radius": 1.0}).halfspaces is None
+    assert build_margin({"kind": "ball", "center": [0.0], "radius": 1.0}, 1).halfspaces is None
 
 
 def test_grid_settings_validation():
@@ -119,17 +119,17 @@ def test_grid_settings_validation():
 
 def test_harness_settings_validation():
     with pytest.raises(ConfigError):
-        build_harness_settings(dict(GOOD["harness"], seeds="nope"))
+        build_harness_settings(dict(GOOD["harness"], seeds="nope"), 2)
     # integral floats are integers; nothing is truncated
-    hs = build_harness_settings(dict(GOOD["harness"], steps=50.0, seeds=[3.0]))
+    hs = build_harness_settings(dict(GOOD["harness"], steps=50.0, seeds=[3.0]), 2)
     assert hs.steps == 50 and type(hs.steps) is int and hs.seeds == [3]
     with pytest.raises(ConfigError, match="harness.stepz"):
-        build_harness_settings(dict(GOOD["harness"], stepz=3))
+        build_harness_settings(dict(GOOD["harness"], stepz=3), 2)
 
 
 def test_build_filter_kinds(tmp_path):
     model = build_model(GOOD["model"])
-    margin = build_margin(GOOD["margin"])
+    margin = build_margin(GOOD["margin"], 2)
     gs = build_grid_settings(GOOD["grid"], model)
     bundle = build_filter(GOOD["filter"], model, margin, gs)
     assert bundle.filter.name == "least_restrictive"
@@ -144,7 +144,7 @@ def test_build_filter_kinds(tmp_path):
     linear = build_model({"kind": "linear", "a": [[1.0]], "b": [[1.0]],
                           "control_lower": [-1.0], "control_upper": [1.0],
                           "dist_lower": [-0.1], "dist_upper": [0.1]})
-    ball = build_margin({"kind": "ball", "center": [0.0], "radius": 1.0})
+    ball = build_margin({"kind": "ball", "center": [0.0], "radius": 1.0}, 1)
     with pytest.raises(ConfigError, match="halfspace margins, got 'keepout_ball'"):
         build_filter(tube, linear, ball, None)
 
@@ -163,13 +163,13 @@ def test_non_finite_numbers_rejected_naming_the_key(bad):
     with pytest.raises(ConfigError, match=r"model\.dt must be finite"):
         build_model(dict(GOOD["model"], dt=bad))
     with pytest.raises(ConfigError, match=r"harness\.x0 must be finite"):
-        build_harness_settings(dict(GOOD["harness"], x0=[bad, 0.0]))
+        build_harness_settings(dict(GOOD["harness"], x0=[bad, 0.0]), 2)
     with pytest.raises(ConfigError, match=r"harness\.goal must be finite"):
-        build_harness_settings(dict(GOOD["harness"], goal=[2.0, bad]))
+        build_harness_settings(dict(GOOD["harness"], goal=[2.0, bad]), 2)
     linear = {"kind": "linear", "a": [[1.0]], "b": [[1.0]],
               "control_lower": [-1.0], "control_upper": [1.0]}
     with pytest.raises(ConfigError, match=r"model\.a must be finite"):
         build_model(dict(linear, a=[[bad]]))
     with pytest.raises(ConfigError, match=r"model\.control_upper must be finite"):
         build_model(dict(linear, control_upper=[bad]))
-    assert build_harness_settings(dict(GOOD["harness"], goal=[2.0, 0.0])).scenario_goal.tolist() == [2.0, 0.0]
+    assert build_harness_settings(dict(GOOD["harness"], goal=[2.0, 0.0]), 2).scenario_goal.tolist() == [2.0, 0.0]

@@ -3,9 +3,9 @@
 ``grid_box_min`` reads the node points strictly inside a box from the grid and
 interpolates only the points on its faces; it must equal the seed's minimum
 over the whole face-and-node mesh (``==``, with NaN matching NaN). The terminal
-set's ``box_containment`` settles most boxes from node values alone and, on a
-2-D grid, interpolates only the face points in a cell with a corner node that
-is not >= 0; it must equal ``seed >= 0.0`` on every box, and
+set's ``box_containment`` settles most boxes from node values alone and, in
+any grid dimension, interpolates only the face points in a cell with a corner
+node that is not >= 0; it must equal ``seed >= 0.0`` on every box, and
 ``grid_box_min(grid, X) >= 0.0`` on the boxes of the property tests.
 """
 import itertools
@@ -25,7 +25,7 @@ from safefilter import (
     solve,
     value_grid_terminal_set,
 )
-from safefilter import reachability, shielding
+from safefilter import reachability
 from safefilter.reachability import _EXACT_BOX_MIN_CAP
 
 # grids with +inf and -inf in one cell interpolate to NaN there, on both sides
@@ -183,9 +183,10 @@ def test_node_settled_boxes_make_no_values_at_call(wall_grid, monkeypatch):
     monkeypatch.setattr(
         ValueGrid, "values_at", lambda self, pts: points.append(len(pts)) or values_at(self, pts)
     )
+    grid_box_min = reachability.grid_box_min
     monkeypatch.setattr(
-        shielding, "grid_box_min",
-        lambda grid, X: box_min_calls.append(1) or reachability.grid_box_min(grid, X),
+        reachability, "grid_box_min",
+        lambda grid, X: box_min_calls.append(1) or grid_box_min(grid, X),
     )
     terminal = value_grid_terminal_set(wall_grid)
     safe = np.array([[2.0, -0.3], [2.5, 0.3]])  # every covering node is >= 0
@@ -215,6 +216,22 @@ def test_node_settled_boxes_make_no_values_at_call(wall_grid, monkeypatch):
     assert face_points == 3 * 3 - 1 and 0 < near_negative < face_points
     points.clear()
     assert terminal.box_containment(edge) == expected
+    assert box_min_calls == []
+    assert points == [near_negative]
+
+    # the same on a 3-D grid: nodes 0, 0.2, ..., 1 per axis, all 1 but a
+    # negative one outside the box in a covering cell
+    values = np.ones((6, 6, 6))
+    values[1, 2, 2] = -3.0
+    cube = ValueGrid(Box([0.0] * 3, [1.0] * 3), (6, 6, 6), values)
+    box = np.array([[0.3] * 3, [0.7] * 3])
+    assert (_nodes_within(cube, box) >= 0.0).all()
+    # mesh: 2 faces + 2 inner nodes per axis, so 4 ** 3 - 2 ** 3 face points
+    expected = seed_grid_box_min(cube, SeedBox(*box)) >= 0.0
+    near_negative, face_points = _face_points_in_negative_cells(cube, box)
+    assert face_points == 56 and 0 < near_negative < face_points
+    points.clear()
+    assert value_grid_terminal_set(cube).box_containment(box) == expected
     assert box_min_calls == []
     assert points == [near_negative]
 
@@ -253,9 +270,15 @@ def stock_grid():
 
 def _special_grids():
     domain = Box([-1.0, -2.0], [2.0, 2.5])
-    return [ValueGrid(domain, (61, 61), _special_values(np.random.default_rng(seed), 61 * 61),
-                      sentinel)
-            for seed, sentinel in ((21, -np.inf), (22, 0.0), (23, np.nan))]
+    grids = [ValueGrid(domain, (61, 61), _special_values(np.random.default_rng(seed), 61 * 61),
+                       sentinel)
+             for seed, sentinel in ((21, -np.inf), (22, 0.0), (23, np.nan))]
+    for seed, shape in ((24, (40,)), (25, (9, 7, 8))):
+        dim = len(shape)
+        grids.append(ValueGrid(Box(-1.0 - np.arange(dim), 2.0 + 0.5 * np.arange(dim)), shape,
+                               _special_values(np.random.default_rng(seed), int(np.prod(shape))),
+                               -np.inf))
+    return grids
 
 
 SPECIAL_GRIDS = _special_grids()

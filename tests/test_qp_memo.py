@@ -292,7 +292,7 @@ def test_memo_stays_within_its_step_cap(monkeypatch):
         a = rng.normal(size=3) * 3.0
         b = A @ rng.normal(size=3) - rng.exponential(size=12) * 0.2
         check_against_seed(G, a, A, b)
-    steps = qp._programs[(G.shape, A.shape, G.tobytes(), A.tobytes(), TOL)].steps
+    steps = qp._programs[(G.shape, A.shape, G.tobytes(), A.tobytes())].steps
     assert len(steps) == 3
 
 
