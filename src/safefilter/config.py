@@ -505,7 +505,7 @@ def build_harness_settings(cfg: dict, state_dim: int) -> HarnessSettings:
     seeds = _integers(cfg, "seeds", "harness", [0], minimum=0)
     goal = _vector(cfg, "goal", "harness", state_dim) if "goal" in cfg else None
     weight = _number(cfg, "control_weight", "harness", 0.1)
-    task_cfg = cfg.get("task", {"kind": "constant", "value": []})
+    task_cfg = _require(cfg, "task", "harness")
     dist_cfg = cfg.get("disturbance", {"kind": "zero"})
     return HarnessSettings(x0, steps, seeds, goal, weight, task_cfg, dist_cfg)
 

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .intervals import Box, cos_interval, linear_image, sin_interval, support
+from .intervals import Box, cos_interval, float_rows, linear_image, sin_interval, support
 
 
 class InputDomainError(ValueError):
@@ -32,15 +32,19 @@ class SystemModel:
     axes broadcast against each other, returning (..., state_dim). Value-grid
     queries rely on this to step a whole candidate lattice at once, and raise
     ``ValueError`` naming the model when the returned shape is wrong; the
-    built-in models satisfy it. ``interval_step(X, U, D)`` takes the (2, n)
-    ``[lower, upper]`` bound arrays of a state, control and disturbance box
-    and returns the bounds of a superset of the true one-step image. A model
-    whose ``step`` is nondecreasing in every argument may pass ``step`` itself:
-    broadcast over the two rows, it maps lower bounds to lower bounds and upper
-    to upper. The double integrator instead repeats ``step``'s operations on
-    each row on Python floats, which is bit for bit the same and cheaper on
-    (2, 2) bounds. ``linear_maps`` is the (A, B) pair of a linear model
-    ``x' = A x + B u + d`` and None otherwise. ``continuous_affine`` is an optional
+    built-in models satisfy it. ``interval_step(X, U, D)`` takes the
+    ``[lower, upper]`` bounds of a state, control and disturbance box and
+    returns the bounds of a superset of the true one-step image. The bounds
+    may be (2, n) arrays, ``Box``es or, from the MPS tube, float rows
+    ``((lower...), (upper...))`` (see ``intervals.float_rows``); ``np.asarray``
+    turns each into a (2, n) array, and the tube takes an array, a ``Box`` or
+    float rows back. A model whose ``step`` is nondecreasing in every argument
+    may pass ``step`` itself: broadcast over the two rows, it maps lower bounds
+    to lower bounds and upper to upper. The double integrator instead repeats
+    ``step``'s operations on each row on Python floats, which is bit for bit
+    the same and cheaper on (2, 2) bounds; float rows in give float rows out,
+    so the tube never converts its boxes. ``linear_maps`` is the (A, B) pair
+    of a linear model ``x' = A x + B u + d`` and None otherwise. ``continuous_affine`` is an optional
     (drift, input-matrix) pair f(x), g(x) for control-affine models; when
     present, ``step`` is the forward-Euler discretization of f(x) + g(x) u with
     the disturbance entering additively on the highest-order derivative.
@@ -127,18 +131,20 @@ def make_double_integrator(u_max: float, d_max: float, dt: float) -> SystemModel
         out[..., 1] = v_next
         return out
 
-    def interval_fn(X, U, D) -> np.ndarray:
+    def interval_fn(X, U, D):
         # step_fn is nondecreasing in x, u and d, so its IEEE operations on the
         # lower row and on the upper row give the bounds; on Python floats,
-        # without numpy's fixed cost per call on these (2, 2) bounds
-        (pl, vl), (ph, vh) = np.asarray(X, dtype=np.float64).tolist()
-        (ul,), (uh,) = np.asarray(U, dtype=np.float64).tolist()
+        # without numpy's fixed cost per call on these (2, 2) bounds. Float
+        # rows in give float rows out; arrays or boxes give a (2, 2) array.
+        rows = float_rows(X)
+        (pl, vl), (ph, vh) = rows
+        (ul,), (uh,) = float_rows(U)
         if has_d:
-            (dl,), (dh,) = np.asarray(D, dtype=np.float64).tolist()
+            (dl,), (dh,) = float_rows(D)
         else:
             dl = dh = 0.0  # u + 0.0, so a -0.0 control gives +0.0 as in step_fn
-        return np.array([[pl + vl * dt, vl + (ul + dl) * dt],
-                         [ph + vh * dt, vh + (uh + dh) * dt]])
+        out = ((pl + vl * dt, vl + (ul + dl) * dt), (ph + vh * dt, vh + (uh + dh) * dt))
+        return out if rows is X else np.array(out)
 
     def drift(x):
         x = np.asarray(x, dtype=np.float64)
@@ -350,7 +356,9 @@ class MarginFunction:
 
     ``halfspaces`` holds the (normal, offset) pairs of a halfspace margin or a
     min of halfspaces, g(x) = min_i normal_i . x - offset_i; it is None for
-    any other margin.
+    any other margin. ``float_halfspaces`` holds them again on Python floats
+    for ``halfspace_lower``, which bounds one box given as float rows bit for
+    bit as ``box_lower`` does.
     """
 
     def __init__(self, fn, gradient=None, box_lower=None, name: str = "", halfspaces=None):
@@ -381,6 +389,34 @@ class MarginFunction:
             raise ValueError(f"margin {self.name!r} has no box lower bound")
         out = self._box_lower(np.asarray(bounds, dtype=np.float64))
         return float(out) if np.ndim(out) == 0 else out
+
+    @functools.cached_property
+    def float_halfspaces(self):
+        """``halfspaces`` as (-normal, offset) pairs of float tuples, or None
+        for a margin without them or without ``box_lower``, and for normals of
+        8 or more entries, which numpy sums pairwise instead of in order."""
+        if self.halfspaces is None or self._box_lower is None:
+            return None
+        pairs = tuple((tuple((-np.asarray(n, dtype=np.float64)).tolist()), float(offset))
+                      for n, offset in self.halfspaces)
+        return pairs if pairs and all(len(d) < 8 for d, _ in pairs) else None
+
+
+def halfspace_lower(float_halfspaces, lower, upper) -> float:
+    """``box_lower`` of a min of halfspaces over the box with float rows
+    ``lower``, ``upper``, on Python floats and bit for bit: per halfspace
+    ``-support(bounds, d) - offset`` with d = -normal, its terms summed from
+    0.0 in order as numpy sums fewer than 8 of them; the halfspaces folded as
+    ``functools.reduce(np.minimum, ...)`` folds them (a NaN wins)."""
+    out = None
+    for d, offset in float_halfspaces:
+        s = 0.0
+        for dj, lo, hi in zip(d, lower, upper):
+            s += dj * hi if dj >= 0.0 else dj * lo
+        b = -s - offset
+        if out is None or not (out < b or out != out):
+            out = b
+    return out
 
 
 def margin_halfspace(normal, offset: float) -> MarginFunction:

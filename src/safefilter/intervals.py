@@ -5,9 +5,12 @@ the lower bounds, row 1 the upper ones. Interval steps, fallback tubes, box
 lower bounds and the tube-MPC tightening all work on that one format, stacked
 as (..., 2, n) where they hold many boxes; ``Box`` is the validated public value
 type for control, disturbance and domain sets, and converts to its bounds with
-``np.asarray``. All enclosures here are conservative: rounding at piece
-boundaries is absorbed by a small outward guard where exactness cannot be
-promised.
+``np.asarray``. The MPS tube carries its boxes as float rows instead, the same
+bounds as a tuple ``((lower...), (upper...))`` of two tuples of Python floats:
+immutable, and free of numpy's fixed cost per call on these short rows;
+``float_rows`` converts any bounds to them and ``np.asarray`` converts them
+back. All enclosures here are conservative: rounding at piece boundaries is
+absorbed by a small outward guard where exactness cannot be promised.
 """
 from __future__ import annotations
 
@@ -48,8 +51,11 @@ class Box:
         hi.flags.writeable = False
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        # the bounds again as Python floats, so point checks need no numpy calls
-        object.__setattr__(self, "_float_bounds", tuple(zip(lo.tolist(), hi.tolist())))
+        # the bounds again as Python floats, so point checks and interval
+        # steps need no numpy calls: per dimension, and as float rows
+        rows = (tuple(lo.tolist()), tuple(hi.tolist()))
+        object.__setattr__(self, "_float_bounds", tuple(zip(*rows)))
+        object.__setattr__(self, "_float_rows", rows)
 
     def __array__(self, dtype=None, copy=None):
         return np.array([self.lower, self.upper], dtype=dtype)
@@ -82,6 +88,17 @@ class Box:
         size = (self.dim,) if n is None else (n, self.dim)
         u = rng.uniform(size=size)
         return self.lower + u * (self.upper - self.lower)
+
+
+def float_rows(bounds) -> tuple:
+    """(2, n) bounds, or a ``Box``, as float rows ``((lower...), (upper...))``;
+    float rows come back as they are."""
+    if type(bounds) is tuple and type(bounds[0]) is tuple:
+        return bounds
+    if isinstance(bounds, Box):
+        return bounds._float_rows
+    lo, hi = np.asarray(bounds, dtype=np.float64).tolist()
+    return tuple(lo), tuple(hi)
 
 
 def support(bounds, direction) -> np.ndarray:

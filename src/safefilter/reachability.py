@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dynamics import MarginFunction, SystemModel, _cartesian, as_lattice, discretize_box
-from .intervals import Box
+from .intervals import Box, float_rows
 
 _EXACT_BOX_MIN_CAP = 65536  # above this many corner evaluations, use the node bound
 # batches of at most this many points on a 2-D grid are interpolated on Python
@@ -669,8 +669,8 @@ def optimal_safety_policy(
 
 def _box_mesh(grid: ValueGrid, bounds):
     """The mesh of ``grid_box_min`` over the box with (2, n) bounds [lower,
-    upper] (or a ``Box``) as (axes, inner, cover), or None when the box is
-    not inside the grid domain (a NaN bound included).
+    upper] (an array, a ``Box`` or float rows) as (axes, inner, cover), or
+    None when the box is not inside the grid domain (a NaN bound included).
 
     Per dimension, ``axes`` holds the face coordinates, each with the flat
     offset (as in ``ValueGrid.nonnegative_cells``) of the cell ``values_at``
@@ -680,7 +680,7 @@ def _box_mesh(grid: ValueGrid, bounds):
     box, and those of the cells covering it, the only nodes its interpolant
     reads with positive weight.
     """
-    lower, upper = np.asarray(bounds, dtype=np.float64).tolist()
+    lower, upper = float_rows(bounds)
     if len(lower) != len(grid.shape):
         raise ValueError("box dimension does not match grid")
     axes, inner, cover = [], [], []
@@ -727,7 +727,7 @@ def _face_points(grid: ValueGrid, axes, cells=None):
 
 def grid_box_min(grid: ValueGrid, bounds) -> float:
     """Sound lower bound (exact when small) of the interpolant over the box
-    with (2, n) bounds [lower, upper] (or a ``Box``).
+    with (2, n) bounds [lower, upper] (an array, a ``Box`` or float rows).
 
     Within each grid cell the interpolant attains its extremes at corner
     points, so the minimum over the cartesian product of {box faces, interior

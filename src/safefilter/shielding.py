@@ -7,30 +7,39 @@ every step and its final box lands fully inside a terminal safe set that is
 invariant under the fallback. The check is sufficient for all-time safety,
 not necessary, so it is deliberately conservative.
 
-The tube is one (H+1, 2, n) array of ``[lower, upper]`` bounds, and every
-callable it meets takes bounds: the model's ``interval_step``, a fallback's
-``control_box``, the margin's ``box_lower`` (on the whole stack at once) and
-the terminal set's ``box_containment``. A fallback's ``control_box`` may
-instead be a fixed (2, m) enclosure that holds over every state box, as the
-optimal safety fallback's full control set does; a tube clips it to the
-control set once, at its first nondegenerate box, and hands the same
-read-only bounds to every later step. The value-grid terminal set decides a
-box from node values where they settle it and otherwise interpolates only
-the face points whose cell has a corner node that is not >= 0, in any grid
-dimension (``reachability._grid_box_nonnegative``).
+The tube is kept as float rows, one ``((lower...), (upper...))`` tuple of
+Python floats per box (``intervals.float_rows``), from the state to the
+verdict: the model's ``interval_step`` receives the state box, the control
+enclosure and the disturbance set as float rows, and the double integrator's
+returns float rows (another model's array result is converted once per step).
+The (H+1, 2, n) array ``FRSTube.bounds`` is built only when it is read. User
+callables keep their contract: a fallback's policy gets a state array, and a
+callable ``control_box`` gets (2, n) state bounds as an array. A
+``control_box`` may instead be a fixed (2, m) enclosure that holds over every
+state box, as the optimal safety fallback's full control set does; a tube
+clips it to the control set once, at its first nondegenerate box, and hands
+the same immutable float rows to every later step. The failure check bounds a
+halfspace margin (or a min of them) box by box on floats, bit for bit as its
+``box_lower`` would, and stops at the first box that fails; any other margin
+bounds the stacked tube in one ``box_lower`` call. The terminal set's
+``box_containment`` gets the final box as float rows. The value-grid terminal
+set decides a box from node values where they settle it and otherwise
+interpolates only the face points whose cell has a corner node that is not
+>= 0, in any grid dimension (``reachability._grid_box_nonnegative``).
 """
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .dynamics import MarginFunction, SystemModel, discretize_box
+from .dynamics import MarginFunction, SystemModel, discretize_box, halfspace_lower
 from .filters import BudgetExceededError, Monitor, SafetyFilter
-from .intervals import Box
+from .intervals import Box, float_rows
 from .reachability import ValueGrid, _grid_box_nonnegative, optimal_safety_policy, value_at
 from .reachability import grid_box_min  # noqa: F401 (bench/tracing.py rebinds it here)
 
@@ -39,10 +48,16 @@ _REST_EPS = 1e-12  # velocities below this count as numerically at rest
 
 @dataclass(frozen=True)
 class FRSTube:
-    """Forward-reachable tube: the box bounds[tau] = [lower, upper], shape
-    (H+1, 2, n), contains every state reachable at tau."""
+    """Forward-reachable tube: box tau, given as float rows
+    ``rows[tau] = ((lower...), (upper...))``, contains every state reachable
+    at tau. ``bounds`` is the same tube as one (H+1, 2, n) array, built the
+    first time it is read."""
 
-    bounds: np.ndarray
+    rows: tuple
+
+    @functools.cached_property
+    def bounds(self) -> np.ndarray:
+        return np.array(self.rows, dtype=np.float64)
 
     @property
     def sets(self) -> tuple[Box, ...]:
@@ -50,13 +65,16 @@ class FRSTube:
 
     @property
     def horizon(self) -> int:
-        return len(self.bounds) - 1
+        return len(self.rows) - 1
 
 
 @dataclass(frozen=True)
 class TerminalSafeSet:
-    """Terminal region; ``box_containment`` takes (2, n) bounds and must be
-    conservative (true only if the whole box lies inside the set)."""
+    """Terminal region; ``box_containment`` takes the bounds of one box and
+    must be conservative (true only if the whole box lies inside the set).
+    The MPS monitor passes the tube's final box as float rows
+    ``((lower...), (upper...))``, which ``np.asarray`` turns into (2, n)
+    bounds; the built-in sets also take arrays and ``Box``es."""
 
     membership: Callable[[np.ndarray], bool]
     box_containment: Callable[[np.ndarray], bool]
@@ -74,7 +92,9 @@ class FallbackPolicy:
     control set once instead of once per step. Without one, ``lipschitz`` is a
     Lipschitz bound (infinity norm) for center-plus-inflation evaluation. A
     fixed enclosure is stored as a read-only float64 copy and, like a callable
-    one, takes no part in equality and hashing.
+    one, takes no part in equality and hashing. The tube works on float rows
+    (see the module docstring), but ``policy`` still receives a state array
+    and a callable ``control_box`` (2, n) bounds as an array.
     """
 
     policy: Callable[[np.ndarray], np.ndarray]
@@ -85,6 +105,7 @@ class FallbackPolicy:
     name: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "_fixed_rows", None)
         if self.control_box is None or callable(self.control_box):
             return
         enc = np.array(self.control_box, dtype=np.float64)
@@ -98,6 +119,7 @@ class FallbackPolicy:
             raise ValueError("a fixed control enclosure has a lower bound above its upper bound")
         enc.flags.writeable = False
         object.__setattr__(self, "control_box", enc)
+        object.__setattr__(self, "_fixed_rows", float_rows(enc))
 
     def __call__(self, x) -> np.ndarray:
         return self.policy(x)
@@ -109,41 +131,47 @@ def _as_fallback(fallback) -> FallbackPolicy:
     return FallbackPolicy(policy=fallback)
 
 
-def _is_point(X: np.ndarray) -> bool:
-    """Whether every width upper - lower of the (2, n) bounds X is <= 0 (a NaN
-    width is not), tested on Python floats: several times cheaper than numpy on
-    the short rows of one tube step."""
-    lo, hi = X.tolist()
+def _is_point(X) -> bool:
+    """Whether every width upper - lower of the box with float rows X is
+    <= 0 (a NaN width is not)."""
+    lo, hi = X
     for l, h in zip(lo, hi):
         if not h - l <= 0.0:
             return False
     return True
 
 
-def _control_enclosure(
-    fb: FallbackPolicy, X: np.ndarray, U: np.ndarray, clipped: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Bounds (2, m) of the fallback control over the state box X, within U.
+def _clip(enc, U) -> tuple:
+    """Float rows of the control enclosure ``enc`` within the control set's
+    float rows ``U``, as ``np.maximum`` and ``np.minimum`` clip bound arrays:
+    the enclosure's NaN wins, a tie takes U's bound."""
+    (elo, ehi), (ulo, uhi) = enc, U
+    if len(elo) != len(ulo):
+        raise ValueError(
+            f"control enclosure has shape (2, {len(elo)}), the control set (2, {len(ulo)})"
+        )
+    lo = tuple(e if e > u or e != e else u for e, u in zip(elo, ulo))
+    hi = tuple(e if e < u or e != e else u for e, u in zip(ehi, uhi))
+    for l, h in zip(lo, hi):
+        if l > h:
+            raise ValueError("fallback control enclosure does not meet the control set")
+    return lo, hi
 
-    A fixed enclosure comes back read-only; a caller that passes it back as
-    ``clipped`` gets it again for every nondegenerate box, with no work.
-    """
-    if _is_point(X):  # a point: evaluate the policy there
-        u = np.atleast_1d(np.asarray(fb.policy(0.5 * (X[0] + X[1])), dtype=np.float64))
-        return np.array([u, u])
-    if clipped is not None:
-        return clipped
+
+def _control_enclosure(fb: FallbackPolicy, X, U) -> tuple:
+    """Float rows of the fallback control over the state box X within U,
+    both float rows: the policy's value at a point box, else the callable or
+    Lipschitz enclosure clipped to U (``propagate_frs`` clips a fixed
+    enclosure itself, once per tube)."""
+    if _is_point(X):
+        center = np.array([0.5 * (l + h) for l, h in zip(*X)])
+        u = tuple(np.atleast_1d(np.asarray(fb.policy(center), dtype=np.float64)).tolist())
+        return u, u
     cb = fb.control_box
     if callable(cb):
-        enc = np.asarray(cb(X), dtype=np.float64)
-    elif cb is not None:
-        if cb.shape != U.shape:
-            raise ValueError(
-                f"fixed control enclosure has shape {cb.shape}, the control set {U.shape}"
-            )
-        enc = cb
+        enc = np.asarray(cb(np.array(X)), dtype=np.float64)
     elif fb.lipschitz is not None:
-        lo, hi = X
+        lo, hi = np.array(X)
         u = np.atleast_1d(np.asarray(fb.policy(0.5 * (lo + hi)), dtype=np.float64))
         inflation = fb.lipschitz * float((0.5 * (hi - lo)).max())
         enc = np.array([u - inflation, u + inflation])
@@ -152,14 +180,11 @@ def _control_enclosure(
             "state-feedback fallback over a nondegenerate box needs a "
             "control_box enclosure or a lipschitz bound"
         )
-    out = np.empty(U.shape)
-    np.maximum(enc[0], U[0], out=out[0])
-    np.minimum(enc[1], U[1], out=out[1])
-    if (out[0] > out[1]).any():
-        raise ValueError("fallback control enclosure does not meet the control set")
-    if enc is cb:
-        out.flags.writeable = False
-    return out
+    if enc.ndim != 2 or enc.shape[0] != 2:
+        raise ValueError(
+            f"control enclosure has shape {enc.shape}, the control set (2, {len(U[0])})"
+        )
+    return _clip(float_rows(enc), U)
 
 
 def propagate_frs(
@@ -176,20 +201,25 @@ def propagate_frs(
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     fb = _as_fallback(fallback)
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    u0 = np.atleast_1d(np.asarray(u0, dtype=np.float64))
-    U, D = np.asarray(model.control_set), np.asarray(model.disturbance_set)
-    bounds = np.empty((horizon + 1, 2, x.size))
-    bounds[0] = x
-    bounds[1] = model.interval_step(bounds[0], np.array([u0, u0]), D)
-    clipped = None  # a fixed enclosure within U, once a box has needed it
-    for tau in range(1, horizon):
-        X = bounds[tau]
-        enc = _control_enclosure(fb, X, U, clipped)
-        if not enc.flags.writeable:
-            clipped = enc
-        bounds[tau + 1] = model.interval_step(X, enc, D)
-    return FRSTube(bounds)
+    x = tuple(np.asarray(x, dtype=np.float64).ravel().tolist())
+    u0 = tuple(np.asarray(u0, dtype=np.float64).ravel().tolist())
+    U, D = float_rows(model.control_set), float_rows(model.disturbance_set)
+    X = (x, x)
+    rows = [X]
+    X = float_rows(model.interval_step(X, (u0, u0), D))
+    rows.append(X)
+    fixed = fb._fixed_rows
+    clipped = None  # the fixed enclosure within U, once a box has needed it
+    for _ in range(1, horizon):
+        if fixed is None or _is_point(X):
+            enc = _control_enclosure(fb, X, U)
+        else:
+            if clipped is None:
+                clipped = _clip(fixed, U)
+            enc = clipped
+        X = float_rows(model.interval_step(X, enc, D))
+        rows.append(X)
+    return FRSTube(tuple(rows))
 
 
 def mps_monitor(
@@ -203,10 +233,16 @@ def mps_monitor(
 ) -> float:
     """+1/2 if the fallback tube clears the failure set at every step and its
     final box is contained in the terminal set; -1/2 otherwise."""
-    bounds = propagate_frs(model, fallback, x, u, horizon).bounds
-    if np.any(failure_margin.box_lower(bounds) < 0.0):
-        return -0.5
-    if not terminal.box_containment(bounds[-1]):
+    tube = propagate_frs(model, fallback, x, u, horizon)
+    halfspaces = failure_margin.float_halfspaces
+    if halfspaces is None:
+        if np.any(failure_margin.box_lower(tube.bounds) < 0.0):
+            return -0.5
+    else:
+        for lower, upper in tube.rows:
+            if halfspace_lower(halfspaces, lower, upper) < 0.0:
+                return -0.5
+    if not terminal.box_containment(tube.rows[-1]):
         return -0.5
     return 0.5
 
@@ -343,7 +379,7 @@ def braking_terminal_set(
         return p + exc_lo >= p_lo and p + exc_hi <= p_hi
 
     def box_containment(X) -> bool:
-        (plo, vlo), (phi, vhi) = np.asarray(X, dtype=np.float64).tolist()
+        (plo, vlo), (phi, vhi) = float_rows(X)
         if vlo < -v_tol or vhi > v_tol:
             return False
         # excursions are monotone in v, so the corners are the worst cases

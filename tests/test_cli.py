@@ -426,6 +426,7 @@ _MINIMAL = {
                 "task": {"kind": "constant", "value": [0.0]}},
     "compare": {"filters": [{"name": "raw", "filter": {"kind": "none"}}]},
 }
+_DELETE = object()  # a table value that removes the key instead
 _MPS = {"kind": "mps", "horizon": 3, "fallback": {"kind": "braking", "v_tol": 0.1},
         "terminal": {"kind": "value_grid"}}
 
@@ -440,6 +441,7 @@ _MPS = {"kind": "mps", "horizon": 3, "fallback": {"kind": "braking", "v_tol": 0.
         ("run", "filter", dict(_MPS, fallback=5), "filter.fallback"),
         ("run", "filter", dict(_MPS, terminal=5), "filter.terminal"),
         ("run", "harness.task", 5, "harness.task"),
+        ("run", "harness.task", _DELETE, "missing config key 'harness.task'"),
         ("run", "harness.disturbance", 5, "harness.disturbance"),
         ("run", "model.kind", ["double_integrator"], "model.kind"),
         ("run", "filter.kind", ["none"], "filter.kind"),
@@ -455,8 +457,9 @@ _MPS = {"kind": "mps", "horizon": 3, "fallback": {"kind": "braking", "v_tol": 0.
 )
 def test_malformed_section_is_config_error(tmp_path, capsys, monkeypatch, command, key, value,
                                            section):
-    """A section of the wrong type or with an unknown key exits 2 naming it,
-    also where the output directory comes from the config (no --out)."""
+    """A section of the wrong type, with an unknown key or missing where it is
+    required exits 2 naming it, also where the output directory comes from
+    the config (no --out)."""
     import copy
 
     import yaml
@@ -466,7 +469,10 @@ def test_malformed_section_is_config_error(tmp_path, capsys, monkeypatch, comman
     node = cfg
     for name in parents:
         node = node[name]
-    node[leaf] = value
+    if value is _DELETE:
+        del node[leaf]
+    else:
+        node[leaf] = value
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(cfg))
     monkeypatch.chdir(tmp_path)

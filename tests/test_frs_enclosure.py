@@ -5,8 +5,10 @@
 those of the same policy with the per-step callable ``control_box=lambda X: U``
 it replaces. A fixed enclosure is validated when the fallback is built and
 against the control set only when a nondegenerate box needs it, and every step
-after the first receives the same read-only bounds with no policy call. The
-tube's point test on Python floats must agree with numpy's widths. The
+after the first receives the same immutable float rows with no policy call: an
+interval step that tries to write into them fails, and one that writes into an
+array copy leaves the tube unchanged. The tube's point test on Python floats
+must agree with numpy's widths. The
 property test samples states of each tube box, steps them under the fallback
 and a disturbance, and requires the successors to lie in the next box.
 """
@@ -31,6 +33,7 @@ from safefilter import (
     solve,
     value_grid_terminal_set,
 )
+from safefilter.intervals import float_rows
 from safefilter.shielding import _is_point
 
 DT = 0.1
@@ -141,16 +144,28 @@ def test_enclosure_of_another_control_dimension_raises():
 
 def test_interval_step_cannot_write_into_a_fixed_enclosure():
     model = make_double_integrator(1.0, 0.1, DT)
+    fb = FallbackPolicy(lambda x: np.array([0.0]), control_box=np.asarray(model.control_set))
+    controls = []
 
     def overwriting_step(X, U, D):
         out = model.interval_step(X, U, D)
-        U[...] = 0.0
+        controls.append(U)
+        if len(controls) > 1:  # the fixed enclosure, from the second step on
+            U[0] = (0.0,)
         return out
 
     writer = dataclasses.replace(model, interval_step=overwriting_step)
-    fb = FallbackPolicy(lambda x: np.array([0.0]), control_box=np.asarray(model.control_set))
-    with pytest.raises(ValueError, match="read-only"):
+    with pytest.raises(TypeError, match="does not support item assignment"):
         propagate_frs(writer, fb, [1.0, 0.3], [0.2], 10)
+    assert len(controls) == 2 and controls[1] == float_rows(model.control_set)
+
+    def copy_writing_step(X, U, D):
+        np.asarray(U)[...] = 0.0  # a copy: the enclosure itself stays as it was
+        return model.interval_step(X, U, D)
+
+    copier = dataclasses.replace(model, interval_step=copy_writing_step)
+    tube = propagate_frs(copier, fb, [1.0, 0.3], [0.2], 10).bounds
+    assert tube.tobytes() == propagate_frs(model, fb, [1.0, 0.3], [0.2], 10).bounds.tobytes()
     assert (fb.control_box == np.asarray(model.control_set)).all()
 
 
@@ -171,7 +186,7 @@ def test_interval_step_cannot_write_into_a_fixed_enclosure():
 def test_point_test_matches_numpy_widths(bounds):
     X = np.array(bounds)
     with np.errstate(invalid="ignore"):  # inf - inf
-        assert _is_point(X) == bool((X[1] - X[0] <= 0.0).all())
+        assert _is_point(float_rows(X)) == bool((X[1] - X[0] <= 0.0).all())
 
 
 # --- work per tube ----------------------------------------------------------------
@@ -195,8 +210,9 @@ def test_fixed_enclosure_tube_work_count():
     assert (tube.bounds[1:, 1] > tube.bounds[1:, 0]).any(axis=-1).all()  # nondegenerate
     assert len(controls) == 10 and not policy_calls
     first = controls[1]
-    assert all(c is first for c in controls[1:]) and not first.flags.writeable
-    assert first.tobytes() == np.asarray(model.control_set).tobytes()
+    assert all(c is first for c in controls[1:])
+    assert type(first) is tuple and all(type(row) is tuple for row in first)  # immutable
+    assert np.array(first).tobytes() == np.asarray(model.control_set).tobytes()
 
 
 # --- soundness ------------------------------------------------------------------

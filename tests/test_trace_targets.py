@@ -6,6 +6,9 @@ original from ``owner.__dict__``. A refactor that drops or renames one of
 those names would make the traced run fail; this test enters and leaves the
 instrumentation without running anything and checks that every rebound
 attribute exists, is replaced while active, and is restored afterwards.
+A traced MPS decision must still show its tube work in the per-layer
+metrics: a float-row tube that bypassed the rebound ``propagate_frs`` or the
+model's wrapped ``interval_step`` would make them read zero.
 """
 import sys
 from pathlib import Path
@@ -13,6 +16,7 @@ from pathlib import Path
 import safefilter
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import scenarios  # noqa: E402
 import tracing  # noqa: E402
 
 
@@ -36,3 +40,18 @@ def test_every_traced_attribute_exists_and_is_restored(monkeypatch):
         assert all(vars(owner)[attr] is new for owner, attr, new, _ in rebound)
     for owner, attr, _, old in rebound:
         assert vars(owner)[attr] is old, (owner, attr)
+
+
+def test_traced_mps_decision_counts_tube_work():
+    grid = scenarios.solve_grid(safefilter)
+    tracer = tracing.Tracer()
+    inst = tracing.Instrument(safefilter, tracer)
+    with inst.active():
+        spec = scenarios.build(safefilter, grid, inst).adversarial["mps"]
+        spec.flt.reset(spec.x0)
+        decision = safefilter.decide(spec.flt, spec.x0, [0.0])
+    assert decision.monitor_value in (0.5, -0.5)  # the tube check decided
+    metrics = tracing.layer_metrics(tracer, scenarios.FAMILIES)
+    frs_calls = metrics["shielding.propagate_frs_calls"][0]
+    step_calls = metrics["intervals.interval_step_calls"][0]
+    assert frs_calls > 0 and step_calls == 10 * frs_calls  # horizon 10
