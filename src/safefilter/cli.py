@@ -46,7 +46,7 @@ from .filters import (
     verify_monitor_soundness,
 )
 from .harness import Scenario, compare_filters, run_scenario, write_decisions_csv
-from .intervals import Box
+from .intervals import Box, float_rows
 from .reachability import save_value_grid, solve
 from .tube_mpc import TubeMPCFilter
 
@@ -277,7 +277,8 @@ def cmd_verify(args) -> int:
         d = model.disturbance_set.sample(rng)
         x = state_box.sample(rng)
         nxt = model.step(x, u, d)
-        image = model.interval_step(state_box, np.stack([u, u]), model.disturbance_set)
+        U = (tuple(u.tolist()),) * 2
+        image = model.interval_step(float_rows(state_box), U, float_rows(model.disturbance_set))
         if not Box(*image).contains(nxt, tol=1e-12):
             violations += 1
     summary["checks"]["interval_step_containment"] = {

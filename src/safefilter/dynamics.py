@@ -2,8 +2,9 @@
 
 Models are discrete-time with bounded control and disturbance boxes:
 ``x' = step(x, u, d)``. Every built-in model also carries a conservative
-interval step that maps state, control and disturbance bounds ``[lower,
-upper]`` to bounds guaranteed to contain every reachable successor.
+interval step that maps the float rows of a state, control and disturbance
+box to the float rows of a box guaranteed to contain every reachable
+successor.
 """
 from __future__ import annotations
 
@@ -32,22 +33,18 @@ class SystemModel:
     axes broadcast against each other, returning (..., state_dim). Value-grid
     queries rely on this to step a whole candidate lattice at once, and raise
     ``ValueError`` naming the model when the returned shape is wrong; the
-    built-in models satisfy it. ``interval_step(X, U, D)`` takes the
-    ``[lower, upper]`` bounds of a state, control and disturbance box and
-    returns the bounds of a superset of the true one-step image. The bounds
-    may be (2, n) arrays, ``Box``es or, from the MPS tube, float rows
-    ``((lower...), (upper...))`` (see ``intervals.float_rows``); ``np.asarray``
-    turns each into a (2, n) array, and the tube takes an array, a ``Box`` or
-    float rows back. A model whose ``step`` is nondecreasing in every argument
-    may pass ``step`` itself: broadcast over the two rows, it maps lower bounds
-    to lower bounds and upper to upper. The double integrator instead repeats
-    ``step``'s operations on each row on Python floats, which is bit for bit
-    the same and cheaper on (2, 2) bounds; float rows in give float rows out,
-    so the tube never converts its boxes. ``linear_maps`` is the (A, B) pair
-    of a linear model ``x' = A x + B u + d`` and None otherwise. ``continuous_affine`` is an optional
-    (drift, input-matrix) pair f(x), g(x) for control-affine models; when
-    present, ``step`` is the forward-Euler discretization of f(x) + g(x) u with
-    the disturbance entering additively on the highest-order derivative.
+    built-in models satisfy it. ``interval_step(X, U, D)`` takes the state,
+    control and disturbance boxes as float rows ``((lower...), (upper...))``,
+    two tuples of Python floats (see ``intervals.float_rows``), and returns
+    the float rows of a superset of the true one-step image. A model whose
+    ``step`` is nondecreasing in every argument gets its interval step by
+    repeating ``step``'s operations on the lower row and on the upper row, as
+    the double integrator and the planar robot do. ``linear_maps`` is the
+    (A, B) pair of a linear model ``x' = A x + B u + d`` and None otherwise.
+    ``continuous_affine`` is an optional (drift, input-matrix) pair f(x), g(x)
+    for control-affine models; when present, ``step`` is the forward-Euler
+    discretization of f(x) + g(x) u with the disturbance entering additively
+    on the highest-order derivative.
     """
 
     state_dim: int
@@ -57,7 +54,7 @@ class SystemModel:
     step: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     control_set: Box
     disturbance_set: Box
-    interval_step: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    interval_step: Callable[[tuple, tuple, tuple], tuple]
     linear_maps: Optional[tuple[np.ndarray, np.ndarray]] = None
     continuous_affine: Optional[tuple[Callable, Callable]] = None
     name: str = ""
@@ -96,10 +93,15 @@ def _constant_matrix(rows) -> np.ndarray:
     return g
 
 
-def _input_channel(U, D) -> np.ndarray:
-    """Bounds [lower, upper] of (u + d) on the shared scalar input channel."""
-    U, D = np.asarray(U, dtype=np.float64), np.asarray(D, dtype=np.float64)
-    return U[:, 0] + D[:, 0] if D.shape[1] else U[:, 0]
+def _input_bounds(U, D, has_d: bool) -> tuple[float, float]:
+    """Lower and upper bound of u + d on the shared scalar input channel, from
+    the float rows U and D, formed as ``step`` forms them: u + 0.0 without a
+    disturbance, so a -0.0 control gives +0.0."""
+    (ul,), (uh,) = U
+    if has_d:
+        (dl,), (dh,) = D
+        return ul + dl, uh + dh
+    return ul + 0.0, uh + 0.0
 
 
 def _scalar_inputs(u: np.ndarray, d: np.ndarray, has_d: bool):
@@ -133,18 +135,10 @@ def make_double_integrator(u_max: float, d_max: float, dt: float) -> SystemModel
 
     def interval_fn(X, U, D):
         # step_fn is nondecreasing in x, u and d, so its IEEE operations on the
-        # lower row and on the upper row give the bounds; on Python floats,
-        # without numpy's fixed cost per call on these (2, 2) bounds. Float
-        # rows in give float rows out; arrays or boxes give a (2, 2) array.
-        rows = float_rows(X)
-        (pl, vl), (ph, vh) = rows
-        (ul,), (uh,) = float_rows(U)
-        if has_d:
-            (dl,), (dh,) = float_rows(D)
-        else:
-            dl = dh = 0.0  # u + 0.0, so a -0.0 control gives +0.0 as in step_fn
-        out = ((pl + vl * dt, vl + (ul + dl) * dt), (ph + vh * dt, vh + (uh + dh) * dt))
-        return out if rows is X else np.array(out)
+        # lower row and on the upper row give the bounds
+        (pl, vl), (ph, vh) = X
+        wl, wh = _input_bounds(U, D, has_d)
+        return (pl + vl * dt, vl + wl * dt), (ph + vh * dt, vh + wh * dt)
 
     def drift(x):
         x = np.asarray(x, dtype=np.float64)
@@ -198,17 +192,14 @@ def make_dubins_car(speed: float, omega_max: float, d_max: float, dt: float) -> 
         out[..., 2] = th_next
         return out
 
-    def interval_fn(X, U, D) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        w = _input_channel(U, D)
-        tlo, thi = float(X[0, 2]), float(X[1, 2])
-        cl, cu = cos_interval(tlo, thi)
-        sl, su = sin_interval(tlo, thi)
-        return np.array(
-            [
-                [X[0, 0] + speed * cl * dt, X[0, 1] + speed * sl * dt, tlo + w[0] * dt],
-                [X[1, 0] + speed * cu * dt, X[1, 1] + speed * su * dt, thi + w[1] * dt],
-            ]
+    def interval_fn(X, U, D):
+        (xl, yl, al), (xh, yh, ah) = X  # a: the heading angle
+        wl, wh = _input_bounds(U, D, has_d)
+        cl, cu = cos_interval(al, ah)
+        sl, su = sin_interval(al, ah)
+        return (
+            (xl + speed * cl * dt, yl + speed * sl * dt, al + wl * dt),
+            (xh + speed * cu * dt, yh + speed * su * dt, ah + wh * dt),
         )
 
     def drift(x):
@@ -262,17 +253,11 @@ def make_inverted_pendulum(torque_max: float, d_max: float, dt: float) -> System
         out[..., 1] = om_next
         return out
 
-    def interval_fn(X, U, D) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        w = _input_channel(U, D)
-        tlo, thi = float(X[0, 0]), float(X[1, 0])
-        sl, su = sin_interval(tlo, thi)
-        return np.array(
-            [
-                [tlo + X[0, 1] * dt, X[0, 1] + (sl + w[0]) * dt],
-                [thi + X[1, 1] * dt, X[1, 1] + (su + w[1]) * dt],
-            ]
-        )
+    def interval_fn(X, U, D):
+        (al, rl), (ah, rh) = X  # a: the angle, r: its rate
+        wl, wh = _input_bounds(U, D, has_d)
+        sl, su = sin_interval(al, ah)
+        return (al + rl * dt, rl + (sl + wl) * dt), (ah + rh * dt, rh + (su + wh) * dt)
 
     def drift(x):
         x = np.asarray(x, dtype=np.float64)
@@ -328,9 +313,9 @@ def make_linear_model(
             out = out + d
         return out
 
-    def interval_fn(X, U, D) -> np.ndarray:
+    def interval_fn(X, U, D):
         out = linear_image(A, X) + linear_image(B, U)
-        return out + D if dist_box.dim else out
+        return float_rows(out + D if dist_box.dim else out)
 
     return SystemModel(
         state_dim=n,

@@ -40,6 +40,12 @@ def make_planar_double_integrator(u_max: float, dt: float) -> SystemModel:
         out[..., 2:] = v_next
         return out
 
+    def interval_fn(X, U, D):
+        # step_fn is nondecreasing in x and u, so its IEEE operations on the
+        # lower row and on the upper row give the bounds
+        return tuple((px + vx * dt, py + vy * dt, vx + ax * dt, vy + ay * dt)
+                     for (px, py, vx, vy), (ax, ay) in zip(X, U))
+
     def drift(x):
         x = np.asarray(x, dtype=np.float64)
         out = np.empty(x.shape[:-1] + (4,))
@@ -60,7 +66,7 @@ def make_planar_double_integrator(u_max: float, dt: float) -> SystemModel:
         step=step_fn,
         control_set=Box([-u_max, -u_max], [u_max, u_max]),
         disturbance_set=Box([], []),
-        interval_step=step_fn,  # monotone in x and u
+        interval_step=interval_fn,
         continuous_affine=(drift, input_map),
         name="planar_double_integrator",
     )

@@ -1,16 +1,15 @@
 """Axis-aligned boxes and sound interval arithmetic.
 
-An interval is a ``[lower, upper]`` bound array of shape (2, n): row 0 holds
-the lower bounds, row 1 the upper ones. Interval steps, fallback tubes, box
-lower bounds and the tube-MPC tightening all work on that one format, stacked
-as (..., 2, n) where they hold many boxes; ``Box`` is the validated public value
-type for control, disturbance and domain sets, and converts to its bounds with
-``np.asarray``. The MPS tube carries its boxes as float rows instead, the same
-bounds as a tuple ``((lower...), (upper...))`` of two tuples of Python floats:
-immutable, and free of numpy's fixed cost per call on these short rows;
-``float_rows`` converts any bounds to them and ``np.asarray`` converts them
-back. All enclosures here are conservative: rounding at piece boundaries is
-absorbed by a small outward guard where exactness cannot be promised.
+An interval step, a fallback's control enclosure and a terminal set's box
+check take each box as float rows: a tuple ``((lower...), (upper...))`` of two
+tuples of Python floats, immutable and free of numpy's fixed cost per call on
+these short rows. ``float_rows`` converts a ``Box`` or (2, n) bounds to them.
+Box lower bounds and the tube-MPC tightening work on stacks of (2, n) bound
+arrays, row 0 the lower bounds and row 1 the upper ones; ``np.asarray`` turns
+float rows or a ``Box`` into one. ``Box`` is the validated public value type
+for control, disturbance and domain sets. All enclosures here are
+conservative: rounding at piece boundaries is absorbed by a small outward
+guard where exactness cannot be promised.
 """
 from __future__ import annotations
 
@@ -29,10 +28,9 @@ class Box:
     """Axis-aligned box {x : lower <= x <= upper}.
 
     Zero-width boxes (points) and 0-dimensional boxes are valid; a NaN bound
-    or a lower bound above its upper one raises ``ValueError``. ``Box`` is the
-    public value type; the interval layer itself works on ``[lower, upper]``
-    bound arrays of shape (2, dim), and ``np.asarray(box)`` gives them, so a
-    box passes wherever bounds are expected.
+    or a lower bound above its upper one raises ``ValueError``.
+    ``np.asarray(box)`` gives its (2, dim) bounds and ``float_rows(box)`` its
+    float rows.
     """
 
     lower: np.ndarray
@@ -51,11 +49,9 @@ class Box:
         hi.flags.writeable = False
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        # the bounds again as Python floats, so point checks and interval
-        # steps need no numpy calls: per dimension, and as float rows
-        rows = (tuple(lo.tolist()), tuple(hi.tolist()))
-        object.__setattr__(self, "_float_bounds", tuple(zip(*rows)))
-        object.__setattr__(self, "_float_rows", rows)
+        # the bounds again as float rows, so point checks and interval steps
+        # need no numpy calls
+        object.__setattr__(self, "_float_rows", (tuple(lo.tolist()), tuple(hi.tolist())))
 
     def __array__(self, dtype=None, copy=None):
         return np.array([self.lower, self.upper], dtype=dtype)
@@ -78,7 +74,8 @@ class Box:
         vals = np.asarray(x, dtype=np.float64).reshape(-1).tolist()
         if len(vals) != self.dim:
             raise ValueError(f"point has dimension {len(vals)}, box has {self.dim}")
-        for v, (lo, hi) in zip(vals, self._float_bounds):
+        lower, upper = self._float_rows
+        for v, lo, hi in zip(vals, lower, upper):
             if not lo - tol <= v <= hi + tol:
                 return False
         return True
@@ -109,8 +106,8 @@ def support(bounds, direction) -> np.ndarray:
 
 
 def linear_image(M: np.ndarray, bounds) -> np.ndarray:
-    """Exact interval image {M x : x in bounds} of (2, n) bounds (or a Box)
-    under a linear map, as (2, m) bounds."""
+    """Exact interval image {M x : x in bounds} of (2, n) bounds, float rows
+    or a Box under a linear map, as (2, m) bounds."""
     M = np.asarray(M, dtype=np.float64)
     lo, hi = np.asarray(bounds, dtype=np.float64)
     lo_terms = np.minimum(M * lo, M * hi)

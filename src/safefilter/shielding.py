@@ -9,19 +9,18 @@ not necessary, so it is deliberately conservative.
 
 The tube is kept as float rows, one ``((lower...), (upper...))`` tuple of
 Python floats per box (``intervals.float_rows``), from the state to the
-verdict: the model's ``interval_step`` receives the state box, the control
-enclosure and the disturbance set as float rows, and the double integrator's
-returns float rows (another model's array result is converted once per step).
-The (H+1, 2, n) array ``FRSTube.bounds`` is built only when it is read. User
-callables keep their contract: a fallback's policy gets a state array, and a
-callable ``control_box`` gets (2, n) state bounds as an array. A
-``control_box`` may instead be a fixed (2, m) enclosure that holds over every
-state box, as the optimal safety fallback's full control set does; a tube
-clips it to the control set once, at its first nondegenerate box, and hands
-the same immutable float rows to every later step. The failure check bounds a
-halfspace margin (or a min of them) box by box on floats, bit for bit as its
-``box_lower`` would, and stops at the first box that fails; any other margin
-bounds the stacked tube in one ``box_lower`` call. The terminal set's
+verdict: the model's ``interval_step`` takes the state box, the control
+enclosure and the disturbance set as float rows and returns the next box as
+float rows, and a callable ``control_box`` takes the state box as float rows.
+The (H+1, 2, n) array ``FRSTube.bounds`` is built only when it is read. A
+fallback's policy gets a state array. A ``control_box`` may instead be a fixed
+(2, m) enclosure that holds over every state box, as the optimal safety
+fallback's full control set does; a tube clips it to the control set once, at
+its first nondegenerate box, and hands the same immutable float rows to every
+later step. The failure check bounds a halfspace margin (or a min of them)
+box by box on floats, bit for bit as its ``box_lower`` would, and stops at the
+first box that fails; any other margin bounds the stacked tube in one
+``box_lower`` call. The terminal set's
 ``box_containment`` gets the final box as float rows. The value-grid terminal
 set decides a box from node values where they settle it and otherwise
 interpolates only the face points whose cell has a corner node that is not
@@ -70,14 +69,12 @@ class FRSTube:
 
 @dataclass(frozen=True)
 class TerminalSafeSet:
-    """Terminal region; ``box_containment`` takes the bounds of one box and
-    must be conservative (true only if the whole box lies inside the set).
-    The MPS monitor passes the tube's final box as float rows
-    ``((lower...), (upper...))``, which ``np.asarray`` turns into (2, n)
-    bounds; the built-in sets also take arrays and ``Box``es."""
+    """Terminal region; ``box_containment`` takes the float rows
+    ``((lower...), (upper...))`` of one box and must be conservative (true
+    only if the whole box lies inside the set)."""
 
     membership: Callable[[np.ndarray], bool]
-    box_containment: Callable[[np.ndarray], bool]
+    box_containment: Callable[[tuple], bool]
     name: str = ""
 
 
@@ -87,18 +84,17 @@ class FallbackPolicy:
     over a state box.
 
     ``control_box`` is an exact control-range enclosure: either a callable
-    mapping state bounds (2, n) to control bounds (2, m), or fixed (2, m)
-    control bounds that hold over every state box, which a tube clips to the
-    control set once instead of once per step. Without one, ``lipschitz`` is a
-    Lipschitz bound (infinity norm) for center-plus-inflation evaluation. A
-    fixed enclosure is stored as a read-only float64 copy and, like a callable
-    one, takes no part in equality and hashing. The tube works on float rows
-    (see the module docstring), but ``policy`` still receives a state array
-    and a callable ``control_box`` (2, n) bounds as an array.
+    mapping the float rows of a state box to control bounds (2, m) (float
+    rows, an array or a ``Box``), or fixed (2, m) control bounds that hold
+    over every state box, which a tube clips to the control set once instead
+    of once per step. Without one, ``lipschitz`` is a Lipschitz bound
+    (infinity norm) for center-plus-inflation evaluation. A fixed enclosure is
+    stored as a read-only float64 copy and, like a callable one, takes no part
+    in equality and hashing. ``policy`` receives a state array.
     """
 
     policy: Callable[[np.ndarray], np.ndarray]
-    control_box: Union[Callable[[np.ndarray], np.ndarray], np.ndarray, None] = field(
+    control_box: Union[Callable[[tuple], object], np.ndarray, None] = field(
         default=None, compare=False
     )
     lipschitz: Optional[float] = None
@@ -163,28 +159,28 @@ def _control_enclosure(fb: FallbackPolicy, X, U) -> tuple:
     both float rows: the policy's value at a point box, else the callable or
     Lipschitz enclosure clipped to U (``propagate_frs`` clips a fixed
     enclosure itself, once per tube)."""
-    if _is_point(X):
-        center = np.array([0.5 * (l + h) for l, h in zip(*X)])
-        u = tuple(np.atleast_1d(np.asarray(fb.policy(center), dtype=np.float64)).tolist())
-        return u, u
-    cb = fb.control_box
-    if callable(cb):
-        enc = np.asarray(cb(np.array(X)), dtype=np.float64)
-    elif fb.lipschitz is not None:
-        lo, hi = np.array(X)
-        u = np.atleast_1d(np.asarray(fb.policy(0.5 * (lo + hi)), dtype=np.float64))
-        inflation = fb.lipschitz * float((0.5 * (hi - lo)).max())
-        enc = np.array([u - inflation, u + inflation])
-    else:
+    point, cb = _is_point(X), fb.control_box
+    if not point and callable(cb):
+        enc = np.asarray(cb(X), dtype=np.float64)
+        if enc.ndim != 2 or enc.shape[0] != 2:
+            raise ValueError(
+                f"control enclosure has shape {enc.shape}, the control set (2, {len(U[0])})"
+            )
+        return _clip(float_rows(enc), U)
+    if not point and fb.lipschitz is None:
         raise ValueError(
             "state-feedback fallback over a nondegenerate box needs a "
             "control_box enclosure or a lipschitz bound"
         )
-    if enc.ndim != 2 or enc.shape[0] != 2:
-        raise ValueError(
-            f"control enclosure has shape {enc.shape}, the control set (2, {len(U[0])})"
-        )
-    return _clip(float_rows(enc), U)
+    lo, hi = X
+    center = np.array([0.5 * (l + h) for l, h in zip(lo, hi)])
+    u = tuple(np.atleast_1d(np.asarray(fb.policy(center), dtype=np.float64)).tolist())
+    if point:
+        return u, u
+    radii = [0.5 * (h - l) for l, h in zip(lo, hi)]
+    # a NaN radius makes the inflation NaN, as numpy's max would
+    inflation = fb.lipschitz * (max(radii) if all(r == r for r in radii) else math.nan)
+    return _clip((tuple(v - inflation for v in u), tuple(v + inflation for v in u)), U)
 
 
 def propagate_frs(
@@ -206,7 +202,7 @@ def propagate_frs(
     U, D = float_rows(model.control_set), float_rows(model.disturbance_set)
     X = (x, x)
     rows = [X]
-    X = float_rows(model.interval_step(X, (u0, u0), D))
+    X = model.interval_step(X, (u0, u0), D)
     rows.append(X)
     fixed = fb._fixed_rows
     clipped = None  # the fixed enclosure within U, once a box has needed it
@@ -217,7 +213,7 @@ def propagate_frs(
             if clipped is None:
                 clipped = _clip(fixed, U)
             enc = clipped
-        X = float_rows(model.interval_step(X, enc, D))
+        X = model.interval_step(X, enc, D)
         rows.append(X)
     return FRSTube(tuple(rows))
 
@@ -303,8 +299,8 @@ def braking_fallback(model: SystemModel, v_tol: float) -> FallbackPolicy:
         v = float(np.asarray(x, dtype=np.float64)[1])
         return np.array([_braking_control(v, u_max, dt, v_tol)])
 
-    def control_box(X: np.ndarray) -> np.ndarray:
-        vlo, vhi = float(X[0, 1]), float(X[1, 1])
+    def control_box(X) -> tuple:
+        (_, vlo), (_, vhi) = X
         pieces = []
         if vhi > v_tol:
             pieces.append((-u_max, -u_max))
@@ -318,9 +314,7 @@ def braking_fallback(model: SystemModel, v_tol: float) -> FallbackPolicy:
                     min(u_max, max(-u_max, -blo / dt)),
                 )
             )
-        lo_u = min(p[0] for p in pieces)
-        hi_u = max(p[1] for p in pieces)
-        return np.array([[lo_u], [hi_u]])
+        return (min(p[0] for p in pieces),), (max(p[1] for p in pieces),)
 
     return FallbackPolicy(policy, control_box=control_box, name="braking")
 

@@ -51,6 +51,7 @@ from safefilter import (
     zero_disturbance,
 )
 from safefilter.cli import EXIT_OK, main as cli_main
+from safefilter.intervals import float_rows
 
 DT = 0.1
 
@@ -342,7 +343,8 @@ def test_criterion_6_containment_and_corruption_oracle(robust_bench, tube_bench,
             h = rng.uniform(0, 0.4, model.state_dim)
             Xb = Box(c - h, c + h)
             u = model.control_set.sample(rng)
-            out = model.interval_step(Xb, np.stack([u, u]), model.disturbance_set)
+            U = (tuple(u.tolist()),) * 2
+            out = model.interval_step(float_rows(Xb), U, float_rows(model.disturbance_set))
             if not Box(out[0], out[1]).contains(
                 model.step(Xb.sample(rng), u, model.disturbance_set.sample(rng))
             ):
