@@ -399,6 +399,12 @@ def build_filter(
                     f"{path}.kind 'cbf_qp' needs model.kind double_integrator (its built-in "
                     f"barrier is the double integrator's stopping distance), got {model.name!r}"
                 )
+            if model.disturbance_set.dim:
+                raise ConfigError(
+                    f"{path}.kind 'cbf_qp' needs a disturbance-free model (its barrier "
+                    f"condition ignores the disturbance), got model.d_max "
+                    f"{float(model.disturbance_set.upper[0])!r}"
+                )
             u_max = float(model.control_set.upper[0])
             kappa = _number(cfg, "kappa", path, 0.5 / model.dt)
             wall = _number(cfg, "wall", path, 0.0)

@@ -23,7 +23,11 @@ unconstrained start.
 
 Verified return: before it returns, the solver checks every non-constant row
 of the final point, active rows included, against _TOL * max(1, |row|), and
-raises ``InfeasibleQP`` rather than return a point that misses one.
+raises ``InfeasibleQP`` rather than return a point that misses one. The check
+reuses the slack of the last iteration and passes at once when every row,
+constant ones included, holds; otherwise it looks at the non-constant rows
+alone and names the first that misses. A program without constant rows skips
+their feasibility test and their masking in every iteration.
 """
 from __future__ import annotations
 
@@ -52,8 +56,10 @@ class _Program:
 
     def __init__(self, A: np.ndarray):
         row_norms = np.linalg.norm(A, axis=1) if A.shape[0] else np.zeros(0)
-        self.constant_rows = row_norms <= _TOL
-        self.varying_rows = np.flatnonzero(~self.constant_rows)
+        constant = row_norms <= _TOL
+        # the mask of the constant rows, or None when there are none
+        self.constant_rows = constant if constant.any() else None
+        self.varying_rows = np.flatnonzero(~constant)
         # the slack a row must reach: -_TOL * max(1, |row|)
         self.row_floor = -_TOL * np.maximum(1.0, row_norms)
         self.steps: dict = {}
@@ -113,7 +119,7 @@ def solve_qp(G, a, A, b) -> np.ndarray:
 
     prog = _program(G, A)
     constant_rows, row_floor, steps = prog.constant_rows, prog.row_floor, prog.steps
-    if np.any(b[constant_rows] > _TOL):
+    if constant_rows is not None and np.any(b[constant_rows] > _TOL):
         raise InfeasibleQP("constant constraint row 0 >= b with b > 0")
 
     x = np.linalg.solve(G, -a)
@@ -123,13 +129,17 @@ def solve_qp(G, a, A, b) -> np.ndarray:
     multipliers: list[float] = []
 
     for _ in range(20 * (p + n) + 50):
-        slack = A @ x - b
-        slack[constant_rows] = math.inf
-        if active:
-            slack[np.asarray(active)] = math.inf
-        worst = int(np.argmin(slack))
+        residual = A @ x - b
+        slack = residual
+        if constant_rows is not None or active:
+            slack = residual.copy()
+            if constant_rows is not None:
+                slack[constant_rows] = math.inf
+            for i in active:
+                slack[i] = math.inf
+        worst = int(slack.argmin())
         if slack[worst] >= row_floor[worst]:
-            _verify(A @ x - b, prog)
+            _verify(residual, prog)
             return x
         b_p = b[worst]
         u_p = 0.0
@@ -180,6 +190,8 @@ def solve_qp(G, a, A, b) -> np.ndarray:
 def _verify(slack: np.ndarray, prog: _Program) -> None:
     """Raise InfeasibleQP when a non-constant row's slack (NaN included)
     falls below its floor."""
+    if (slack >= prog.row_floor).all():
+        return
     rows = prog.varying_rows
     missed = rows[~(slack[rows] >= prog.row_floor[rows])]
     if missed.size:

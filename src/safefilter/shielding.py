@@ -137,6 +137,15 @@ def _is_point(X) -> bool:
     return True
 
 
+def _is_float_rows(enc) -> bool:
+    """Whether ``enc`` is float rows: a pair of tuples of one length (its
+    entries are taken to be floats, as ``float_rows`` takes them)."""
+    return (
+        type(enc) is tuple and len(enc) == 2 and type(enc[0]) is tuple
+        and type(enc[1]) is tuple and len(enc[0]) == len(enc[1])
+    )
+
+
 def _clip(enc, U) -> tuple:
     """Float rows of the control enclosure ``enc`` within the control set's
     float rows ``U``, as ``np.maximum`` and ``np.minimum`` clip bound arrays:
@@ -161,12 +170,15 @@ def _control_enclosure(fb: FallbackPolicy, X, U) -> tuple:
     enclosure itself, once per tube)."""
     point, cb = _is_point(X), fb.control_box
     if not point and callable(cb):
-        enc = np.asarray(cb(X), dtype=np.float64)
-        if enc.ndim != 2 or enc.shape[0] != 2:
-            raise ValueError(
-                f"control enclosure has shape {enc.shape}, the control set (2, {len(U[0])})"
-            )
-        return _clip(float_rows(enc), U)
+        enc = cb(X)
+        if not _is_float_rows(enc):
+            enc = np.asarray(enc, dtype=np.float64)
+            if enc.ndim != 2 or enc.shape[0] != 2:
+                raise ValueError(
+                    f"control enclosure has shape {enc.shape}, the control set (2, {len(U[0])})"
+                )
+            enc = float_rows(enc)
+        return _clip(enc, U)
     if not point and fb.lipschitz is None:
         raise ValueError(
             "state-feedback fallback over a nondegenerate box needs a "

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import all_finite
 from .filters import DeploymentRejected, Monitor, SafetyFilter
 from .intervals import Box, linear_image, support
 from .qp import InfeasibleQP, solve_qp
@@ -74,11 +75,25 @@ class TightenedProblem:
     terminal_bounds: np.ndarray  # (2, n) tightened terminal region for stage H
 
 
-@dataclass
 class _Plan:
-    controls: np.ndarray  # (H, m)
-    nominals: np.ndarray  # (H+1, n)
-    age: int = 0          # stages already consumed by the fallback
+    """A nominal plan: its controls (H, m) and its nominal states (H+1, n),
+    ``powers @ x + conv @ w``, built on first read from the plan's own copy
+    of the state x and its own stacked controls w."""
+
+    __slots__ = ("controls", "age", "_x", "_w", "_maps", "_nominals")
+
+    def __init__(self, x: np.ndarray, w: np.ndarray, horizon: int, maps: tuple):
+        self.controls = w.reshape(horizon, -1)
+        self.age = 0  # stages already consumed by the fallback
+        self._x, self._w, self._maps = x.copy(), w, maps
+        self._nominals = None
+
+    @property
+    def nominals(self) -> np.ndarray:
+        if self._nominals is None:
+            powers, conv = self._maps
+            self._nominals = powers @ self._x + conv @ self._w
+        return self._nominals
 
 
 class TubeMPCFilter(SafetyFilter):
@@ -152,7 +167,9 @@ class TubeMPCFilter(SafetyFilter):
         for tau in range(1, H + 1):
             for j in range(tau):
                 self._conv[tau, :, j * m : (j + 1) * m] = self._powers[tau - 1 - j] @ B
+        self._maps = (self._powers, self._conv)
         self._build_constraints()
+        self._stage0_floor = self.offsets - 1e-12
         # the two QP programs: the pinned solve (G = I) and the replan, which
         # scores stage 0 and regularizes later stages
         self._pinned_G = np.eye((H - 1) * m)
@@ -188,22 +205,32 @@ class TubeMPCFilter(SafetyFilter):
             [t.control_bounds[:, 0], -t.control_bounds[:, 1]], axis=-1
         ).ravel()
         self._stage_constants = t.stage_offsets[:, 1:H].T.ravel()
+        # off(x) is filled in place: the control part is constant, the stage
+        # part spans [_stage_start, _terminal_start), the terminal part
+        # alternates lower and upper bounds
+        self._stage_start = self._control_offsets.size
+        self._terminal_start = self._stage_start + self._stage_constants.size
+        self._offsets_template = np.concatenate(
+            [self._control_offsets, np.zeros(self._stage_constants.size + 2 * self.n)]
+        )
+        self._terminal_lo, self._terminal_hi = t.terminal_bounds
         # the pinned sub-problem: the rows left once the first control is fixed
         sub_rows = self._rows[:, m:]
         self._keep = np.linalg.norm(sub_rows, axis=1) > 1e-12
+        self._pinned_constant = ~self._keep  # rows the pinned control alone decides
         self._pinned_rows = sub_rows[self._keep]
 
     def _constraint_offsets(self, x: np.ndarray) -> np.ndarray:
         px = self._powers @ x
-        H, lo, hi = self.horizon, *self.tightened.terminal_bounds
-        return np.concatenate([
-            self._control_offsets,
-            self._stage_constants - (px[1:H] @ self.normals.T).ravel(),
-            np.stack([lo - px[H], px[H] - hi], axis=-1).ravel(),
-        ])
+        H, s, t = self.horizon, self._stage_start, self._terminal_start
+        off = self._offsets_template.copy()
+        np.subtract(self._stage_constants, (px[1:H] @ self.normals.T).ravel(), out=off[s:t])
+        np.subtract(self._terminal_lo, px[H], out=off[t::2])
+        np.subtract(px[H], self._terminal_hi, out=off[t + 1 :: 2])
+        return off
 
     def _stage0_ok(self, x: np.ndarray) -> bool:
-        return bool(np.all(self.normals @ x >= self.offsets - 1e-12))
+        return bool((self.normals @ x >= self._stage0_floor).all())
 
     def _state_offsets(self, x: np.ndarray):
         """The plan offsets off(x), or None when x itself breaks a failure
@@ -226,7 +253,7 @@ class TubeMPCFilter(SafetyFilter):
         rows = self._rows
         if pin_first:
             sub_off = off - rows[:, :m] @ u_ref
-            if np.any(sub_off[~self._keep] > 1e-9):
+            if (sub_off[self._pinned_constant] > 1e-9).any():
                 return None
             if H == 1:
                 w_rest = np.zeros(0)
@@ -245,8 +272,7 @@ class TubeMPCFilter(SafetyFilter):
                 w = solve_qp(self._replan_G, a, rows, off)
             except InfeasibleQP:
                 return None
-        nominals = self._powers @ x + self._conv @ w
-        return _Plan(controls=w.reshape(H, m), nominals=nominals)
+        return _Plan(x, w, H, self._maps)
 
     # --- filter surface -------------------------------------------------------
 
@@ -304,7 +330,7 @@ class TubeMPCFilter(SafetyFilter):
             self._plan = plan
             self._log_plan(plan)
             return u_task
-        u_ref = u_task if np.isfinite(u_task).all() else np.zeros(self.m)
+        u_ref = u_task if all_finite(u_task) else np.zeros(self.m)
         plan = self._solve_plan(x, u_ref, pin_first=False)
         if plan is not None:
             plan.age = 1

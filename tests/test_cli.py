@@ -511,6 +511,33 @@ def test_cbf_qp_on_other_model_is_config_error(tmp_path, capsys, model, state_di
     assert "filter.kind" in summary["message"] and model["kind"] in summary["message"]
 
 
+@pytest.mark.parametrize("command", ["run", "verify", "compare"])
+def test_cbf_qp_with_disturbance_is_config_error(tmp_path, capsys, command):
+    """The barrier condition ignores the disturbance: with d_max 0.1 and a
+    constant push of -0.1 from x0 = (3.0324, -2.3975), ``run`` used to exit 4
+    with 440 violations while ``verify`` printed ok. Every entry exits 2 now,
+    a ``compare`` entry naming itself."""
+    import yaml
+
+    cfg = yaml.safe_load((CONFIG_DIR / "cbf_wall.yaml").read_text())
+    cfg["model"]["d_max"] = 0.1
+    cfg["harness"]["disturbance"] = {"kind": "constant", "value": [-0.1]}
+    cfg["harness"]["x0"] = [3.0324, -2.3975]
+    if command == "compare":  # the entry, not the run's own filter, fails
+        cfg["compare"] = {"filters": [{"name": "raw", "filter": {"kind": "none"}},
+                                      {"name": "cbf", "filter": cfg["filter"]}]}
+        cfg["filter"] = {"kind": "none"}
+    path = tmp_path / "cbf_disturbed.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    code, summary = run_cli(capsys, command, "--config", str(path), "--out", str(tmp_path / "o"))
+    assert code == EXIT_CONFIG
+    assert summary["error"] == "config"
+    where = "compare.filters[1].filter.kind" if command == "compare" else "filter.kind"
+    assert f"{where} 'cbf_qp' needs a disturbance-free model" in summary["message"]
+    assert "d_max 0.1" in summary["message"]
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "entry_filter, where",
     [

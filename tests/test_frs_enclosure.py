@@ -33,6 +33,7 @@ from safefilter import (
     solve,
     value_grid_terminal_set,
 )
+import safefilter.shielding as shielding
 from safefilter.intervals import float_rows
 from safefilter.shielding import _is_point
 
@@ -139,6 +140,54 @@ def test_enclosure_missing_control_set_raises_only_for_a_nondegenerate_box():
 def test_enclosure_of_another_control_dimension_raises():
     fb = FallbackPolicy(lambda x: np.array([0.0]), control_box=[[-1.0, -1.0], [1.0, 1.0]])
     with pytest.raises(ValueError, match="shape"):
+        propagate_frs(make_double_integrator(1.0, 0.1, DT), fb, [1.0, 0.0], [0.0], 3)
+
+
+_FORMS = {
+    "float_rows": lambda rows: rows,
+    "array": np.array,
+    "box": lambda rows: Box(*rows),
+    "lists": lambda rows: [list(rows[0]), list(rows[1])],
+}
+
+
+@pytest.mark.parametrize("form", _FORMS)
+def test_callable_enclosure_forms_give_the_same_tube(monkeypatch, form):
+    """A callable ``control_box`` may return float rows, an array, a ``Box``
+    or nested lists; all give the braking fallback's tube byte for byte.
+    Float rows are taken as they are, with no conversion."""
+    model = make_double_integrator(1.0, 0.1, DT)
+    brake = braking_fallback(model, DT)
+    convert = _FORMS[form]
+    other = FallbackPolicy(brake.policy, control_box=lambda X: convert(brake.control_box(X)))
+    if form == "float_rows":
+        def no_conversion(*args, **kwargs):
+            raise AssertionError("float rows were converted")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(shielding, "float_rows", no_conversion)
+            patch.setattr(np, "asarray", no_conversion)
+            X = ((1.0, 0.4), (1.1, 0.6))
+            enc = shielding._control_enclosure(other, X, ((-1.0,), (1.0,)))
+        assert enc == brake.control_box(X)
+    rng = np.random.default_rng(21)
+    xs, us = _states_and_candidates(model, rng, 60)
+    for i, (x, u) in enumerate(zip(xs, us)):
+        horizon = i % 10 + 1
+        tube = propagate_frs(model, other, x, u, horizon).bounds
+        expected = propagate_frs(model, brake, x, u, horizon).bounds
+        assert tube.tobytes() == expected.tobytes(), (x, u, horizon)
+
+
+@pytest.mark.parametrize(
+    "enclosure",
+    [((-1.0, -1.0), (1.0, 1.0)), ((-1.0,), (1.0, 1.0)), ((-1.0,),),
+     np.array([[-1.0, -1.0], [1.0, 1.0]])],
+    ids=["two_controls", "ragged", "one_row", "array_two_controls"],
+)
+def test_callable_enclosure_of_the_wrong_length_raises(enclosure):
+    fb = FallbackPolicy(lambda x: np.array([0.0]), control_box=lambda X: enclosure)
+    with pytest.raises(ValueError):
         propagate_frs(make_double_integrator(1.0, 0.1, DT), fb, [1.0, 0.0], [0.0], 3)
 
 

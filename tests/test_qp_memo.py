@@ -117,6 +117,11 @@ def _structure(kind, n, p, rng, rounded):
     A = rng.normal(size=(p, n))
     if rounded:
         A = np.round(A)
+    if kind == "constant_rows" and p:
+        # a zero row and a row of norm below the solver's 1e-10: both constant
+        A[rng.integers(p)] = 0.0
+        i = rng.integers(p)
+        A[i] *= 1e-11 / max(np.linalg.norm(A[i]), 1e-11)
     return G, A
 
 
@@ -134,7 +139,7 @@ TUBE_STRUCTURES = _tube_structures()
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(
-    kind=st.sampled_from(["identity", "tube_style", "random_spd", "tube_rows"]),
+    kind=st.sampled_from(["identity", "tube_style", "random_spd", "tube_rows", "constant_rows"]),
     n=st.integers(1, 6),
     p=st.integers(0, 15),
     rounded=st.booleans(),
@@ -147,6 +152,11 @@ def test_memoized_solver_matches_the_seed_solver(kind, n, p, rounded, seed):
     else:
         G, A = _structure(kind, n, p, rng, rounded)
     n, p = G.shape[0], A.shape[0]
+    # programs without constant rows and programs with them
+    if kind == "tube_rows":
+        assert qp._program(G, A).constant_rows is None
+    elif kind == "constant_rows" and p:
+        assert qp._program(G, A).constant_rows is not None
     for _ in range(12):  # repeated (G, A): later solves run on memo entries
         a = rng.normal(size=n) * 2.0
         x0 = rng.normal(size=n)
@@ -175,6 +185,28 @@ def test_random_program_family_raises_only_infeasible():
     assert kinds["verified"] > 3000 and kinds["unverified"] > 1000, kinds
     assert kinds["linalg"] > 50, kinds
     assert kinds["diverged"] < 0.01 * (kinds["verified"] + kinds["infeasible"]), kinds
+
+
+@pytest.mark.parametrize(
+    "A, b, row",
+    [
+        ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [np.nan, 0.5, 0.2], 0),
+        ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [-1.0, np.nan, 0.5], 1),
+        ([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]], [0.5, -1.0, np.nan], 2),
+    ],
+    ids=["no_constant_rows", "constant_row_first", "constant_row_between"],
+)
+def test_nan_bound_raises_naming_its_row(A, b, row):
+    """A NaN in b fails its row with the unmemoized solver's message, on a
+    program without constant rows and on programs with one."""
+    A = np.array(A)
+    assert (qp._program(np.eye(2), A).constant_rows is None) == (row == 0)
+    message = f"constraint {row} cannot be satisfied"
+    with pytest.raises(InfeasibleQP, match=message):
+        seed_solve_qp(np.eye(2), np.zeros(2), A, b)
+    for _ in range(2):  # cold, then on the memo
+        with pytest.raises(InfeasibleQP, match=message):
+            solve_qp(np.eye(2), np.zeros(2), A, b)
 
 
 def test_small_row_enters_by_the_g_inverse_metric():

@@ -55,3 +55,22 @@ def test_traced_mps_decision_counts_tube_work():
     frs_calls = metrics["shielding.propagate_frs_calls"][0]
     step_calls = metrics["intervals.interval_step_calls"][0]
     assert frs_calls > 0 and step_calls == 10 * frs_calls  # horizon 10
+
+
+def test_traced_tube_decision_counts_its_qp():
+    """A rejected tube candidate is replanned by a QP that the tracer sees
+    through the rebound ``tube_mpc.solve_qp``: one QP in the decision."""
+    import safefilter.harness as harness
+
+    grid = scenarios.solve_grid(safefilter)
+    tracer = tracing.Tracer()
+    inst = tracing.Instrument(safefilter, tracer)
+    with inst.active():
+        spec = scenarios.build(safefilter, grid, inst).adversarial["tube"]
+        spec.flt.reset(spec.x0)
+        with tracer.context("adv", "tube", "ep0"):
+            decision = harness.decide(spec.flt, [1.95], [1.0])
+    assert decision.overridden and not decision.degraded  # rejected, then replanned
+    metrics = tracing.layer_metrics(tracer, scenarios.FAMILIES)
+    assert metrics["qp.solve_qp_calls"][0] >= 1
+    assert metrics["tube_mpc.qp_per_decision"][0] == 1.0

@@ -132,3 +132,51 @@ def test_fallback_plans_match_the_box_filter(name):
         for pin in (True, False):
             u = rng.uniform(-1.2, 1.2, size=flt.m)
             _check_plan(flt._solve_plan(x, u, pin), seed._solve_plan(x, u, pin))
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_plan_nominals_keep_their_state_when_the_caller_reuses_it(name, tmp_path):
+    """A caller that writes each next state into its state array in place,
+    after ``decide``: the plan's nominals, built when first read, come from
+    the state of the plan's own decision. The shifted-plan fallback control
+    read after the write and the ``plan_log_dir`` CSVs equal those of the box
+    filter, whose plans read their nominals at once."""
+    s = SYSTEMS[name]
+    lazy, seed = _pair(name)
+    logged = tube_mpc_filter(*_args(s))
+    logged.plan_log_dir, seed.plan_log_dir = str(tmp_path / "new"), str(tmp_path / "seed")
+    (tmp_path / "new").mkdir()
+    (tmp_path / "seed").mkdir()
+    A, B = np.asarray(s["A"], dtype=float), np.asarray(s["B"], dtype=float)
+    rng = np.random.default_rng(5)
+    degraded = shifted = 0
+    for _ in range(6):
+        state = rng.uniform(-1.0, 1.0, size=lazy.n)  # the caller's one state array
+        for flt in (lazy, logged, seed):
+            flt.reset()
+        for _ in range(40):
+            u = rng.uniform(-1.3, 1.3, size=lazy.m)
+            x = state.copy()
+            try:
+                ref = decide(seed, x, u)
+            except Exception as e:  # all three filters must fail the same way
+                for flt in (lazy, logged):
+                    with pytest.raises(type(e)):
+                        decide(flt, state, u)
+                break
+            for flt in (lazy, logged):
+                rec = decide(flt, state, u)
+                assert _same(rec.applied, ref.applied)
+                degraded += rec.degraded
+            state[:] = A @ x + B @ ref.applied + s["D"].sample(rng)
+            if rng.uniform() < 0.1:  # a kick beyond the disturbance box
+                state += rng.uniform(-1.5, 1.5, size=lazy.n)
+            if seed._plan is not None:
+                shifted += 1
+                expected = seed.fallback(state.copy())
+                assert _same(lazy.fallback(state), expected)
+                assert _same(logged.fallback(state), expected)
+    assert degraded and shifted
+    new, ref = sorted((tmp_path / "new").iterdir()), sorted((tmp_path / "seed").iterdir())
+    assert [p.name for p in new] == [p.name for p in ref] and len(new) > 10
+    assert all(p.read_bytes() == q.read_bytes() for p, q in zip(new, ref))
