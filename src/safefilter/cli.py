@@ -214,7 +214,7 @@ def cmd_compare(args) -> int:
 
 _VERIFY_KEYS = {
     "horizon", "initial_lower", "initial_upper", "initial_counts",
-    "samples", "budget", "corruption_offset",
+    "samples", "budget",
 }
 
 

@@ -303,31 +303,22 @@ def _grid_lattices(model: SystemModel, settings: GridSettings) -> tuple[np.ndarr
     )
 
 
-def solve_or_load_grid(
-    model: SystemModel,
-    margin: MarginFunction,
-    settings: GridSettings,
-    value_grid_path: Optional[str] = None,
-):
-    if value_grid_path is not None:
-        try:
-            return load_value_grid(value_grid_path), None
-        except (OSError, ValueError) as e:
-            raise ConfigError(f"cannot load value grid {value_grid_path}: {e}") from e
-    grid, report = solve(
-        model, margin, (settings.domain, settings.shape),
-        settings.u_counts, settings.d_counts, settings.tolerance, settings.max_iters,
-    )
-    return grid, report
-
-
 def _shared_grid(grids: Optional[dict], path, model, margin, settings) -> ValueGrid:
     """The grid of ``path`` (None: the solved grid) in ``grids``, solved or
     loaded and added to it on first use."""
     if grids is None:
         grids = {}
     if path not in grids:
-        grids[path], _ = solve_or_load_grid(model, margin, settings, path)
+        if path is None:
+            grids[path], _ = solve(
+                model, margin, (settings.domain, settings.shape),
+                settings.u_counts, settings.d_counts, settings.tolerance, settings.max_iters,
+            )
+        else:
+            try:
+                grids[path] = load_value_grid(path)
+            except (OSError, ValueError) as e:
+                raise ConfigError(f"cannot load value grid {path}: {e}") from e
     return grids[path]
 
 
@@ -341,6 +332,9 @@ _FILTER_KEYS = {
     "tube_mpc": {"kind", "gain", "terminal_lower", "terminal_upper", "horizon"},
     "exploration": {"kind", "sensor_radius", "horizon", "world", "cell_size"},
 }
+
+# an MPS fallback kind and the one terminal kind certified invariant under it
+_MPS_TERMINALS = {"optimal": "value_grid", "braking": "braking"}
 
 
 @dataclass
@@ -415,36 +409,42 @@ def build_filter(
             fb_cfg = _require(cfg, "fallback", path)
             term_cfg = _require(cfg, "terminal", path)
             fb_kind = _require(fb_cfg, "kind", f"{path}.fallback")
-            if fb_kind == "braking":
-                _check_keys(fb_cfg, {"kind", "v_tol"}, f"{path}.fallback")
-                fallback = braking_fallback(model, _number(fb_cfg, "v_tol", f"{path}.fallback"))
-            elif fb_kind == "optimal":
-                _check_keys(fb_cfg, {"kind"}, f"{path}.fallback")
-                grid = _grid()
-                fallback = optimal_fallback(model, grid, *_grid_lattices(model, grid_settings))
-            else:
+            if not isinstance(fb_kind, str) or fb_kind not in _MPS_TERMINALS:
                 raise ConfigError(f"unknown {path}.fallback.kind {fb_kind!r}")
             term_kind = _require(term_cfg, "kind", f"{path}.terminal")
-            if term_kind == "braking":
+            if term_kind != _MPS_TERMINALS[fb_kind]:
+                raise ConfigError(
+                    f"{path}.terminal.kind must be {_MPS_TERMINALS[fb_kind]!r}, the terminal "
+                    f"set certified invariant under {path}.fallback.kind {fb_kind!r}; "
+                    f"got {term_kind!r}"
+                )
+            if fb_kind == "braking":
+                _check_keys(fb_cfg, {"kind", "v_tol"}, f"{path}.fallback")
                 _check_keys(
                     term_cfg, {"kind", "v_tol", "safe_lower", "safe_upper"}, f"{path}.terminal"
                 )
+                v_tol = _number(fb_cfg, "v_tol", f"{path}.fallback")
+                if _number(term_cfg, "v_tol", f"{path}.terminal") != v_tol:
+                    raise ConfigError(
+                        f"{path}.terminal.v_tol must equal {path}.fallback.v_tol {v_tol!r}: the "
+                        "braking terminal set is certified invariant under its own v_tol's brake"
+                    )
+                fallback = braking_fallback(model, v_tol)
                 terminal = braking_terminal_set(
                     model,
-                    _number(term_cfg, "v_tol", f"{path}.terminal"),
+                    v_tol,
                     Box(
                         _vector(term_cfg, "safe_lower", f"{path}.terminal"),
                         _vector(term_cfg, "safe_upper", f"{path}.terminal"),
                     ),
                 )
-            elif term_kind == "value_grid":
-                _check_keys(term_cfg, {"kind"}, f"{path}.terminal")
-                terminal = value_grid_terminal_set(_grid())
             else:
-                raise ConfigError(f"unknown {path}.terminal.kind {term_kind!r}")
-            return FilterBundle(
-                mps_filter(model, fallback, terminal, margin, horizon), grid
-            )
+                _check_keys(fb_cfg, {"kind"}, f"{path}.fallback")
+                _check_keys(term_cfg, {"kind"}, f"{path}.terminal")
+                grid = _grid()
+                fallback = optimal_fallback(model, grid, *_grid_lattices(model, grid_settings))
+                terminal = value_grid_terminal_set(grid)
+            return FilterBundle(mps_filter(model, fallback, terminal, margin, horizon), grid)
         if kind == "tube_mpc":
             if model.linear_maps is None:
                 raise ConfigError(f"{path}.kind 'tube_mpc' needs model.kind = linear")

@@ -17,8 +17,7 @@ import numpy as np
 from .dynamics import SystemModel, _constant_matrix
 from .filters import Monitor, SafetyFilter
 from .intervals import Box
-
-_REST_EPS = 1e-12
+from .shielding import _REST_EPS, _braking_control
 
 
 def make_planar_double_integrator(u_max: float, dt: float) -> SystemModel:
@@ -231,10 +230,11 @@ class ExplorationFilter(SafetyFilter):
                     self.known.add((ix, iy))
 
     def _braking(self, x) -> np.ndarray:
-        v = np.asarray(x, dtype=np.float64)[2:]
-        u = np.clip(-v / self.model.dt, -self._u_max, self._u_max)
-        u[np.abs(v) <= _REST_EPS] = 0.0
-        return u
+        """The exact-stop brake on each velocity axis: the braking law with
+        no band limit."""
+        u_max, dt = self._u_max, self.model.dt
+        v = np.asarray(x, dtype=np.float64)[2:].tolist()
+        return np.array([_braking_control(vi, u_max, dt, math.inf) for vi in v])
 
     def _segment_known(self, p0, p1) -> bool:
         return segment_cells(p0, p1, self.world.cell_size) <= self.known

@@ -8,9 +8,10 @@ oracle below checks the monitor contract exhaustively on small instances.
 """
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -147,7 +148,8 @@ def decide(flt: SafetyFilter, x, u_task) -> FilterDecision:
         candidate=u_task,
         applied=applied,
         monitor_value=monitor_value,
-        overridden=not np.array_equal(applied, u_task),
+        # fresh floats compare by value, as in np.array_equal: NaN never equals
+        overridden=applied.tolist() != u_task.tolist(),
         degraded=bool(flt.last_degraded),
     )
 
@@ -220,3 +222,15 @@ def verify_monitor_soundness(
             for i, d in enumerate(D):
                 stack.append((model.step(x, u, d), d_seq + (i,)))
     return report
+
+
+def write_series_csv(path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """A header line and one line per row, ending in ``\\r\\n``. The csv module
+    writes each cell as its ``str``, which for a float64 is the shortest
+    round-trip form. Episode logs, comparison tables, tube dumps and tube-MPC
+    plans all go through it; it sits here so that ``harness``, ``shielding``
+    and ``tube_mpc`` can all import it."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -7,7 +7,6 @@ decision is logged so runs can be audited and replayed bit-exactly.
 """
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import astuple, dataclass
 from typing import Callable, Iterable, Iterator, Optional
@@ -21,6 +20,7 @@ from .filters import (
     SafetyFilter,
     decide,
     passthrough_filter,
+    write_series_csv,
 )
 from .reachability import ValueGrid, _eval_on_nodes, _first_min, successor_states
 
@@ -201,34 +201,34 @@ def margin_descent_policy(
     return policy
 
 
-def adversarial_disturbance(
-    model: SystemModel, grid: ValueGrid, d_candidates: np.ndarray
-) -> DisturbancePolicy:
-    """Worst-case-within-lattice disturbance: picks the candidate minimizing the
-    value at the next state given the applied control, with the tie and NaN
-    rules of ``margin_descent_policy``."""
+def _worst_disturbance(model: SystemModel, score: Callable, d_candidates) -> DisturbancePolicy:
+    """Worst-case-within-lattice disturbance: picks the candidate whose next
+    state under the applied control has the lowest ``score`` (states (N, n)
+    to values (N,)), with the tie and NaN rules of ``margin_descent_policy``."""
     D = as_lattice(d_candidates)
 
     def policy(x, u, rng):
         U = np.atleast_1d(np.asarray(u, dtype=np.float64))[None]
-        return D[_first_min(grid.values_at(successor_states(model, x, U, D)))].copy()
+        return D[_first_min(score(successor_states(model, x, U, D)))].copy()
 
     return policy
+
+
+def adversarial_disturbance(
+    model: SystemModel, grid: ValueGrid, d_candidates: np.ndarray
+) -> DisturbancePolicy:
+    """Adversary on a solved grid: the candidate minimizing the next state's
+    value (``values_at`` is looked up at each call, so a patch of
+    ``ValueGrid.values_at`` applies)."""
+    return _worst_disturbance(model, lambda xs: grid.values_at(xs), d_candidates)
 
 
 def margin_descent_disturbance(
     model: SystemModel, margin: MarginFunction, d_candidates: np.ndarray
 ) -> DisturbancePolicy:
-    """Adversarial disturbance for models without a solved value function:
-    picks the candidate that minimizes the next-state failure margin, with the
-    tie and NaN rules of ``margin_descent_policy``."""
-    D = as_lattice(d_candidates)
-
-    def policy(x, u, rng):
-        U = np.atleast_1d(np.asarray(u, dtype=np.float64))[None]
-        return D[_first_min(_eval_on_nodes(margin, successor_states(model, x, U, D)))].copy()
-
-    return policy
+    """Adversary for models without a solved value function: the candidate
+    minimizing the next state's failure margin."""
+    return _worst_disturbance(model, lambda xs: _eval_on_nodes(margin, xs), d_candidates)
 
 
 def random_disturbance(model: SystemModel) -> DisturbancePolicy:
@@ -440,13 +440,3 @@ def write_decisions_csv(traj: Trajectory, path) -> None:
             for t, d in enumerate(traj.decisions)
         ),
     )
-
-
-def write_series_csv(path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
-    """A header line and one line per row, ending in ``\\r\\n``. The csv module
-    writes each cell as its ``str``, which for a float64 is the shortest
-    round-trip form."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(rows)

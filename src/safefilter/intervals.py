@@ -89,12 +89,16 @@ class Box:
 
 def float_rows(bounds) -> tuple:
     """(2, n) bounds, or a ``Box``, as float rows ``((lower...), (upper...))``;
-    float rows come back as they are."""
+    float rows come back as they are. Bounds of another shape raise
+    ``ValueError``."""
     if type(bounds) is tuple and type(bounds[0]) is tuple:
         return bounds
     if isinstance(bounds, Box):
         return bounds._float_rows
-    lo, hi = np.asarray(bounds, dtype=np.float64).tolist()
+    arr = np.asarray(bounds, dtype=np.float64)
+    if arr.ndim != 2 or len(arr) != 2:
+        raise ValueError(f"bounds must be (2, n), got shape {arr.shape}")
+    lo, hi = arr.tolist()
     return tuple(lo), tuple(hi)
 
 

@@ -28,7 +28,6 @@ interpolates only the face points whose cell has a corner node that is not
 """
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -37,9 +36,9 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .dynamics import MarginFunction, SystemModel, discretize_box, halfspace_lower
-from .filters import BudgetExceededError, Monitor, SafetyFilter
+from .filters import BudgetExceededError, Monitor, SafetyFilter, write_series_csv
 from .intervals import Box, float_rows
-from .reachability import ValueGrid, _grid_box_nonnegative, optimal_safety_policy, value_at
+from .reachability import ValueGrid, _grid_box_nonnegative, optimal_safety_policy, safe_membership
 from .reachability import grid_box_min  # noqa: F401 (bench/tracing.py rebinds it here)
 
 _REST_EPS = 1e-12  # velocities below this count as numerically at rest
@@ -137,21 +136,12 @@ def _is_point(X) -> bool:
     return True
 
 
-def _is_float_rows(enc) -> bool:
-    """Whether ``enc`` is float rows: a pair of tuples of one length (its
-    entries are taken to be floats, as ``float_rows`` takes them)."""
-    return (
-        type(enc) is tuple and len(enc) == 2 and type(enc[0]) is tuple
-        and type(enc[1]) is tuple and len(enc[0]) == len(enc[1])
-    )
-
-
 def _clip(enc, U) -> tuple:
     """Float rows of the control enclosure ``enc`` within the control set's
     float rows ``U``, as ``np.maximum`` and ``np.minimum`` clip bound arrays:
     the enclosure's NaN wins, a tie takes U's bound."""
     (elo, ehi), (ulo, uhi) = enc, U
-    if len(elo) != len(ulo):
+    if len(elo) != len(ulo) or len(ehi) != len(uhi):
         raise ValueError(
             f"control enclosure has shape (2, {len(elo)}), the control set (2, {len(ulo)})"
         )
@@ -170,15 +160,7 @@ def _control_enclosure(fb: FallbackPolicy, X, U) -> tuple:
     enclosure itself, once per tube)."""
     point, cb = _is_point(X), fb.control_box
     if not point and callable(cb):
-        enc = cb(X)
-        if not _is_float_rows(enc):
-            enc = np.asarray(enc, dtype=np.float64)
-            if enc.ndim != 2 or enc.shape[0] != 2:
-                raise ValueError(
-                    f"control enclosure has shape {enc.shape}, the control set (2, {len(U[0])})"
-                )
-            enc = float_rows(enc)
-        return _clip(enc, U)
+        return _clip(float_rows(cb(X)), U)
     if not point and fb.lipschitz is None:
         raise ValueError(
             "state-feedback fallback over a nondegenerate box needs a "
@@ -281,7 +263,8 @@ def mps_filter(
 
 def _braking_control(v: float, u_max: float, dt: float, v_tol: float) -> float:
     """The braking law: -sign(v) * u_max outside the band |v| <= v_tol, the
-    exact-stop control clamp(-v/dt) inside it, and 0 at rest."""
+    exact-stop control clamp(-v/dt) inside it, and 0 at rest. With v_tol =
+    inf it is the exact-stop law everywhere, the exploration filter's brake."""
     if abs(v) <= _REST_EPS:
         return 0.0
     if abs(v) > v_tol:
@@ -367,8 +350,6 @@ def braking_terminal_set(
     """
     if safe_box.dim != 1:
         raise ValueError("safe_box bounds the position coordinate only")
-    if v_tol < 0:
-        raise ValueError("v_tol must be nonnegative")
     fb = braking_fallback(model, v_tol)
     u_max, dt = float(model.control_set.upper[0]), model.dt
     p_lo, p_hi = float(safe_box.lower[0]), float(safe_box.upper[0])
@@ -447,7 +428,7 @@ def value_grid_terminal_set(grid: ValueGrid) -> TerminalSafeSet:
     sound lower bound of the interpolant over the box, decided from node
     values where they suffice."""
     return TerminalSafeSet(
-        membership=lambda x: value_at(grid, x) >= 0.0,
+        membership=lambda x: safe_membership(grid, x),
         box_containment=lambda X: _grid_box_nonnegative(grid, X),
         name="value_grid_safe_set",
     )
@@ -471,14 +452,8 @@ def optimal_fallback(
 def write_tube_csv(tube: FRSTube, path) -> None:
     """Dump a tube as CSV rows (tau, lower..., upper...)."""
     dim = tube.bounds.shape[-1]
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            ["tau"]
-            + [f"lower_{i}" for i in range(dim)]
-            + [f"upper_{i}" for i in range(dim)]
-        )
-        for tau, (lo, hi) in enumerate(tube.bounds):
-            writer.writerow(
-                [tau] + [repr(float(v)) for v in lo] + [repr(float(v)) for v in hi]
-            )
+    write_series_csv(
+        path,
+        ["tau", *(f"lower_{i}" for i in range(dim)), *(f"upper_{i}" for i in range(dim))],
+        ([tau, *lo, *hi] for tau, (lo, hi) in enumerate(tube.bounds.tolist())),
+    )

@@ -9,14 +9,13 @@ with the auxiliary feedback correction.
 """
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import all_finite
-from .filters import DeploymentRejected, Monitor, SafetyFilter
+from .filters import DeploymentRejected, Monitor, SafetyFilter, write_series_csv
 from .intervals import Box, linear_image, support
 from .qp import InfeasibleQP, solve_qp
 
@@ -345,22 +344,13 @@ class TubeMPCFilter(SafetyFilter):
             return
         path = os.path.join(self.plan_log_dir, f"plan_{self._plan_counter:06d}.csv")
         self._plan_counter += 1
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(
-                ["stage"]
-                + [f"u{i}" for i in range(self.m)]
-                + [f"x{i}" for i in range(self.n)]
-            )
-            for tau in range(self.horizon + 1):
-                u_row = (
-                    [repr(float(v)) for v in plan.controls[tau]]
-                    if tau < self.horizon
-                    else [""] * self.m
-                )
-                writer.writerow(
-                    [tau] + u_row + [repr(float(v)) for v in plan.nominals[tau]]
-                )
+        controls = plan.controls.tolist() + [[""] * self.m]  # no control at stage H
+        rows = zip(controls, plan.nominals.tolist())
+        write_series_csv(
+            path,
+            ["stage", *(f"u{i}" for i in range(self.m)), *(f"x{i}" for i in range(self.n))],
+            ([tau, *u, *x] for tau, (u, x) in enumerate(rows)),
+        )
 
     def reset(self, x0=None) -> None:
         self.last_degraded = False

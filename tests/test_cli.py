@@ -538,6 +538,65 @@ def test_cbf_qp_with_disturbance_is_config_error(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+_BRAKING_TERMINAL = {"kind": "braking", "v_tol": 0.1, "safe_lower": [0.5], "safe_upper": [2.5]}
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "compare"])
+@pytest.mark.parametrize(
+    "fallback, terminal, key",
+    [
+        ({"kind": "braking", "v_tol": 0.1}, {"kind": "value_grid"}, "terminal.kind"),
+        ({"kind": "optimal"}, _BRAKING_TERMINAL, "terminal.kind"),
+        ({"kind": "braking", "v_tol": 0.2}, _BRAKING_TERMINAL, "terminal.v_tol"),
+        ({"kind": "braking", "v_tol": 0.1}, dict(_BRAKING_TERMINAL, v_tol=0.2), "terminal.v_tol"),
+        ({"kind": "optimal"}, {"kind": "warp"}, "terminal.kind"),
+    ],
+    ids=["braking_value_grid", "optimal_braking", "wider_fallback_band", "wider_terminal_band",
+         "unknown_terminal"],
+)
+def test_uncertified_mps_pairing_is_config_error(tmp_path, capsys, command, fallback, terminal,
+                                                 key):
+    """MPS needs a terminal set invariant under the fallback its tube rolls
+    out. With the braking fallback (v_tol 0.1) and the value-grid terminal
+    set, ``run`` on the wall config with seeds 0-9 used to exit 4 with 10
+    violations (the braking band holds v = -0.01 against d = -0.1) while
+    ``verify`` printed ok. Every uncertified pair exits 2 now, a ``compare``
+    entry naming itself. A braking terminal set is only invariant without
+    disturbance, so those rows run the disturbance-free wall model."""
+    import yaml
+
+    cfg = yaml.safe_load((CONFIG_DIR / "double_integrator_wall.yaml").read_text())
+    if terminal["kind"] == "braking":
+        cfg["model"]["d_max"] = 0.0
+    cfg["filter"] = {"kind": "mps", "horizon": 10, "fallback": fallback, "terminal": terminal}
+    where = "filter"
+    if command == "compare":
+        cfg["compare"] = {"filters": [{"name": "raw", "filter": {"kind": "none"}},
+                                      {"name": "mps", "filter": cfg["filter"]}]}
+        cfg["filter"] = {"kind": "none"}
+        where = "compare.filters[1].filter"
+    path = tmp_path / "mps_pair.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    code, summary = run_cli(capsys, command, "--config", str(path), "--out", str(tmp_path / "o"))
+    assert code == EXIT_CONFIG
+    assert summary["error"] == "config" and f"{where}.{key}" in summary["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_verify_corruption_offset_is_config_error(tmp_path, capsys, wall_cfg):
+    """The corruption oracle always shifts the grid by +10; a key that would
+    seem to set that shift is unknown."""
+    import yaml
+
+    cfg = yaml.safe_load(Path(wall_cfg).read_text())
+    cfg["verify"]["corruption_offset"] = 5.0
+    path = tmp_path / "offset.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    code, summary = run_cli(capsys, "verify", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert code == EXIT_CONFIG
+    assert summary["error"] == "config" and "verify.corruption_offset" in summary["message"]
+
+
 @pytest.mark.parametrize(
     "entry_filter, where",
     [

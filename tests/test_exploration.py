@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from safefilter import (
 )
 from safefilter.dynamics import MarginFunction
 from safefilter.exploration import segment_cells
+from safefilter.shielding import _braking_control
 
 WORLD_TEXT = """
 1111111111
@@ -155,3 +159,21 @@ def test_validation(world, robot):
 
     with pytest.raises(ValueError):
         exploration_filter(make_double_integrator(1.0, 0.0, 0.1), 1.0, world, 10)
+
+
+def test_brake_is_the_shared_braking_law(world, robot):
+    """The exploration brake is ``_braking_control`` with no band on each
+    velocity axis, bit for bit, and the clipped exact-stop control
+    clip(-v/dt, -u_max, u_max), zeroed at rest, that it replaced."""
+    flt = exploration_filter(robot, 1.0, world, 10)
+    u_max, dt = 1.0, robot.dt
+    speeds = [0.0, 1e-12, np.nextafter(1e-12, 1.0), u_max * dt, 0.35]
+    speeds += [-v for v in speeds]
+    for vx, vy in itertools.product(speeds, repeat=2):
+        v = np.array([vx, vy])
+        got = flt._braking(np.array([1.0, 1.0, vx, vy]))
+        law = np.array([_braking_control(float(vi), u_max, dt, math.inf) for vi in v])
+        numpy_brake = np.clip(-v / dt, -u_max, u_max)
+        numpy_brake[np.abs(v) <= 1e-12] = 0.0
+        assert got.dtype == np.float64 and got.shape == (2,)
+        assert got.tobytes() == law.tobytes() == numpy_brake.tobytes(), (vx, vy)

@@ -4,6 +4,8 @@ import pytest
 from safefilter import (
     Box,
     BudgetExceededError,
+    Monitor,
+    SafetyFilter,
     decide,
     discretize_box,
     least_restrictive_filter,
@@ -164,3 +166,36 @@ def test_soundness_budget_error(wall_setup):
             model, flt, [np.array([2.0, 0.0])], 40,
             discretize_box(model.disturbance_set, [2]), g, budget=1000,
         )
+
+
+class _FixedOutput(SafetyFilter):
+    """Intervenes with a fixed control, or with the candidate itself."""
+
+    def __init__(self, output=None):
+        super().__init__(Monitor(lambda x, u: 1.0), lambda x: np.zeros(1))
+        self.output = output
+
+    def intervene(self, eta, u, monitor_value):
+        return u if self.output is None else self.output
+
+
+@pytest.mark.parametrize(
+    "candidate, output, overridden",
+    [
+        ([np.nan], None, True),  # the candidate itself: NaN never equals NaN
+        ([np.nan], [np.nan], True),
+        ([1.0, np.nan], None, True),
+        ([-0.0], [0.0], False),
+        ([0.0], [-0.0], False),
+        ([0.5], [0.5, 0.5], True),
+        ([0.5, 0.5], [0.5], True),
+        ([0.5, -0.25], [0.5, -0.25], False),
+        ([0.5, -0.25], [0.5, -0.125], True),
+    ],
+)
+def test_decide_override_flag(candidate, output, overridden):
+    """``overridden`` is False only when the applied control equals the
+    candidate elementwise, as ``np.array_equal`` decides it."""
+    decision = decide(_FixedOutput(output), np.array([1.0, 0.0]), candidate)
+    assert decision.overridden is overridden
+    assert overridden is not np.array_equal(decision.applied, decision.candidate)

@@ -155,7 +155,7 @@ _FORMS = {
 def test_callable_enclosure_forms_give_the_same_tube(monkeypatch, form):
     """A callable ``control_box`` may return float rows, an array, a ``Box``
     or nested lists; all give the braking fallback's tube byte for byte.
-    Float rows are taken as they are, with no conversion."""
+    Float rows pass through ``float_rows`` as they are, with no numpy call."""
     model = make_double_integrator(1.0, 0.1, DT)
     brake = braking_fallback(model, DT)
     convert = _FORMS[form]
@@ -165,7 +165,6 @@ def test_callable_enclosure_forms_give_the_same_tube(monkeypatch, form):
             raise AssertionError("float rows were converted")
 
         with monkeypatch.context() as patch:
-            patch.setattr(shielding, "float_rows", no_conversion)
             patch.setattr(np, "asarray", no_conversion)
             X = ((1.0, 0.4), (1.1, 0.6))
             enc = shielding._control_enclosure(other, X, ((-1.0,), (1.0,)))
@@ -182,8 +181,10 @@ def test_callable_enclosure_forms_give_the_same_tube(monkeypatch, form):
 @pytest.mark.parametrize(
     "enclosure",
     [((-1.0, -1.0), (1.0, 1.0)), ((-1.0,), (1.0, 1.0)), ((-1.0,),),
-     np.array([[-1.0, -1.0], [1.0, 1.0]])],
-    ids=["two_controls", "ragged", "one_row", "array_two_controls"],
+     np.array([[-1.0, -1.0], [1.0, 1.0]]), np.array([-1.0, 1.0]), (-1.0, 1.0),
+     np.array([[-1.0], [0.0], [1.0]]), ((-1.0,), (0.0,), (1.0,))],
+    ids=["two_controls", "ragged", "one_row", "array_two_controls", "flat_array", "flat_tuple",
+         "three_row_array", "three_rows"],
 )
 def test_callable_enclosure_of_the_wrong_length_raises(enclosure):
     fb = FallbackPolicy(lambda x: np.array([0.0]), control_box=lambda X: enclosure)

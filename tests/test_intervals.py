@@ -4,7 +4,14 @@ from itertools import product
 import numpy as np
 import pytest
 
-from safefilter.intervals import Box, cos_interval, linear_image, sin_interval, support
+from safefilter.intervals import (
+    Box,
+    cos_interval,
+    float_rows,
+    linear_image,
+    sin_interval,
+    support,
+)
 
 
 def corners_of(box):
@@ -105,3 +112,15 @@ def test_linear_image_matches_sampling():
     corners = np.array([M @ c for c in corners_of(box)])
     assert np.allclose(corners.min(axis=0), img[0])
     assert np.allclose(corners.max(axis=0), img[1])
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [np.zeros(2), (0.0, 1.0), np.zeros((3, 1)), [[0.0], [0.5], [1.0]], np.zeros((2, 1, 1)),
+     np.float64(1.0)],
+    ids=["flat_array", "flat_tuple", "three_rows", "three_row_lists", "3d", "scalar"],
+)
+def test_float_rows_rejects_bounds_that_are_not_two_rows(bounds):
+    with pytest.raises(ValueError, match=r"bounds must be \(2, n\)"):
+        float_rows(bounds)
+

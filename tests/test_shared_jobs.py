@@ -1,0 +1,42 @@
+"""Each shared job has one copy in the package: one module writes CSV files
+and one module defines the at-rest velocity threshold."""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "safefilter"
+
+
+def _modules():
+    for path in sorted(SRC.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(), filename=str(path))
+
+
+def _imports_csv(tree) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "csv":
+            return True
+    return False
+
+
+def _defines(tree, name: str) -> bool:
+    for node in ast.walk(tree):
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+            return True
+    return False
+
+
+def test_one_module_imports_csv():
+    found = [name for name, tree in _modules() if _imports_csv(tree)]
+    assert len(found) == 1, found
+
+
+def test_one_module_defines_the_rest_threshold():
+    found = [name for name, tree in _modules() if _defines(tree, "_REST_EPS")]
+    assert len(found) == 1, found

@@ -284,3 +284,19 @@ def test_tube_csv_dump(det_setup, tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "tau,lower_0,lower_1,upper_0,upper_1"
     assert len(lines) == 6
+
+
+def test_tube_csv_bytes_are_pinned(tmp_path):
+    """The exact file: ``\\r\\n`` line ends, shortest round-trip floats and
+    the -0.0 velocity bound of a state at rest with a negative zero."""
+    model = make_double_integrator(1.0, 0.1, DT)
+    tube = propagate_frs(model, braking_fallback(model, 0.1), [1.0, -0.0], [0.0], 3)
+    path = tmp_path / "tube.csv"
+    write_tube_csv(tube, path)
+    assert path.read_bytes() == (
+        b"tau,lower_0,lower_1,upper_0,upper_1\r\n"
+        b"0,1.0,-0.0,1.0,-0.0\r\n"
+        b"1,1.0,-0.010000000000000002,1.0,0.010000000000000002\r\n"
+        b"2,0.999,-0.030000000000000006,1.001,0.030000000000000006\r\n"
+        b"3,0.996,-0.07,1.0039999999999998,0.07\r\n"
+    )

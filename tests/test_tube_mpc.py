@@ -275,3 +275,24 @@ def test_verbose_plan_dump(tmp_path):
     lines = files[0].read_text().strip().splitlines()
     assert lines[0] == "stage,u0,x0"
     assert len(lines) == H + 2  # header + stages 0..H
+
+
+def test_plan_csv_bytes_are_pinned(tmp_path):
+    """The exact files of a pinned plan and of a replan that overrides the
+    candidate: ``\\r\\n`` line ends, shortest round-trip floats and blank
+    control cells on the last stage, which has no control."""
+    flt = scalar_filter()
+    flt.reset()
+    flt.plan_log_dir = str(tmp_path)
+    for x, u in ((0.5, 0.2), (1.95, 1.0)):
+        x, u = np.array([x]), np.array([u])
+        flt.intervene(x, u, flt.monitor(x, u))
+    assert (tmp_path / "plan_000000.csv").read_bytes() == (
+        b"stage,u0,x0\r\n0,0.2,0.5\r\n1,-0.0984375,0.7\r\n2,-0.0984375,0.6015625\r\n"
+        b"3,-0.0984375,0.503125\r\n4,-0.0984375,0.40468750000000003\r\n5,,0.30625\r\n"
+    )
+    assert (tmp_path / "plan_000001.csv").read_bytes() == (
+        b"stage,u0,x0\r\n0,-0.04999999999999993,1.95\r\n1,-0.3984375,1.9\r\n"
+        b"2,-0.3984375,1.5015625\r\n3,-0.3984375,1.103125\r\n"
+        b"4,-0.3984375,0.7046875000000001\r\n5,,0.30625000000000013\r\n"
+    )
