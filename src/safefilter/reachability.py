@@ -28,9 +28,10 @@ from .intervals import Box, float_rows
 
 _EXACT_BOX_MIN_CAP = 65536  # above this many corner evaluations, use the node bound
 # batches of at most this many points on a 2-D grid are interpolated on Python
-# floats (``_float_values_2d``). On the 61x61 grid numpy costs a fixed 26-30 us
-# a call at any batch size, the float kernel about 1 us a point; they meet
-# between 24 and 28 points (timeit, 2 vCPUs, CPython 3.11, numpy 2.4)
+# floats (``_float_values_2d``). On the 61x61 grid numpy costs a fixed 15 us a
+# call at any batch size, the float kernel about 0.4 us a point; they meet
+# between 36 and 40 points (timeit, 2 vCPUs, CPython 3.11, numpy 2.4). No
+# stock lattice query has more than 15 points
 _FLOAT_KERNEL_MAX_POINTS = 24
 
 
@@ -110,6 +111,11 @@ class ValueGrid:
         )
 
     @cached_property
+    def float_values(self) -> list:
+        """``values`` as a list of Python floats, for the small-batch kernel."""
+        return self.values.tolist()
+
+    @cached_property
     def nonnegative_cells(self) -> list:
         """Per cell, flat in row-major cell order (cell i spans nodes i and
         i + 1 on each axis), whether every corner node is >= 0 (NaN is not).
@@ -130,7 +136,7 @@ class ValueGrid:
         pts = np.asarray(pts, dtype=np.float64)
         if (len(self.shape) == 2 and pts.ndim == 2 and pts.shape[1] == 2
                 and pts.shape[0] <= _FLOAT_KERNEL_MAX_POINTS):
-            out = _float_values_2d(self.float_axes, self.values.item,
+            out = _float_values_2d(self.float_axes, self.float_values,
                                    float(self.out_of_domain_value), pts.tolist())
             return np.array(out, dtype=np.float64)
         ci, w, outside = _interp_weights(self.corners, pts)
@@ -257,33 +263,44 @@ def _apply_interp(values, corner_idx, weights, outside, oodv, unweighted=None):
 # c[i]) / spacing[i] and 1 - t, corner weights as the running product in
 # dimension order, +0.0 for every corner of non-positive weight, and the sum
 # of ``_sum_corners`` followed by + 0.0. A point with a coordinate outside
-# [c[0], c[-1]] (NaN included) gets the sentinel. ``item`` reads a node value.
+# [c[0], c[-1]] (NaN included) gets the sentinel. ``vals`` holds the node
+# values as floats.
+#
+# A row whose first coordinate equals the last in-domain row's reuses its
+# cell row and first-axis weights, as all successors of one double-integrator
+# state do. 0.0 and -0.0 compare equal; they give t0 of opposite signs only
+# when c0[i] is 0.0, and t0 then reaches only the weights t0 * s1 and t0 * t1,
+# which are not positive either way.
 
 
-def _float_values_2d(axes, item, oodv, rows):
+def _float_values_2d(axes, vals, oodv, rows):
     (c0, in0, h0), (c1, in1, h1) = axes
     lo0, hi0, lo1, hi1 = c0[0], c0[-1], c1[0], c1[-1]
     n1 = len(c1)
     out = []
+    p0 = math.nan  # the first coordinate of the last in-domain row
     for x0, x1 in rows:
         if not (lo0 <= x0 <= hi0 and lo1 <= x1 <= hi1):
             out.append(oodv)
             continue
-        i = bisect_right(in0, x0)
-        t0 = (x0 - c0[i]) / h0[i]
-        s0 = 1.0 - t0
+        if x0 != p0:
+            p0 = x0
+            i = bisect_right(in0, x0)
+            t0 = (x0 - c0[i]) / h0[i]
+            s0 = 1.0 - t0
+            r = i * n1
         j = bisect_right(in1, x1)
         t1 = (x1 - c1[j]) / h1[j]
         s1 = 1.0 - t1
-        b = i * n1 + j
+        b = r + j
         w = s0 * s1
-        a = w * item(b) if w > 0.0 else 0.0
+        a = w * vals[b] if w > 0.0 else 0.0
         w = s0 * t1
-        a += w * item(b + 1) if w > 0.0 else 0.0
+        a += w * vals[b + 1] if w > 0.0 else 0.0
         w = t0 * s1
-        a += w * item(b + n1) if w > 0.0 else 0.0
+        a += w * vals[b + n1] if w > 0.0 else 0.0
         w = t0 * t1
-        a += w * item(b + n1 + 1) if w > 0.0 else 0.0
+        a += w * vals[b + n1 + 1] if w > 0.0 else 0.0
         out.append(a + 0.0)
     return out
 
@@ -613,12 +630,19 @@ def successor_states(model: SystemModel, x, U: np.ndarray, D: np.ndarray) -> np.
     """f(x, u, d) for every row pair of the lattices ``U`` and ``D``, shape
     (|U| * |D|, n) with the control slowest.
 
-    All successors go through one ``step`` call, on x copied into a
-    (|U|, |D|, n) state block.
+    All successors go through one ``step`` call: on x copied into a
+    (|U|, |D|, n) state block, or into a (|D|, n) block when U has one row.
+    Do not flatten a larger block to (|U| * |D|, n) rows: for a linear model
+    that changes the bits of ``u @ B.T``.
     """
-    xs = np.empty((len(U), len(D), np.size(x)))
+    n = np.size(x)
+    if len(U) == 1:
+        xs = np.empty((len(D), n))
+        xs[...] = x
+        return _batch_next_states(model, xs, U, D)
+    xs = np.empty((len(U), len(D), n))
     xs[...] = x
-    return _batch_next_states(model, xs, U[:, None], D[None]).reshape(-1, xs.shape[-1])
+    return _batch_next_states(model, xs, U[:, None], D[None]).reshape(-1, n)
 
 
 def _first_min(values: np.ndarray) -> int:
@@ -632,6 +656,20 @@ def _first_min(values: np.ndarray) -> int:
     return best
 
 
+def _least(values: list) -> float:
+    """``ndarray.min`` of a list of floats, bit for bit up to 8 values:
+    numpy's scalar loop takes each value unless the running minimum is below
+    it or NaN, so a NaN wins and a tie takes the later value (0.0 then -0.0
+    gives -0.0). Longer rows run numpy's vector loop, which may break a
+    0.0/-0.0 tie the other way; interpolated values are never -0.0, so only
+    a -0.0 sentinel could show it."""
+    least = values[0]
+    for v in values:
+        if not least < v and least == least:
+            least = v
+    return least
+
+
 def worst_case_next_value(
     model: SystemModel,
     grid: ValueGrid,
@@ -641,7 +679,7 @@ def worst_case_next_value(
 ) -> float:
     """min over disturbance candidates of the interpolated value at f(x, u, d)."""
     U = np.atleast_1d(np.asarray(u, dtype=np.float64))[None]
-    return float(grid.values_at(successor_states(model, x, U, as_lattice(d_candidates))).min())
+    return _least(grid.values_at(successor_states(model, x, U, as_lattice(d_candidates))).tolist())
 
 
 def optimal_safety_policy(
@@ -659,10 +697,17 @@ def optimal_safety_policy(
     if not len(u_candidates) or not len(d_candidates):
         raise ValueError("candidate lists must be nonempty")
     U, D = as_lattice(u_candidates), as_lattice(d_candidates)
+    nd = len(D)
+    starts = range(0, len(U) * nd, nd)
 
     def policy(x) -> np.ndarray:
-        worst = grid.values_at(successor_states(model, x, U, D)).reshape(len(U), -1).min(axis=1)
-        return U[_first_min(-worst)].copy()
+        vals = grid.values_at(successor_states(model, x, U, D)).tolist()
+        best, high = 0, -math.inf
+        for k, s in enumerate(starts):
+            worst = _least(vals[s : s + nd])
+            if worst > high:  # NaN and -inf never win
+                best, high = k, worst
+        return U[best].copy()
 
     return policy
 

@@ -264,7 +264,10 @@ def mps_filter(
 def _braking_control(v: float, u_max: float, dt: float, v_tol: float) -> float:
     """The braking law: -sign(v) * u_max outside the band |v| <= v_tol, the
     exact-stop control clamp(-v/dt) inside it, and 0 at rest. With v_tol =
-    inf it is the exact-stop law everywhere, the exploration filter's brake."""
+    inf it is the exact-stop law everywhere, the exploration filter's brake.
+    A NaN velocity gives a NaN control, which ``step`` rejects."""
+    if v != v:
+        return v
     if abs(v) <= _REST_EPS:
         return 0.0
     if abs(v) > v_tol:

@@ -177,3 +177,13 @@ def test_brake_is_the_shared_braking_law(world, robot):
         numpy_brake[np.abs(v) <= 1e-12] = 0.0
         assert got.dtype == np.float64 and got.shape == (2,)
         assert got.tobytes() == law.tobytes() == numpy_brake.tobytes(), (vx, vy)
+
+
+def test_brake_gives_nan_on_a_nan_velocity_axis(world, robot):
+    """A NaN velocity axis brakes to a NaN control on that axis, as the numpy
+    clip did, and the other axis keeps its exact-stop control."""
+    flt = exploration_filter(robot, 1.0, world, 10)
+    got = flt._braking(np.array([1.0, 1.0, math.nan, 0.05]))
+    assert math.isnan(got[0]) and got[1] == -0.5
+    got = flt._braking(np.array([1.0, 1.0, 0.35, math.nan]))
+    assert got[0] == -1.0 and math.isnan(got[1])

@@ -230,6 +230,53 @@ def test_values_at_matches_reference_at_every_batch_size_across_the_crossover(do
                 assert _bits(got) == _bits(want), n
 
 
+def _repeating_batches(grid, rng, n_batches=200):
+    """Batches of K points made of runs that share a first coordinate (the
+    successors of one state under a candidate lattice share theirs), with
+    0.0 and -0.0 alternating in a run at 0.0, and out-of-domain rows or rows
+    with a NaN second coordinate between the repeats."""
+    lo, hi = grid.domain.lower, grid.domain.upper
+    c0 = grid.axes[0]
+    firsts = np.concatenate([c0, np.nextafter(c0, np.inf), np.nextafter(c0, -np.inf),
+                             rng.uniform(lo[0], hi[0], 20), [0.0, 0.0, 0.0]])
+    c1 = grid.axes[1]
+    seconds = np.concatenate([c1, rng.uniform(lo[1] - 0.1, hi[1] + 0.1, 40)])
+    between = [[lo[0] - 1.0, lo[1]], [hi[0] + 1.0, hi[1]], [np.nan, lo[1]]]
+    batches = []
+    for _ in range(n_batches):
+        rows = []
+        while len(rows) < K:
+            x0 = rng.choice(firsts)
+            for _ in range(int(rng.integers(2, 7))):
+                draw = rng.random()
+                if draw < 0.15:
+                    rows.append(between[int(rng.integers(len(between)))])
+                elif draw < 0.25:
+                    rows.append([x0, np.nan])
+                x0 = -x0 if x0 == 0.0 else x0
+                rows.append([x0, rng.choice(seconds)])
+        batches.append(np.array(rows[:K]))
+    return batches
+
+
+@pytest.mark.parametrize("domain, shape", [
+    (Box([0.0, -2.0], [3.0, 2.0]), (61, 61)),
+    (Box([-1.5, 0.0], [1.5, 1e-3]), (7, 3)),
+])
+def test_float_kernel_on_rows_that_repeat_the_first_coordinate(domain, shape):
+    # the float kernel reuses the cell row of the last in-domain row when the
+    # first coordinate repeats; 0.0 is a node of both grids' first axis
+    rng = np.random.default_rng(11)
+    for grid in _grids(domain, shape, rng) + [_special_grid(domain, shape, rng)]:
+        batches = _repeating_batches(grid, rng)
+        zero = [(b[:, 0] == 0.0) for b in batches]
+        assert any((z & np.signbit(b[:, 0])).any() and (z & ~np.signbit(b[:, 0])).any()
+                   for z, b in zip(zero, batches))
+        want = reference_values_at(grid, np.concatenate(batches))
+        got = np.concatenate([grid.values_at(b) for b in batches])
+        assert _bits(got) == _bits(want)
+
+
 def test_values_at_interior_cells_with_a_neg_inf_corner():
     # a -inf node leaves the cells around it at -inf and every other cell finite
     grid = ValueGrid(Box([0.0, 0.0], [4.0, 4.0]), (5, 5), np.arange(25.0))

@@ -2,8 +2,11 @@
 
 The optimal safety policy, the worst-case next value and the grid adversary
 each evaluate a whole (control, disturbance) lattice with one ``step`` and one
-``values_at`` call. The loops below evaluate the lattice one candidate at a
-time, as the library did before, and serve as the exactness oracle.
+``values_at`` call, and reduce the values on Python floats. The loops below
+evaluate the lattice one candidate at a time and reduce with ``ndarray.min``,
+as the library did before, and serve as the exactness oracle. Node tables
+of ties, signed zeros, +-inf and NaN check the reductions' rules; a linear
+model with random matrices pins the state-block shape of the one ``step``.
 """
 import math
 
@@ -18,6 +21,7 @@ from safefilter import (
     backward_step,
     discretize_box,
     make_double_integrator,
+    make_linear_model,
     margin_descent_disturbance,
     margin_descent_policy,
     margin_halfspace,
@@ -25,7 +29,7 @@ from safefilter import (
     solve,
     value_at,
 )
-from safefilter.reachability import worst_case_next_value
+from safefilter.reachability import successor_states, worst_case_next_value
 
 from test_reachability import identity_model
 
@@ -215,3 +219,92 @@ def test_nan_nodes_never_win_lattice_picks():
         assert policy(x).tobytes() == ref_policy(x).tobytes(), x
         assert adversary(x, u, None).tobytes() == ref_adversary(x, u, None).tobytes(), x
     assert mixed > 100  # the NaN nodes touch many lattices
+
+
+def _node_table(values, oodv=-math.inf):
+    """x' = x + (u, 0) + d on a 7x7 grid with unit spacing: from a node, integer
+    controls and disturbances reach nodes, whose values are read exactly, so
+    a lattice's scores are the table entries it lands on."""
+    model = make_linear_model(np.eye(2), np.array([[1.0], [0.0]]), Box([-3.0], [3.0]),
+                              Box([-3.0, -3.0], [3.0, 3.0]))
+    grid = ValueGrid(Box([0.0, 0.0], [6.0, 6.0]), (7, 7), values, oodv)
+    return model, grid
+
+
+def _assert_lattice_queries_match_loops(model, grid, x, u_cands, d_cands):
+    x = np.asarray(x, dtype=np.float64)
+    policy = optimal_safety_policy(model, grid, u_cands, d_cands)
+    reference = reference_optimal_safety_policy(model, grid, u_cands, d_cands)
+    assert policy(x).tobytes() == reference(x).tobytes(), x
+    adversary = adversarial_disturbance(model, grid, d_cands)
+    ref_adversary = reference_adversarial_disturbance(model, grid, d_cands)
+    for u in u_cands:
+        got = worst_case_next_value(model, grid, x, u, d_cands)
+        want = reference_worst_case_next_value(model, grid, x, u, d_cands)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (x, u)
+        assert adversary(x, u, None).tobytes() == ref_adversary(x, u, None).tobytes(), (x, u)
+
+
+def test_a_nan_disturbance_entry_makes_its_control_score_nan():
+    # from (3, 3), control k reaches column 2 + k and disturbance j row 2 + j;
+    # control 2 scores best (row minimum 5) until one of its entries is NaN
+    values = np.full((7, 7), 1.0)
+    values[4, 2:5] = 5.0
+    u_cands = np.array([[-1.0], [0.0], [1.0]])
+    d_cands = np.array([[0.0, -1.0], [0.0, 0.0], [0.0, 1.0]])
+    x = np.array([3.0, 3.0])
+    model, grid = _node_table(values)
+    assert optimal_safety_policy(model, grid, u_cands, d_cands)(x)[0] == 1.0
+    for j in range(3):
+        nan_values = values.copy()
+        nan_values[4, 2 + j] = np.nan
+        model, grid = _node_table(nan_values)
+        assert math.isnan(worst_case_next_value(model, grid, x, u_cands[2], d_cands))
+        assert optimal_safety_policy(model, grid, u_cands, d_cands)(x)[0] == -1.0
+        _assert_lattice_queries_match_loops(model, grid, x, u_cands, d_cands)
+
+
+def test_lattice_queries_match_loops_on_node_tables():
+    """Tables of ties, signed zeros, +-inf and NaN, lattices with repeated
+    rows (exact ties) and states whose successors all leave the domain, under
+    three sentinels; every pick and worst value equals the loops'."""
+    rng = np.random.default_rng(21)
+    entries = np.array([0.0, -0.0, 1.0, 1.0, 2.0, -1.0, np.inf, -np.inf, np.nan])
+    far = [np.array([12.0, 3.0]), np.array([-9.0, -9.0])]
+    for trial in range(60):
+        model, grid = _node_table(rng.choice(entries, size=49),
+                                  [-math.inf, math.nan, -0.0][trial % 3])
+        u_cands = rng.integers(-3, 4, size=(int(rng.integers(1, 6)), 1)).astype(float)
+        d_cands = rng.integers(-3, 4, size=(int(rng.integers(1, 5)), 2)).astype(float)
+        starts = [rng.integers(0, 7, size=2).astype(float) for _ in range(8)]
+        for x in starts + far:
+            _assert_lattice_queries_match_loops(model, grid, x, u_cands, d_cands)
+    # every successor out of domain: no score beats the first candidate's
+    u_cands = np.array([[-1.0], [0.0], [1.0]])
+    d_cands = np.array([[0.0, -1.0], [0.0, 1.0]])
+    for oodv in (-math.inf, math.nan):
+        model, grid = _node_table(np.ones(49), oodv)
+        for x in far:
+            assert optimal_safety_policy(model, grid, u_cands, d_cands)(x)[0] == -1.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_successor_states_step_the_lattice_block(n):
+    """``successor_states`` equals ``step`` on the (|U|, |D|, n) state block,
+    bit for bit, and with one control row the (1, |D|, n) block. A linear
+    model's ``u @ B.T`` rounds differently on flat (|U| * |D|, n) rows, so
+    this pins the block shape."""
+    rng = np.random.default_rng(n)
+    for trial in range(200):
+        m = int(rng.integers(1, 4))
+        A, B = rng.standard_normal((n, n)), rng.standard_normal((n, m))
+        model = make_linear_model(A, B, Box(-np.ones(m), np.ones(m)),
+                                  Box(-0.1 * np.ones(n), 0.1 * np.ones(n)))
+        x = rng.standard_normal(n)
+        U = rng.uniform(-1.0, 1.0, (int(rng.integers(2, 6)), m))
+        # every other case has one disturbance row, as margin descent does
+        D = rng.uniform(-0.1, 0.1, (1 if trial % 2 else int(rng.integers(2, 5)), n))
+        for lattice in (U, U[:1]):
+            block = model.step(np.tile(x, (len(lattice), len(D), 1)), lattice[:, None], D[None])
+            got = successor_states(model, x, lattice, D)
+            assert got.tobytes() == block.reshape(-1, n).tobytes(), (trial, len(lattice))

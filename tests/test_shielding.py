@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from safefilter import (
     Box,
     FallbackPolicy,
+    InputDomainError,
     braking_fallback,
     braking_terminal_set,
     decide,
@@ -16,6 +19,7 @@ from safefilter import (
     optimal_fallback,
     propagate_frs,
     solve,
+    step,
     value_grid_terminal_set,
     write_tube_csv,
 )
@@ -181,6 +185,18 @@ def test_filter_closed_loop_safety(det_setup):
 
 
 # --- braking terminal set --------------------------------------------------------
+
+
+def test_braking_fallback_gives_nan_for_a_nan_velocity(det_setup):
+    """Python's max(-u_max, nan) is -u_max: the braking law must not turn a
+    NaN velocity into a full brake, but give a NaN control that ``step``
+    rejects."""
+    model, _, fallback, _ = det_setup
+    for v_tol in (DT, 0.0, math.inf):
+        u = braking_fallback(model, v_tol=v_tol).policy([1.0, math.nan])
+        assert u.shape == (1,) and math.isnan(u[0]), v_tol
+    with pytest.raises(InputDomainError, match="control"):
+        step(model, [1.0, 0.0], fallback.policy([1.0, math.nan]), [])
 
 
 def test_braking_terminal_membership(det_setup):

@@ -8,7 +8,9 @@ instrumentation without running anything and checks that every rebound
 attribute exists, is replaced while active, and is restored afterwards.
 A traced MPS decision must still show its tube work in the per-layer
 metrics: a float-row tube that bypassed the rebound ``propagate_frs`` or the
-model's wrapped ``interval_step`` would make them read zero.
+model's wrapped ``interval_step`` would make them read zero. Likewise a
+traced least-restrictive decision must count the value-grid points of its
+monitor and its fallback, which reach the grid through ``values_at``.
 """
 import sys
 from pathlib import Path
@@ -55,6 +57,22 @@ def test_traced_mps_decision_counts_tube_work():
     frs_calls = metrics["shielding.propagate_frs_calls"][0]
     step_calls = metrics["intervals.interval_step_calls"][0]
     assert frs_calls > 0 and step_calls == 10 * frs_calls  # horizon 10
+
+
+def test_traced_lr_decision_counts_its_grid_points():
+    """A rejected candidate costs the monitor |D| = 3 points and the optimal
+    fallback |U| * |D| = 15, all through the rebound ``values_at``."""
+    grid = scenarios.solve_grid(safefilter)
+    tracer = tracing.Tracer()
+    inst = tracing.Instrument(safefilter, tracer)
+    with inst.active():
+        spec = scenarios.build(safefilter, grid, inst).adversarial["lr"]
+        spec.flt.reset(spec.x0)
+        decision = safefilter.decide(spec.flt, [2.6, 1.0], [1.0])
+    assert decision.overridden and decision.monitor_value < 0.0
+    metrics = tracing.layer_metrics(tracer, scenarios.FAMILIES)
+    assert metrics["reachability.values_at_calls"][0] == 2
+    assert metrics["reachability.values_at_points"][0] == 3 + 5 * 3
 
 
 def test_traced_tube_decision_counts_its_qp():
