@@ -4,7 +4,8 @@ Models are discrete-time with bounded control and disturbance boxes:
 ``x' = step(x, u, d)``. Every built-in model also carries a conservative
 interval step that maps the float rows of a state, control and disturbance
 box to the float rows of a box guaranteed to contain every reachable
-successor.
+successor. A margin's ``box_lower`` bounds the margin over one box, given as
+float rows, by one float.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .intervals import Box, cos_interval, float_rows, linear_image, sin_interval, support
+from .intervals import Box, cos_interval, float_rows, linear_image, sin_interval
 
 
 class InputDomainError(ValueError):
@@ -334,21 +335,22 @@ def make_linear_model(
 class MarginFunction:
     """Real-valued state function g; the failure set is {x : g(x) < 0}.
 
-    ``box_lower`` (when available) returns a sound lower bound of g over a box
-    given as [lower, upper] bounds, used by the rollout filters for conservative
-    tube checks. It takes a stack of bounds (..., 2, n) and returns one bound per
-    box (...,); a single box (2, n), or a ``Box``, gives a float.
+    ``box_lower`` (when available) returns a sound lower bound of g over one
+    box as a float, used by the rollout filters for conservative tube checks.
+    The box is given as float rows ``((lower...), (upper...))``, a ``Box`` or
+    (2, n) bounds, converted by ``intervals.float_rows``; a stack of boxes
+    raises ``ValueError``. Infinite bounds can make the bound NaN, which
+    proves nothing: a caller accepts a box only if its bound is ``>= 0``.
+    The constructor's ``box_lower`` is that bound as a function of one box's
+    float rows.
 
     ``halfspaces`` holds the (normal, offset) pairs of a halfspace margin or a
     min of halfspaces, g(x) = min_i normal_i . x - offset_i; it is None for
-    any other margin. ``float_halfspaces`` holds them again on Python floats
-    for ``halfspace_lower``, which bounds one box given as float rows bit for
-    bit as ``box_lower`` does.
+    any other margin.
     """
 
-    def __init__(self, fn, gradient=None, box_lower=None, name: str = "", halfspaces=None):
+    def __init__(self, fn, box_lower=None, name: str = "", halfspaces=None):
         self._fn = fn
-        self._gradient = gradient
         self._box_lower = box_lower
         self.name = name
         self.halfspaces = halfspaces
@@ -357,51 +359,41 @@ class MarginFunction:
         return self._fn(np.asarray(x, dtype=np.float64))
 
     @property
-    def has_gradient(self) -> bool:
-        return self._gradient is not None
-
-    def gradient(self, x) -> np.ndarray:
-        if self._gradient is None:
-            raise ValueError(f"margin {self.name!r} has no gradient")
-        return np.asarray(self._gradient(np.asarray(x, dtype=np.float64)), dtype=np.float64)
-
-    @property
     def has_box_lower(self) -> bool:
         return self._box_lower is not None
 
-    def box_lower(self, bounds):
+    def box_lower(self, bounds) -> float:
         if self._box_lower is None:
             raise ValueError(f"margin {self.name!r} has no box lower bound")
-        out = self._box_lower(np.asarray(bounds, dtype=np.float64))
-        return float(out) if np.ndim(out) == 0 else out
-
-    @functools.cached_property
-    def float_halfspaces(self):
-        """``halfspaces`` as (-normal, offset) pairs of float tuples, or None
-        for a margin without them or without ``box_lower``, and for normals of
-        8 or more entries, which numpy sums pairwise instead of in order."""
-        if self.halfspaces is None or self._box_lower is None:
-            return None
-        pairs = tuple((tuple((-np.asarray(n, dtype=np.float64)).tolist()), float(offset))
-                      for n, offset in self.halfspaces)
-        return pairs if pairs and all(len(d) < 8 for d, _ in pairs) else None
+        return self._box_lower(float_rows(bounds))
 
 
-def halfspace_lower(float_halfspaces, lower, upper) -> float:
-    """``box_lower`` of a min of halfspaces over the box with float rows
-    ``lower``, ``upper``, on Python floats and bit for bit: per halfspace
+def _nan_min(out: float, value: float) -> float:
+    """``np.minimum(out, value)`` on floats: a NaN wins, a tie (0.0 against
+    -0.0 too) takes ``value``."""
+    return out if out < value or out != out else value
+
+
+def _halfspace_lower(halfspaces):
+    """The box bound of a min of halfspaces on float rows: per halfspace
     ``-support(bounds, d) - offset`` with d = -normal, its terms summed from
-    0.0 in order as numpy sums fewer than 8 of them; the halfspaces folded as
-    ``functools.reduce(np.minimum, ...)`` folds them (a NaN wins)."""
-    out = None
-    for d, offset in float_halfspaces:
-        s = 0.0
-        for dj, lo, hi in zip(d, lower, upper):
-            s += dj * hi if dj >= 0.0 else dj * lo
-        b = -s - offset
-        if out is None or not (out < b or out != out):
-            out = b
-    return out
+    0.0 in order, the halfspaces folded by ``_nan_min``. For fewer than 8
+    terms this is numpy's sum bit for bit; numpy sums longer rows pairwise."""
+    pairs = tuple((tuple((-np.asarray(n, dtype=np.float64)).tolist()), float(offset))
+                  for n, offset in halfspaces)
+
+    def box_lower(X):
+        lower, upper = X
+        out = None
+        for d, offset in pairs:
+            s = 0.0
+            for dj, lo, hi in zip(d, lower, upper):
+                s += dj * hi if dj >= 0.0 else dj * lo
+            b = -s - offset
+            out = b if out is None else _nan_min(out, b)
+        return out
+
+    return box_lower
 
 
 def margin_halfspace(normal, offset: float) -> MarginFunction:
@@ -415,15 +407,9 @@ def margin_halfspace(normal, offset: float) -> MarginFunction:
     def fn(x):
         return x @ n - offset
 
-    def grad(x):
-        return np.broadcast_to(n, x.shape).copy() if x.ndim > 1 else n.copy()
-
-    d = -n
-
-    def box_lower(B):  # minus the support of -n over each box, minus the offset
-        return -support(B, d) - offset
-
-    return MarginFunction(fn, grad, box_lower, name="halfspace", halfspaces=((n, offset),))
+    halfspaces = ((n, offset),)
+    return MarginFunction(fn, _halfspace_lower(halfspaces), name="halfspace",
+                          halfspaces=halfspaces)
 
 
 def margin_keepout_ball(center, radius: float) -> MarginFunction:
@@ -435,17 +421,11 @@ def margin_keepout_ball(center, radius: float) -> MarginFunction:
     def fn(x):
         return np.linalg.norm(x - c, axis=-1) - radius
 
-    def grad(x):  # per-row unit direction; zero subgradient at the center
-        diff = x - c
-        nrm = np.linalg.norm(diff, axis=-1, keepdims=True)
-        with np.errstate(invalid="ignore"):
-            return np.where(nrm > 0.0, diff / nrm, 0.0)
+    def box_lower(X):
+        diff = np.clip(c, X[0], X[1]) - c
+        return float(np.sqrt(np.vecdot(diff, diff)) - radius)
 
-    def box_lower(B):
-        diff = np.clip(c, B[..., 0, :], B[..., 1, :]) - c
-        return np.sqrt(np.vecdot(diff, diff)) - radius
-
-    return MarginFunction(fn, grad, box_lower, name="keepout_ball")
+    return MarginFunction(fn, box_lower, name="keepout_ball")
 
 
 def margin_min(margins: list[MarginFunction]) -> MarginFunction:
@@ -460,25 +440,17 @@ def margin_min(margins: list[MarginFunction]) -> MarginFunction:
             out = np.minimum(out, v)
         return out
 
-    grad = None
-    if all(m.has_gradient for m in margins):
-
-        def grad(x):  # noqa: F811 - per row, gradient of the first active margin
-            vals = np.stack([np.broadcast_to(m(x), x.shape[:-1]) for m in margins])
-            grads = np.stack([m.gradient(x) for m in margins])
-            active = np.argmin(vals, axis=0)[None, ..., None]
-            return np.take_along_axis(grads, active, axis=0)[0]
-
-    box_lower = None
-    if all(m.has_box_lower for m in margins):
-
-        def box_lower(B):  # noqa: F811
-            return functools.reduce(np.minimum, [m.box_lower(B) for m in margins])
-
-    halfspaces = None
+    halfspaces = box_lower = None
     if all(m.halfspaces is not None for m in margins):
         halfspaces = tuple(h for m in margins for h in m.halfspaces)
-    return MarginFunction(fn, grad, box_lower, name="min", halfspaces=halfspaces)
+        box_lower = _halfspace_lower(halfspaces)
+    elif all(m.has_box_lower for m in margins):
+        parts = [m._box_lower for m in margins]
+
+        def box_lower(X):
+            return functools.reduce(_nan_min, [b(X) for b in parts])
+
+    return MarginFunction(fn, box_lower, name="min", halfspaces=halfspaces)
 
 
 def _cartesian(coords: Sequence[np.ndarray]) -> np.ndarray:

@@ -4,9 +4,9 @@ An interval step, a fallback's control enclosure and a terminal set's box
 check take each box as float rows: a tuple ``((lower...), (upper...))`` of two
 tuples of Python floats, immutable and free of numpy's fixed cost per call on
 these short rows. ``float_rows`` converts a ``Box`` or (2, n) bounds to them.
-Box lower bounds and the tube-MPC tightening work on stacks of (2, n) bound
-arrays, row 0 the lower bounds and row 1 the upper ones; ``np.asarray`` turns
-float rows or a ``Box`` into one. ``Box`` is the validated public value type
+The tube-MPC tightening works on stacks of (2, n) bound arrays, row 0 the
+lower bounds and row 1 the upper ones; ``np.asarray`` turns float rows or a
+``Box`` into one. ``Box`` is the validated public value type
 for control, disturbance and domain sets. All enclosures here are
 conservative: rounding at piece boundaries is absorbed by a small outward
 guard where exactness cannot be promised.

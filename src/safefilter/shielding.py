@@ -17,10 +17,9 @@ fallback's policy gets a state array. A ``control_box`` may instead be a fixed
 (2, m) enclosure that holds over every state box, as the optimal safety
 fallback's full control set does; a tube clips it to the control set once, at
 its first nondegenerate box, and hands the same immutable float rows to every
-later step. The failure check bounds a halfspace margin (or a min of them)
-box by box on floats, bit for bit as its ``box_lower`` would, and stops at the
-first box that fails; any other margin bounds the stacked tube in one
-``box_lower`` call. The terminal set's
+later step. The failure check is one loop over the tube's float rows: the
+margin's ``box_lower`` bounds each box, and the first box whose bound is not
+``>= 0`` (NaN included) rejects the candidate. The terminal set's
 ``box_containment`` gets the final box as float rows. The value-grid terminal
 set decides a box from node values where they settle it and otherwise
 interpolates only the face points whose cell has a corner node that is not
@@ -35,7 +34,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .dynamics import MarginFunction, SystemModel, discretize_box, halfspace_lower
+from .dynamics import MarginFunction, SystemModel, discretize_box
 from .filters import BudgetExceededError, Monitor, SafetyFilter, write_series_csv
 from .intervals import Box, float_rows
 from .reachability import ValueGrid, _grid_box_nonnegative, optimal_safety_policy, safe_membership
@@ -59,7 +58,7 @@ class FRSTube:
 
     @property
     def sets(self) -> tuple[Box, ...]:
-        return tuple(Box(lo, hi) for lo, hi in self.bounds)
+        return tuple(Box(lo, hi) for lo, hi in self.rows)
 
     @property
     def horizon(self) -> int:
@@ -87,7 +86,8 @@ class FallbackPolicy:
     rows, an array or a ``Box``), or fixed (2, m) control bounds that hold
     over every state box, which a tube clips to the control set once instead
     of once per step. Without one, ``lipschitz`` is a Lipschitz bound
-    (infinity norm) for center-plus-inflation evaluation. A fixed enclosure is
+    (infinity norm) for center-plus-inflation evaluation; a negative or NaN
+    one is rejected, and +inf clips to the control set. A fixed enclosure is
     stored as a read-only float64 copy and, like a callable one, takes no part
     in equality and hashing. ``policy`` receives a state array.
     """
@@ -100,6 +100,8 @@ class FallbackPolicy:
     name: str = ""
 
     def __post_init__(self):
+        if self.lipschitz is not None and not self.lipschitz >= 0.0:
+            raise ValueError(f"lipschitz must be nonnegative, got {self.lipschitz}")
         object.__setattr__(self, "_fixed_rows", None)
         if self.control_box is None or callable(self.control_box):
             return
@@ -222,16 +224,13 @@ def mps_monitor(
     horizon: int,
 ) -> float:
     """+1/2 if the fallback tube clears the failure set at every step and its
-    final box is contained in the terminal set; -1/2 otherwise."""
+    final box is contained in the terminal set; -1/2 otherwise. A box clears
+    the failure set only if the margin's bound over it is ``>= 0``, so a NaN
+    bound rejects."""
     tube = propagate_frs(model, fallback, x, u, horizon)
-    halfspaces = failure_margin.float_halfspaces
-    if halfspaces is None:
-        if np.any(failure_margin.box_lower(tube.bounds) < 0.0):
+    for X in tube.rows:
+        if not failure_margin.box_lower(X) >= 0.0:
             return -0.5
-    else:
-        for lower, upper in tube.rows:
-            if halfspace_lower(halfspaces, lower, upper) < 0.0:
-                return -0.5
     if not terminal.box_containment(tube.rows[-1]):
         return -0.5
     return 0.5
@@ -299,6 +298,8 @@ def braking_fallback(model: SystemModel, v_tol: float) -> FallbackPolicy:
 
     def control_box(X) -> tuple:
         (_, vlo), (_, vhi) = X
+        if vlo != vlo or vhi != vhi:  # as the policy does for a NaN velocity
+            return (math.nan,), (math.nan,)
         pieces = []
         if vhi > v_tol:
             pieces.append((-u_max, -u_max))
@@ -363,14 +364,14 @@ def braking_terminal_set(
     def membership(x) -> bool:
         x = np.asarray(x, dtype=np.float64)
         p, v = float(x[0]), float(x[1])
-        if abs(v) > v_tol:
+        if not abs(v) <= v_tol:  # a NaN velocity is no member
             return False
         exc_lo, exc_hi = excursion(v)
         return p + exc_lo >= p_lo and p + exc_hi <= p_hi
 
     def box_containment(X) -> bool:
         (plo, vlo), (phi, vhi) = float_rows(X)
-        if vlo < -v_tol or vhi > v_tol:
+        if not (-v_tol <= vlo and vhi <= v_tol):  # a NaN velocity bound fails
             return False
         # excursions are monotone in v, so the corners are the worst cases
         exc_lo, _ = excursion(vlo)
@@ -454,9 +455,9 @@ def optimal_fallback(
 
 def write_tube_csv(tube: FRSTube, path) -> None:
     """Dump a tube as CSV rows (tau, lower..., upper...)."""
-    dim = tube.bounds.shape[-1]
+    dim = len(tube.rows[0][0])
     write_series_csv(
         path,
         ["tau", *(f"lower_{i}" for i in range(dim)), *(f"upper_{i}" for i in range(dim))],
-        ([tau, *lo, *hi] for tau, (lo, hi) in enumerate(tube.bounds.tolist())),
+        ([tau, *lo, *hi] for tau, (lo, hi) in enumerate(tube.rows)),
     )

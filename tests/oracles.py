@@ -544,7 +544,7 @@ def seed_propagate_frs(interval_step, control_set, disturbance_set, fb, x, u0, h
 
 def seed_mps_monitor(sets, box_lower, box_containment) -> float:
     for box in sets:
-        if box_lower(box) < 0.0:
+        if not box_lower(box) >= 0.0:  # a NaN bound rejects
             return -0.5
     if not box_containment(sets[-1]):
         return -0.5

@@ -7,6 +7,7 @@ import pytest
 from safefilter import (
     Box,
     InputDomainError,
+    MarginFunction,
     discretize_box,
     make_double_integrator,
     make_dubins_car,
@@ -186,19 +187,6 @@ def test_margin_validation():
         margin_min([])
 
 
-def test_margin_gradients():
-    ball = margin_keepout_ball([1.0, -1.0], 0.5)
-    x = np.array([2.0, 0.0])
-    grad = ball.gradient(x)
-    eps = 1e-6
-    for i in range(2):
-        dx = np.zeros(2)
-        dx[i] = eps
-        fd = (ball(x + dx) - ball(x - dx)) / (2 * eps)
-        assert grad[i] == pytest.approx(fd, abs=1e-6)
-    assert np.array_equal(ball.gradient(np.array([1.0, -1.0])), [0.0, 0.0])
-
-
 def test_margin_box_lower_bounds_are_sound_and_tight():
     rng = np.random.default_rng(2)
     margins = [
@@ -219,6 +207,25 @@ def test_margin_box_lower_bounds_are_sound_and_tight():
     box = Box([-1.0, -1.0], [1.0, 1.0])
     corner_min = min(float(g(np.array(c))) for c in product(*zip(box.lower, box.upper)))
     assert g.box_lower(box) == pytest.approx(corner_min)
+
+
+def test_box_lower_bounds_one_box():
+    margins = [
+        margin_halfspace([1.0, -2.0], 0.3),
+        margin_keepout_ball([0.5, 0.5], 0.7),
+        margin_min([margin_halfspace([1.0, 0.0], 0.0), margin_keepout_ball([0.0, 0.0], 1.0)]),
+        margin_min([margin_halfspace([1.0, 0.0], 0.0), margin_halfspace([0.0, 1.0], 1.0)]),
+    ]
+    stack = np.array([[[-1.0, -1.0], [1.0, 1.0]], [[0.0, 0.0], [2.0, 0.5]]])
+    for g in margins:
+        for bounds in (stack[0], float_rows(stack[0]), Box(*stack[0])):
+            assert type(g.box_lower(bounds)) is float
+        with pytest.raises(ValueError):
+            g.box_lower(stack)
+    plain = MarginFunction(lambda x: x[..., 0], name="plain")
+    assert not plain.has_box_lower
+    with pytest.raises(ValueError, match="'plain' has no box lower bound"):
+        plain.box_lower(stack[0])
 
 
 def test_margin_batched_evaluation():
@@ -248,29 +255,6 @@ def test_discretize_box_errors_and_zero_dim():
         discretize_box(Box([-1.0], [1.0]), [2, 2])
     pts = discretize_box(Box([], []), [])
     assert len(pts) == 1 and pts[0].shape == (0,)
-
-
-def test_margin_gradients_batched_per_row():
-    ball = margin_keepout_ball([0.0, 0.0], 1.0)
-    pts = np.array([[2.0, 0.0], [0.0, 3.0], [0.0, 0.0], [3.0, 4.0]])
-    grads = ball.gradient(pts)
-    # each row is normalized on its own; the center gets a zero subgradient
-    assert np.array_equal(grads, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.6, 0.8]])
-    for x, gr in zip(pts, grads):
-        assert np.array_equal(ball.gradient(x), gr)
-
-    wall = margin_halfspace([1.0, 0.0], 0.0)
-    both = margin_min([wall, ball])
-    # per row, the gradient of the active (smallest) child margin; ties go to
-    # the first child
-    rows = np.array([[0.5, 0.0], [3.0, 4.0], [0.0, 2.0], [2.0, 0.0], [4.0, 3.0]])
-    assert wall(rows[4]) == ball(rows[4])
-    want = np.array([ball.gradient(rows[0]), wall.gradient(rows[1]),
-                     wall.gradient(rows[2]), ball.gradient(rows[3]),
-                     wall.gradient(rows[4])])
-    assert np.array_equal(both.gradient(rows), want)
-    for x, gr in zip(rows, want):
-        assert np.array_equal(both.gradient(x), gr)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -7,6 +7,7 @@ from safefilter import (
     Box,
     FallbackPolicy,
     InputDomainError,
+    MarginFunction,
     braking_fallback,
     braking_terminal_set,
     decide,
@@ -109,6 +110,19 @@ def test_frs_lipschitz_enclosure_route():
             assert tube.sets[tau + 1].contains(model.step(x, fb(x), d), tol=1e-9)
 
 
+def test_fallback_rejects_a_negative_or_nan_lipschitz_bound():
+    policy = lambda x: np.array([0.0])  # noqa: E731
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="lipschitz must be nonnegative"):
+            FallbackPolicy(policy, lipschitz=bad)
+    # an infinite bound is sound: it clips to the whole control set
+    model = make_double_integrator(1.0, 0.1, DT)
+    tube = propagate_frs(model, FallbackPolicy(policy, lipschitz=math.inf),
+                         [0.0, 0.5], [0.0], horizon=3)
+    enclosed = model.interval_step(tube.rows[1], ((-1.0,), (1.0,)), ((-0.1,), (0.1,)))
+    assert tube.rows[2] == enclosed
+
+
 def test_frs_horizon_validation(det_setup):
     model, g, fallback, terminal = det_setup
     with pytest.raises(ValueError):
@@ -116,6 +130,13 @@ def test_frs_horizon_validation(det_setup):
 
 
 # --- monitor -------------------------------------------------------------------
+
+
+def test_monitor_needs_a_margin_bound(det_setup):
+    model, _, fallback, terminal = det_setup
+    plain = MarginFunction(lambda x: x[..., 0], name="plain")
+    with pytest.raises(ValueError, match="'plain' has no box lower bound"):
+        mps_monitor(model, fallback, terminal, plain, [1.0, 0.0], [0.0], 3)
 
 
 def test_monitor_at_rest_passes(det_setup):
@@ -197,6 +218,26 @@ def test_braking_fallback_gives_nan_for_a_nan_velocity(det_setup):
         assert u.shape == (1,) and math.isnan(u[0]), v_tol
     with pytest.raises(InputDomainError, match="control"):
         step(model, [1.0, 0.0], fallback.policy([1.0, math.nan]), [])
+
+
+def test_braking_control_box_gives_nan_rows_for_a_nan_velocity(det_setup):
+    """Like the policy, the enclosure gives NaN for a NaN velocity bound; it
+    raised on an empty list of pieces."""
+    _, _, fallback, _ = det_setup
+    for X in (((1.0, math.nan), (1.2, math.nan)), ((1.0, -0.05), (1.2, math.nan))):
+        (lo,), (hi,) = fallback.control_box(X)
+        assert math.isnan(lo) and math.isnan(hi), X
+
+
+def test_braking_terminal_membership_rejects_a_nan_velocity(det_setup):
+    _, _, _, terminal = det_setup
+    assert not terminal.membership([1.0, math.nan])  # raised: no rest reached
+
+
+def test_braking_terminal_box_containment_rejects_a_nan_velocity(det_setup):
+    _, _, _, terminal = det_setup
+    for X in (((1.0, math.nan), (1.2, math.nan)), ((1.0, -0.05), (1.2, math.nan))):
+        assert not terminal.box_containment(X), X
 
 
 def test_braking_terminal_membership(det_setup):
