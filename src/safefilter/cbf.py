@@ -28,8 +28,10 @@ import numpy as np
 
 from .dynamics import SystemModel
 from .filters import Monitor, SafetyFilter
+from .intervals import minimum
 
 _FEAS_TOL = 1e-9
+_ALPHA_SAMPLES = np.linspace(-5.0, 5.0, 101)
 # row tolerance of the halfspace step: a row with slack at least
 # -_STEP_TOL * max(1, |row|) counts as satisfied, as in qp.solve_qp
 _STEP_TOL = 1e-10
@@ -45,21 +47,17 @@ class BarrierFunction:
     name: str = ""
 
 
-def validate_alpha(alpha: Callable[[float], float], dt: float, samples=None) -> None:
-    """Check alpha is strictly increasing with alpha(0) = 0 on a sample grid,
-    and that alpha(a) < a/dt on the positive samples (the margin that makes the
-    one-step decrease argument work; it cannot hold at a = 0 or below).
+def validate_alpha(alpha: Callable[[float], float], dt: float) -> None:
+    """Check alpha is strictly increasing with alpha(0) = 0 on 101 samples of
+    [-5, 5], and that alpha(a) < a/dt on the positive samples (the margin that
+    makes the one-step decrease argument work; it cannot hold at a = 0 or below).
     """
-    if samples is None:
-        samples = np.linspace(-5.0, 5.0, 101)
-    samples = np.asarray(samples, dtype=np.float64)
-    vals = np.array([alpha(float(a)) for a in samples])
+    vals = np.array([alpha(float(a)) for a in _ALPHA_SAMPLES])
     if np.any(np.diff(vals) <= 0):
         raise ValueError("alpha must be strictly increasing on the sample grid")
     if abs(alpha(0.0)) > 1e-12:
         raise ValueError("alpha(0) must be 0")
-    pos = samples[samples > 0]
-    for a in pos:
+    for a in _ALPHA_SAMPLES[_ALPHA_SAMPLES > 0]:
         if not alpha(float(a)) < a / dt:
             raise ValueError(
                 f"alpha({a}) must stay below a/dt = {a / dt} for the one-step bound"
@@ -84,12 +82,6 @@ def cbf_constraint(model: SystemModel, b: BarrierFunction, x, u) -> float:
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
     drift_term, a = _affine_terms(model, b, x)
     return drift_term + float(a @ u) + float(b.alpha(float(b.h(x))))
-
-
-def _min_nan(h: float, decrease: float) -> float:
-    """``min(h, decrease)``, but NaN when ``decrease`` is NaN (``min`` would
-    return ``h``); on other operands the result is ``min``'s, bit for bit."""
-    return decrease if decrease < h or decrease != decrease else h
 
 
 def _project_halfspace_box(u_task, a, rhs, lo, hi):
@@ -204,7 +196,7 @@ class CBFQPFilter(SafetyFilter):
         u = np.atleast_1d(np.asarray(u, dtype=np.float64))
         drift_term, a = _affine_terms(self.model, self.barrier, x)
         h = float(self.barrier.h(x))
-        return _min_nan(h, drift_term + float(a @ u) + float(self.barrier.alpha(h)))
+        return minimum(drift_term + float(a @ u) + float(self.barrier.alpha(h)), h)
 
     def _max_decrease(self, a: np.ndarray) -> np.ndarray:
         """argmax_u a . u over the control box; zero-gain coordinates take the

@@ -9,14 +9,13 @@ float rows, by one float.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .intervals import Box, cos_interval, float_rows, linear_image, sin_interval
+from .intervals import Box, amin, cos_interval, float_rows, linear_image, minimum, sin_interval
 
 
 class InputDomainError(ValueError):
@@ -74,10 +73,12 @@ def all_finite(a: np.ndarray) -> bool:
 def step(model: SystemModel, x, u, d) -> np.ndarray:
     """Validated single step: raises ``InputDomainError`` for a non-finite state
     and for a control or disturbance outside its box (NaN included), and
-    ``ValueError`` for a control or disturbance of the wrong size."""
+    ``ValueError`` for a state, control or disturbance of the wrong shape."""
     x = np.asarray(x, dtype=np.float64)
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
     d = np.atleast_1d(np.asarray(d, dtype=np.float64))
+    if x.shape != (model.state_dim,):
+        raise ValueError(f"state has shape {x.shape}, the model's states ({model.state_dim},)")
     if not all_finite(x):
         raise InputDomainError(f"state {x} is not finite")
     if not model.control_set.contains(u):
@@ -339,10 +340,11 @@ class MarginFunction:
     box as a float, used by the rollout filters for conservative tube checks.
     The box is given as float rows ``((lower...), (upper...))``, a ``Box`` or
     (2, n) bounds, converted by ``intervals.float_rows``; a stack of boxes
-    raises ``ValueError``. Infinite bounds can make the bound NaN, which
-    proves nothing: a caller accepts a box only if its bound is ``>= 0``.
-    The constructor's ``box_lower`` is that bound as a function of one box's
-    float rows.
+    raises ``ValueError``, as does a box of another dimension than the
+    built-in bounds' normals or center. Infinite bounds can make the bound
+    NaN, which proves nothing: a caller accepts a box only if its bound is
+    ``>= 0``. The constructor's ``box_lower`` is that bound as a function of
+    one box's float rows.
 
     ``halfspaces`` holds the (normal, offset) pairs of a halfspace margin or a
     min of halfspaces, g(x) = min_i normal_i . x - offset_i; it is None for
@@ -368,29 +370,29 @@ class MarginFunction:
         return self._box_lower(float_rows(bounds))
 
 
-def _nan_min(out: float, value: float) -> float:
-    """``np.minimum(out, value)`` on floats: a NaN wins, a tie (0.0 against
-    -0.0 too) takes ``value``."""
-    return out if out < value or out != out else value
-
-
 def _halfspace_lower(halfspaces):
     """The box bound of a min of halfspaces on float rows: per halfspace
     ``-support(bounds, d) - offset`` with d = -normal, its terms summed from
-    0.0 in order, the halfspaces folded by ``_nan_min``. For fewer than 8
+    0.0 in order, the halfspaces folded by ``minimum``. For fewer than 8
     terms this is numpy's sum bit for bit; numpy sums longer rows pairwise."""
     pairs = tuple((tuple((-np.asarray(n, dtype=np.float64)).tolist()), float(offset))
                   for n, offset in halfspaces)
+    n = len(pairs[0][0])
+    if any(len(d) != n for d, _ in pairs):
+        raise ValueError("halfspace normals differ in length")
 
     def box_lower(X):
         lower, upper = X
+        if len(lower) != n or len(upper) != n:
+            raise ValueError(f"box rows of lengths {len(lower)} and {len(upper)} "
+                             f"for a halfspace normal of length {n}")
         out = None
         for d, offset in pairs:
             s = 0.0
             for dj, lo, hi in zip(d, lower, upper):
                 s += dj * hi if dj >= 0.0 else dj * lo
             b = -s - offset
-            out = b if out is None else _nan_min(out, b)
+            out = b if out is None else minimum(out, b)
         return out
 
     return box_lower
@@ -422,6 +424,9 @@ def margin_keepout_ball(center, radius: float) -> MarginFunction:
         return np.linalg.norm(x - c, axis=-1) - radius
 
     def box_lower(X):
+        if len(X[0]) != c.size or len(X[1]) != c.size:
+            raise ValueError(f"box rows of lengths {len(X[0])} and {len(X[1])} "
+                             f"for a ball center of length {c.size}")
         diff = np.clip(c, X[0], X[1]) - c
         return float(np.sqrt(np.vecdot(diff, diff)) - radius)
 
@@ -448,7 +453,7 @@ def margin_min(margins: list[MarginFunction]) -> MarginFunction:
         parts = [m._box_lower for m in margins]
 
         def box_lower(X):
-            return functools.reduce(_nan_min, [b(X) for b in parts])
+            return amin([b(X) for b in parts])
 
     return MarginFunction(fn, box_lower, name="min", halfspaces=halfspaces)
 

@@ -22,7 +22,8 @@ from .filters import (
     passthrough_filter,
     write_series_csv,
 )
-from .reachability import ValueGrid, _eval_on_nodes, _first_min, successor_states
+from .intervals import first_min
+from .reachability import ValueGrid, _eval_on_nodes, successor_states
 
 TaskPolicy = Callable[[np.ndarray, np.random.Generator], np.ndarray]
 DisturbancePolicy = Callable[[np.ndarray, np.ndarray, np.random.Generator], np.ndarray]
@@ -196,7 +197,7 @@ def margin_descent_policy(
     D = model.zero_disturbance()[None]
 
     def policy(x, rng):
-        return U[_first_min(_eval_on_nodes(margin, successor_states(model, x, U, D)))].copy()
+        return U[first_min(_eval_on_nodes(margin, successor_states(model, x, U, D)).tolist())].copy()
 
     return policy
 
@@ -209,7 +210,7 @@ def _worst_disturbance(model: SystemModel, score: Callable, d_candidates) -> Dis
 
     def policy(x, u, rng):
         U = np.atleast_1d(np.asarray(u, dtype=np.float64))[None]
-        return D[_first_min(score(successor_states(model, x, U, D)))].copy()
+        return D[first_min(score(successor_states(model, x, U, D)).tolist())].copy()
 
     return policy
 

@@ -10,6 +10,11 @@ lower bounds and row 1 the upper ones; ``np.asarray`` turns float rows or a
 for control, disturbance and domain sets. All enclosures here are
 conservative: rounding at piece boundaries is absorbed by a small outward
 guard where exactness cannot be promised.
+
+``minimum``, ``maximum``, ``amin`` and ``first_min`` are numpy's float
+reductions on Python floats, and the package's one copy of its NaN and tie
+rule: a NaN operand wins, and a tie (0.0 against -0.0 too) takes the later
+operand. ``first_min`` picks an index instead, so there a NaN never wins.
 """
 from __future__ import annotations
 
@@ -100,6 +105,39 @@ def float_rows(bounds) -> tuple:
         raise ValueError(f"bounds must be (2, n), got shape {arr.shape}")
     lo, hi = arr.tolist()
     return tuple(lo), tuple(hi)
+
+
+def minimum(a: float, b: float) -> float:
+    """``np.minimum(a, b)`` on floats."""
+    return a if a < b or a != a else b
+
+
+def maximum(a: float, b: float) -> float:
+    """``np.maximum(a, b)`` on floats."""
+    return a if a > b or a != a else b
+
+
+def amin(values: list) -> float:
+    """``ndarray.min`` of a nonempty list of floats, bit for bit up to 8
+    values. Longer rows run numpy's vector loop, which may break a 0.0/-0.0
+    tie the other way; interpolated values are never -0.0, so only a -0.0
+    sentinel could show it."""
+    least = values[0]
+    for v in values:
+        if not least < v and least == least:
+            least = v
+    return least
+
+
+def first_min(values: list) -> int:
+    """``np.argmin(np.fmin(values, inf))`` of a list of floats: the index of
+    the least value, the lowest index on ties. A NaN never wins, and when no
+    value is below +inf (all NaN or +inf) the answer is 0."""
+    best, least = 0, math.inf
+    for i, v in enumerate(values):
+        if v < least:  # False for NaN
+            best, least = i, v
+    return best
 
 
 def support(bounds, direction) -> np.ndarray:

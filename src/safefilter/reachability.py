@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dynamics import MarginFunction, SystemModel, _cartesian, as_lattice, discretize_box
-from .intervals import Box, float_rows
+from .intervals import Box, amin, float_rows
 
 _EXACT_BOX_MIN_CAP = 65536  # above this many corner evaluations, use the node bound
 # batches of at most this many points on a 2-D grid are interpolated on Python
@@ -645,31 +645,6 @@ def successor_states(model: SystemModel, x, U: np.ndarray, D: np.ndarray) -> np.
     return _batch_next_states(model, xs, U[:, None], D[None]).reshape(-1, n)
 
 
-def _first_min(values: np.ndarray) -> int:
-    """Index of the least value of a 1-d array, the lowest index on ties. A
-    NaN never wins, and when no value is below +inf (all NaN or +inf) the
-    answer is 0."""
-    best, least = 0, math.inf
-    for i, v in enumerate(values.tolist()):
-        if v < least:  # False for NaN
-            best, least = i, v
-    return best
-
-
-def _least(values: list) -> float:
-    """``ndarray.min`` of a list of floats, bit for bit up to 8 values:
-    numpy's scalar loop takes each value unless the running minimum is below
-    it or NaN, so a NaN wins and a tie takes the later value (0.0 then -0.0
-    gives -0.0). Longer rows run numpy's vector loop, which may break a
-    0.0/-0.0 tie the other way; interpolated values are never -0.0, so only
-    a -0.0 sentinel could show it."""
-    least = values[0]
-    for v in values:
-        if not least < v and least == least:
-            least = v
-    return least
-
-
 def worst_case_next_value(
     model: SystemModel,
     grid: ValueGrid,
@@ -679,7 +654,7 @@ def worst_case_next_value(
 ) -> float:
     """min over disturbance candidates of the interpolated value at f(x, u, d)."""
     U = np.atleast_1d(np.asarray(u, dtype=np.float64))[None]
-    return _least(grid.values_at(successor_states(model, x, U, as_lattice(d_candidates))).tolist())
+    return amin(grid.values_at(successor_states(model, x, U, as_lattice(d_candidates))).tolist())
 
 
 def optimal_safety_policy(
@@ -704,7 +679,7 @@ def optimal_safety_policy(
         vals = grid.values_at(successor_states(model, x, U, D)).tolist()
         best, high = 0, -math.inf
         for k, s in enumerate(starts):
-            worst = _least(vals[s : s + nd])
+            worst = amin(vals[s : s + nd])
             if worst > high:  # NaN and -inf never win
                 best, high = k, worst
         return U[best].copy()

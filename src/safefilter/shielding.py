@@ -36,11 +36,15 @@ import numpy as np
 
 from .dynamics import MarginFunction, SystemModel, discretize_box
 from .filters import BudgetExceededError, Monitor, SafetyFilter, write_series_csv
-from .intervals import Box, float_rows
+from .intervals import Box, float_rows, maximum, minimum
 from .reachability import ValueGrid, _grid_box_nonnegative, optimal_safety_policy, safe_membership
 from .reachability import grid_box_min  # noqa: F401 (bench/tracing.py rebinds it here)
 
 _REST_EPS = 1e-12  # velocities below this count as numerically at rest
+# the braking terminal set's invariance check: depth, start lattice, state budget
+_BRAKING_CHECK_HORIZON = 20
+_BRAKING_CHECK_COUNTS = (5, 5)
+_BRAKING_CHECK_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -140,15 +144,15 @@ def _is_point(X) -> bool:
 
 def _clip(enc, U) -> tuple:
     """Float rows of the control enclosure ``enc`` within the control set's
-    float rows ``U``, as ``np.maximum`` and ``np.minimum`` clip bound arrays:
-    the enclosure's NaN wins, a tie takes U's bound."""
+    float rows ``U``, clipped by ``intervals.maximum`` and ``minimum``: the
+    enclosure's NaN wins, a tie takes U's bound."""
     (elo, ehi), (ulo, uhi) = enc, U
     if len(elo) != len(ulo) or len(ehi) != len(uhi):
         raise ValueError(
             f"control enclosure has shape (2, {len(elo)}), the control set (2, {len(ulo)})"
         )
-    lo = tuple(e if e > u or e != e else u for e, u in zip(elo, ulo))
-    hi = tuple(e if e < u or e != e else u for e, u in zip(ehi, uhi))
+    lo = tuple(map(maximum, elo, ulo))
+    hi = tuple(map(minimum, ehi, uhi))
     for l, h in zip(lo, hi):
         if l > h:
             raise ValueError("fallback control enclosure does not meet the control set")
@@ -173,9 +177,7 @@ def _control_enclosure(fb: FallbackPolicy, X, U) -> tuple:
     u = tuple(np.atleast_1d(np.asarray(fb.policy(center), dtype=np.float64)).tolist())
     if point:
         return u, u
-    radii = [0.5 * (h - l) for l, h in zip(lo, hi)]
-    # a NaN radius makes the inflation NaN, as numpy's max would
-    inflation = fb.lipschitz * (max(radii) if all(r == r for r in radii) else math.nan)
+    inflation = fb.lipschitz * functools.reduce(maximum, [0.5 * (h - l) for l, h in zip(lo, hi)])
     return _clip((tuple(v - inflation for v in u), tuple(v + inflation for v in u)), U)
 
 
@@ -334,14 +336,7 @@ def _braking_excursion(u_max: float, dt: float, v_tol: float, v: float):
     raise RuntimeError("braking profile did not reach rest (unexpected)")
 
 
-def braking_terminal_set(
-    model: SystemModel,
-    v_tol: float,
-    safe_box: Box,
-    check_horizon: int = 20,
-    check_counts: tuple[int, int] = (5, 5),
-    check_budget: int = 200_000,
-) -> TerminalSafeSet:
+def braking_terminal_set(model: SystemModel, v_tol: float, safe_box: Box) -> TerminalSafeSet:
     """Near-rest terminal set for the double integrator under braking.
 
     Membership requires |v| <= v_tol and that the whole braking excursion from
@@ -379,25 +374,17 @@ def braking_terminal_set(
         return plo + exc_lo >= p_lo and phi + exc_hi <= p_hi
 
     terminal = TerminalSafeSet(membership, box_containment, name="braking_rest_set")
-    _check_terminal_invariance(
-        model, fb, terminal, check_horizon, check_counts, check_budget,
-        state_box=Box([p_lo, -v_tol], [p_hi, v_tol]),
-    )
+    _check_terminal_invariance(model, fb, terminal, Box([p_lo, -v_tol], [p_hi, v_tol]))
     return terminal
 
 
 def _check_terminal_invariance(
-    model: SystemModel,
-    fb: FallbackPolicy,
-    terminal: TerminalSafeSet,
-    horizon: int,
-    counts,
-    budget: int,
-    state_box: Box,
+    model: SystemModel, fb: FallbackPolicy, terminal: TerminalSafeSet, state_box: Box
 ) -> None:
     """Exhaustive lattice rollout: every member lattice state must stay a member
     under the fallback for all disturbance-corner sequences."""
-    starts = [x for x in discretize_box(state_box, counts) if terminal.membership(x)]
+    starts = [x for x in discretize_box(state_box, _BRAKING_CHECK_COUNTS)
+              if terminal.membership(x)]
     d_cands = discretize_box(model.disturbance_set, [2] * model.disturbance_dim)
     expanded = 0
     for x0 in starts:
@@ -405,19 +392,19 @@ def _check_terminal_invariance(
         while stack:
             x, depth = stack.pop()
             expanded += 1
-            if expanded > budget:
+            if expanded > _BRAKING_CHECK_BUDGET:
                 # escapes are usually shallow, so the walk is breadth-limited
                 # lazily rather than rejected up front
                 raise BudgetExceededError(
-                    "terminal-set invariance check exceeds its budget; "
-                    "reduce check_horizon or the disturbance lattice"
+                    "terminal-set invariance check exceeds its budget of "
+                    f"{_BRAKING_CHECK_BUDGET} expanded states"
                 )
             if not terminal.membership(x):
                 raise ValueError(
                     f"terminal set is not invariant under its fallback: escape from "
                     f"{x0} reaches {x} after {depth} steps"
                 )
-            if depth == horizon:
+            if depth == _BRAKING_CHECK_HORIZON:
                 continue
             u = fb.policy(x)
             for d in d_cands:

@@ -320,18 +320,3 @@ def test_monitor_is_nan_for_nan_candidate(di_cbf):
     assert math.isnan(decision.monitor_value)
     assert decision.degraded and decision.overridden
     assert decision.applied.tobytes() == flt._fallback(x).tobytes()
-
-
-@pytest.mark.parametrize(
-    "h, decrease",
-    [(0.0, -0.0), (-0.0, 0.0), (1.0, 2.0), (2.0, 1.0), (1.5, 1.5), (-1.0, math.inf),
-     (math.inf, -math.inf), (math.nan, 1.0), (math.nan, math.nan), (1.0, math.nan)],
-)
-def test_monitor_min_keeps_min_bits_and_propagates_nan(h, decrease):
-    from safefilter.cbf import _min_nan
-
-    got = _min_nan(h, decrease)
-    if math.isnan(decrease):
-        assert math.isnan(got)
-    else:
-        assert np.float64(got).tobytes() == np.float64(min(h, decrease)).tobytes()

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -228,6 +229,38 @@ def test_box_lower_bounds_one_box():
         plain.box_lower(stack[0])
 
 
+# a 1-d box, and a 3-d one, against margins of 2-d states
+WRONG_DIM_BOXES = [((1.0,), (2.0,)), ((1.0, 1.0, 1.0), (2.0, 2.0, 2.0)), ((1.0, 1.0), (2.0,))]
+
+
+@pytest.mark.parametrize("bounds", WRONG_DIM_BOXES)
+@pytest.mark.parametrize("g", [
+    margin_halfspace([1.0, 2.0], 0.0),
+    margin_min([margin_halfspace([1.0, 0.0], 0.0), margin_halfspace([0.0, 1.0], 1.0)]),
+])
+def test_halfspace_bound_rejects_a_box_of_another_dimension(g, bounds):
+    with pytest.raises(ValueError, match="normal of length 2"):
+        g.box_lower(bounds)
+
+
+@pytest.mark.parametrize("bounds", WRONG_DIM_BOXES)
+def test_keepout_ball_bound_rejects_a_box_of_another_dimension(bounds):
+    with pytest.raises(ValueError, match="center of length 2"):
+        margin_keepout_ball([0.0, 0.0], 1.0).box_lower(bounds)
+
+
+@pytest.mark.parametrize("bounds", WRONG_DIM_BOXES)
+def test_mixed_min_bound_rejects_a_box_of_another_dimension(bounds):
+    g = margin_min([margin_keepout_ball([0.0, 0.0], 1.0), margin_halfspace([1.0, 0.0], 0.0)])
+    with pytest.raises(ValueError, match="of length 2"):
+        g.box_lower(bounds)
+
+
+def test_halfspace_normals_of_different_lengths_are_rejected():
+    with pytest.raises(ValueError, match="normals differ in length"):
+        margin_min([margin_halfspace([1.0, 0.0], 0.0), margin_halfspace([1.0], 0.0)])
+
+
 def test_margin_batched_evaluation():
     g = margin_keepout_ball([0.0, 0.0], 1.0)
     pts = np.array([[3.0, 4.0], [0.0, 0.0]])
@@ -289,6 +322,17 @@ def test_step_input_checks_and_bits():
             u = model.control_set.sample(rng)
             d = model.disturbance_set.sample(rng)
             assert step(model, x, u, d).tobytes() == model.step(x, u, d).tobytes()
+
+
+@pytest.mark.parametrize("model", [
+    make_double_integrator(1.0, 0.0, DT), make_inverted_pendulum(2.0, 0.0, DT)
+], ids=["double_integrator", "pendulum"])
+@pytest.mark.parametrize("x", [[1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]], 1.0])
+def test_step_rejects_a_state_of_another_shape(model, x):
+    shape = np.shape(x)
+    with pytest.raises(ValueError, match=rf"shape {re.escape(str(shape))}.*\(2,\)") as err:
+        step(model, x, [0.0], np.zeros(0))
+    assert not isinstance(err.value, InputDomainError)
 
 
 def test_box_contains_matches_bound_comparison():

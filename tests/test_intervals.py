@@ -3,12 +3,18 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from safefilter.intervals import (
     Box,
+    amin,
     cos_interval,
+    first_min,
     float_rows,
     linear_image,
+    maximum,
+    minimum,
     sin_interval,
     support,
 )
@@ -124,3 +130,77 @@ def test_float_rows_rejects_bounds_that_are_not_two_rows(bounds):
     with pytest.raises(ValueError, match=r"bounds must be \(2, n\)"):
         float_rows(bounds)
 
+
+# --- numpy's float reductions on Python floats -------------------------------
+
+PROPERTY = settings(max_examples=300, deadline=None)
+nan, inf = math.nan, math.inf
+# NaN, +-inf and signed zeros often, any other float too
+floats = st.sampled_from([nan, inf, -inf, 0.0, -0.0, 1e-300, -2.5, 1.0]) | st.floats()
+
+
+def assert_same_float(got, want):
+    """Equal bytes, or both NaN."""
+    assert type(got) is float
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+# (decrease, h) pairs as the CBF monitor passes them: the monitor value is
+# min(h, decrease), NaN when either is
+@example(-0.0, 0.0)
+@example(0.0, -0.0)
+@example(2.0, 1.0)
+@example(1.0, 2.0)
+@example(1.5, 1.5)
+@example(inf, -1.0)
+@example(-inf, inf)
+@example(1.0, nan)
+@example(nan, nan)
+@example(nan, 1.0)
+@given(floats, floats)
+@PROPERTY
+def test_minimum_matches_np_minimum(a, b):
+    assert_same_float(minimum(a, b), float(np.minimum(a, b)))
+
+
+@example(-0.0, 0.0)
+@example(0.0, -0.0)
+@example(nan, 1.0)
+@example(1.0, nan)
+@given(floats, floats)
+@PROPERTY
+def test_maximum_matches_np_maximum(a, b):
+    assert_same_float(maximum(a, b), float(np.maximum(a, b)))
+
+
+# a lattice row's worst value: NaN if any value is, a 0.0 / -0.0 tie as numpy
+# breaks it; rows of up to 8 values, as numpy's scalar loop takes them
+@example([0.0, -0.0])
+@example([-0.0, 0.0])
+@example([1.0, nan, -inf])
+@example([-inf, 1.0, nan])
+@given(st.lists(floats, min_size=1, max_size=8))
+@PROPERTY
+def test_amin_matches_ndarray_min(values):
+    assert_same_float(amin(values), float(np.array(values).min()))
+
+
+# the index rules: ties go to the lowest index, a NaN never wins, and 0 when
+# no value is below +inf
+@example([nan] * 5)
+@example([inf] * 3)
+@example([nan, inf, nan])
+@example([nan, 3.0, 1.0, 1.0, nan])
+@example([0.0, -inf, 5.0, -inf, nan])
+@example([inf, nan, 7.0])
+@example([-inf])
+@example([0.0, -0.0, -1e-300])
+@example([-0.0, 0.0])
+@example([0.0, -0.0])
+@given(st.lists(floats, min_size=1, max_size=20))
+@PROPERTY
+def test_first_min_matches_numpy_argmin_of_fmin(values):
+    assert first_min(values) == int(np.argmin(np.fmin(values, np.inf)))

@@ -42,7 +42,6 @@ from safefilter import (
     margin_keepout_ball,
     margin_min,
 )
-from safefilter.reachability import _first_min, _least
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -209,38 +208,3 @@ def test_tie_and_nan_rules(table, want):
     got = margin_descent_policy(model, margin, u_lattice)(x, None)
     assert got.tobytes() == u_lattice[want].tobytes()
     assert got.tobytes() == seed_margin_descent_policy(model, margin, u_lattice)(x, None).tobytes()
-
-
-@pytest.mark.parametrize(
-    "values, want",
-    [
-        ([math.nan] * 5, 0),
-        ([math.inf] * 3, 0),
-        ([math.nan, math.inf, math.nan], 0),
-        ([math.nan, 3.0, 1.0, 1.0, math.nan], 2),
-        ([0.0, -math.inf, 5.0, -math.inf, math.nan], 1),
-        ([math.inf, math.nan, 7.0], 2),
-        ([-math.inf], 0),
-        ([0.0, -0.0, -1e-300], 2),
-        ([-0.0, 0.0], 0),  # -0.0 == 0.0: a tie, the lowest index
-        ([0.0, -0.0], 0),
-    ],
-)
-def test_first_min_rules(values, want):
-    assert _first_min(np.array(values)) == want
-
-
-@given(st.lists(st.sampled_from(SPECIAL + [-0.0, 1e-300, -2.5]) | finite, min_size=1, max_size=20))
-@PROPERTY
-def test_first_min_matches_numpy_argmin(values):
-    # the numpy form of the rules: fmin turns NaN into +inf, argmin takes the first least
-    assert _first_min(np.array(values)) == int(np.argmin(np.fmin(values, np.inf)))
-
-
-@given(st.lists(st.sampled_from(SPECIAL + [0.0, -0.0, 1e-300, -2.5]) | finite,
-                min_size=1, max_size=8))
-@PROPERTY
-def test_least_matches_ndarray_min(values):
-    # a lattice row's worst value: NaN if any value is, a 0.0 / -0.0 tie as
-    # numpy breaks it; rows of up to 8 values, as numpy's scalar loop takes them
-    assert np.float64(_least(values)).tobytes() == np.array(values).min().tobytes()

@@ -1,5 +1,6 @@
-"""Each shared job has one copy in the package: one module writes CSV files
-and one module defines the at-rest velocity threshold."""
+"""Each shared job has one copy in the package: one module writes CSV files,
+one module defines the at-rest velocity threshold, and one module writes out
+numpy's NaN rule for a float minimum or maximum."""
 import ast
 from pathlib import Path
 
@@ -40,3 +41,20 @@ def test_one_module_imports_csv():
 def test_one_module_defines_the_rest_threshold():
     found = [name for name, tree in _modules() if _defines(tree, "_REST_EPS")]
     assert len(found) == 1, found
+
+
+def _is_nan_wins(node) -> bool:
+    """``a if a < b or a != a else b`` (or with ``>``): numpy's NaN rule for
+    minimum or maximum written out on floats."""
+    if not (isinstance(node, ast.IfExp) and isinstance(node.test, ast.BoolOp)
+            and isinstance(node.test.op, ast.Or)):
+        return False
+    ops = [(type(c.ops[0]), ast.dump(c.left), ast.dump(c.comparators[0]))
+           for c in node.test.values if isinstance(c, ast.Compare) and len(c.ops) == 1]
+    return (any(op in (ast.Lt, ast.Gt) for op, _, _ in ops)
+            and any(op is ast.NotEq and left == right for op, left, right in ops))
+
+
+def test_one_module_writes_out_the_nan_min_max_rule():
+    found = [name for name, tree in _modules() if any(map(_is_nan_wins, ast.walk(tree)))]
+    assert found == ["intervals.py"], found
