@@ -17,6 +17,7 @@ from .dynamics import (
     make_dubins_car,
     make_inverted_pendulum,
     make_linear_model,
+    make_planar_double_integrator,
     margin_halfspace,
     margin_keepout_ball,
     margin_min,
@@ -71,7 +72,6 @@ from .exploration import (
     OccupancyWorld,
     exploration_filter,
     load_occupancy_world,
-    make_planar_double_integrator,
 )
 from .qp import InfeasibleQP, solve_qp
 from .tube_mpc import TightenedProblem, TubeMPCFilter, compute_tightening, tube_mpc_filter

@@ -23,15 +23,12 @@ from .dynamics import (
     make_dubins_car,
     make_inverted_pendulum,
     make_linear_model,
+    make_planar_double_integrator,
     margin_halfspace,
     margin_keepout_ball,
     margin_min,
 )
-from .exploration import (
-    exploration_filter,
-    load_occupancy_world,
-    make_planar_double_integrator,
-)
+from .exploration import exploration_filter, load_occupancy_world
 from .filters import SafetyFilter, least_restrictive_filter, passthrough_filter
 from .intervals import Box
 from .reachability import ValueGrid, grid_axes, load_value_grid, solve
@@ -170,47 +167,28 @@ def _matrix(mapping, key, path, shape=None):
 
 # --- model -------------------------------------------------------------------
 
-_MODEL_KEYS = {
-    "double_integrator": {"kind", "u_max", "d_max", "dt"},
-    "dubins_car": {"kind", "speed", "omega_max", "d_max", "dt"},
-    "inverted_pendulum": {"kind", "torque_max", "d_max", "dt"},
-    "planar_double_integrator": {"kind", "u_max", "dt"},
-    "linear": {
-        "kind", "a", "b", "control_lower", "control_upper",
-        "dist_lower", "dist_upper", "dt",
-    },
+# each control-affine model kind: its constructor and its parameters in call
+# order, each with its default (None: required)
+_MODELS = {
+    "double_integrator": (make_double_integrator, {"u_max": None, "d_max": 0.0, "dt": None}),
+    "dubins_car": (make_dubins_car, {"speed": None, "omega_max": None, "d_max": 0.0, "dt": None}),
+    "inverted_pendulum": (make_inverted_pendulum, {"torque_max": None, "d_max": 0.0, "dt": None}),
+    "planar_double_integrator": (make_planar_double_integrator, {"u_max": None, "dt": None}),
+}
+_LINEAR_KEYS = {
+    "kind", "a", "b", "control_lower", "control_upper", "dist_lower", "dist_upper", "dt",
 }
 
 
 def build_model(cfg: dict) -> SystemModel:
     kind = _require(cfg, "kind", "model")
-    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
+    if not isinstance(kind, str) or kind not in _MODELS and kind != "linear":
         raise ConfigError(f"unknown model.kind {kind!r}")
-    _check_keys(cfg, _MODEL_KEYS[kind], "model")
+    make, params = _MODELS.get(kind, (None, {}))
+    _check_keys(cfg, {"kind", *params} if make else _LINEAR_KEYS, "model")
     try:
-        if kind == "double_integrator":
-            return make_double_integrator(
-                _number(cfg, "u_max", "model"),
-                _number(cfg, "d_max", "model", 0.0),
-                _number(cfg, "dt", "model"),
-            )
-        if kind == "dubins_car":
-            return make_dubins_car(
-                _number(cfg, "speed", "model"),
-                _number(cfg, "omega_max", "model"),
-                _number(cfg, "d_max", "model", 0.0),
-                _number(cfg, "dt", "model"),
-            )
-        if kind == "inverted_pendulum":
-            return make_inverted_pendulum(
-                _number(cfg, "torque_max", "model"),
-                _number(cfg, "d_max", "model", 0.0),
-                _number(cfg, "dt", "model"),
-            )
-        if kind == "planar_double_integrator":
-            return make_planar_double_integrator(
-                _number(cfg, "u_max", "model"), _number(cfg, "dt", "model")
-            )
+        if make:
+            return make(*(_number(cfg, key, "model", default) for key, default in params.items()))
         control = Box(_vector(cfg, "control_lower", "model"), _vector(cfg, "control_upper", "model"))
         if "dist_lower" in cfg or "dist_upper" in cfg:
             dist = Box(_vector(cfg, "dist_lower", "model"), _vector(cfg, "dist_upper", "model"))

@@ -88,11 +88,54 @@ def step(model: SystemModel, x, u, d) -> np.ndarray:
     return model.step(x, u, d)
 
 
-def _constant_matrix(rows) -> np.ndarray:
-    """A read-only float matrix, built once for a model's constant g(x)."""
-    g = np.array(rows, dtype=np.float64)
+def _check_positive(name: str, v: float) -> None:
+    if not 0 < v < math.inf:
+        raise ValueError(f"{name} must be positive" if v <= 0
+                         else f"{name} must be finite, got {v!r}")
+
+
+def _control_affine_model(
+    name: str,
+    bound_name: str,
+    bound: float,
+    d_max: float,
+    dt: float,
+    input_matrix,
+    step_fn,
+    interval_fn,
+    drift,
+) -> SystemModel:
+    """The shared part of every built-in control-affine model: a NaN or
+    infinite parameter, a control bound or ``dt`` that is not positive and a
+    negative ``d_max`` raise ``ValueError`` naming the parameter. The controls
+    form the box [-bound, bound]^m, m the columns of the constant, read-only
+    input matrix g(x); the scalar disturbance d in [-d_max, d_max] enters
+    ``step`` on the input channel, and a model with ``d_max`` 0 has a
+    0-dimensional disturbance box."""
+    _check_positive(bound_name, bound)
+    if not 0 <= d_max < math.inf:
+        raise ValueError("d_max must be nonnegative" if d_max < 0
+                         else f"d_max must be finite, got {d_max!r}")
+    _check_positive("dt", dt)
+    g = np.array(input_matrix, dtype=np.float64)
     g.flags.writeable = False
-    return g
+    n, m = g.shape
+
+    def input_map(x):
+        return g
+
+    return SystemModel(
+        state_dim=n,
+        control_dim=m,
+        disturbance_dim=1 if d_max > 0 else 0,
+        dt=dt,
+        step=step_fn,
+        control_set=Box([-bound] * m, [bound] * m),
+        disturbance_set=Box([-d_max], [d_max]) if d_max > 0 else Box([], []),
+        interval_step=interval_fn,
+        continuous_affine=(drift, input_map),
+        name=name,
+    )
 
 
 def _input_bounds(U, D, has_d: bool) -> tuple[float, float]:
@@ -114,14 +157,7 @@ def _scalar_inputs(u: np.ndarray, d: np.ndarray, has_d: bool):
 
 def make_double_integrator(u_max: float, d_max: float, dt: float) -> SystemModel:
     """1-d position/velocity benchmark: p' = p + v dt, v' = v + (u + d) dt."""
-    if u_max <= 0:
-        raise ValueError("u_max must be positive")
-    if d_max < 0:
-        raise ValueError("d_max must be nonnegative")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     has_d = d_max > 0
-    n_d = 1 if has_d else 0
 
     def step_fn(x, u, d):
         x = np.asarray(x, dtype=np.float64)
@@ -149,37 +185,14 @@ def make_double_integrator(u_max: float, d_max: float, dt: float) -> SystemModel
         out[..., 1] = 0.0
         return out
 
-    g = _constant_matrix([[0.0], [1.0]])
-
-    def input_map(x):
-        return g
-
-    return SystemModel(
-        state_dim=2,
-        control_dim=1,
-        disturbance_dim=n_d,
-        dt=dt,
-        step=step_fn,
-        control_set=Box([-u_max], [u_max]),
-        disturbance_set=Box([-d_max], [d_max]) if has_d else Box([], []),
-        interval_step=interval_fn,
-        continuous_affine=(drift, input_map),
-        name="double_integrator",
-    )
+    return _control_affine_model("double_integrator", "u_max", u_max, d_max, dt,
+                                 [[0.0], [1.0]], step_fn, interval_fn, drift)
 
 
 def make_dubins_car(speed: float, omega_max: float, d_max: float, dt: float) -> SystemModel:
     """Planar unicycle at fixed speed; turn rate is the control, disturbance on heading rate."""
-    if speed <= 0:
-        raise ValueError("speed must be positive")
-    if omega_max <= 0:
-        raise ValueError("omega_max must be positive")
-    if d_max < 0:
-        raise ValueError("d_max must be nonnegative")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_positive("speed", speed)
     has_d = d_max > 0
-    n_d = 1 if has_d else 0
 
     def step_fn(x, u, d):
         x = np.asarray(x, dtype=np.float64)
@@ -213,35 +226,13 @@ def make_dubins_car(speed: float, omega_max: float, d_max: float, dt: float) -> 
         out[..., 2] = 0.0
         return out
 
-    g = _constant_matrix([[0.0], [0.0], [1.0]])
-
-    def input_map(x):
-        return g
-
-    return SystemModel(
-        state_dim=3,
-        control_dim=1,
-        disturbance_dim=n_d,
-        dt=dt,
-        step=step_fn,
-        control_set=Box([-omega_max], [omega_max]),
-        disturbance_set=Box([-d_max], [d_max]) if has_d else Box([], []),
-        interval_step=interval_fn,
-        continuous_affine=(drift, input_map),
-        name="dubins_car",
-    )
+    return _control_affine_model("dubins_car", "omega_max", omega_max, d_max, dt,
+                                 [[0.0], [0.0], [1.0]], step_fn, interval_fn, drift)
 
 
 def make_inverted_pendulum(torque_max: float, d_max: float, dt: float) -> SystemModel:
     """Normalized pendulum: th'' = sin(th) + u + d (unit mass/length/gravity)."""
-    if torque_max <= 0:
-        raise ValueError("torque_max must be positive")
-    if d_max < 0:
-        raise ValueError("d_max must be nonnegative")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     has_d = d_max > 0
-    n_d = 1 if has_d else 0
 
     def step_fn(x, u, d):
         x = np.asarray(x, dtype=np.float64)
@@ -256,10 +247,14 @@ def make_inverted_pendulum(torque_max: float, d_max: float, dt: float) -> System
         return out
 
     def interval_fn(X, U, D):
+        # each rate bound repeats step_fn's association, (sin + u) + d with
+        # d = 0.0 without a disturbance; IEEE addition is monotone in each operand
         (al, rl), (ah, rh) = X  # a: the angle, r: its rate
-        wl, wh = _input_bounds(U, D, has_d)
+        (ul,), (uh,) = U
+        (dl,), (dh,) = D if has_d else ((0.0,), (0.0,))
         sl, su = sin_interval(al, ah)
-        return (al + rl * dt, rl + (sl + wl) * dt), (ah + rh * dt, rh + (su + wh) * dt)
+        return ((al + rl * dt, rl + ((sl + ul) + dl) * dt),
+                (ah + rh * dt, rh + ((su + uh) + dh) * dt))
 
     def drift(x):
         x = np.asarray(x, dtype=np.float64)
@@ -268,23 +263,41 @@ def make_inverted_pendulum(torque_max: float, d_max: float, dt: float) -> System
         np.sin(x[..., 0], out=out[..., 1])
         return out
 
-    g = _constant_matrix([[0.0], [1.0]])
+    return _control_affine_model("inverted_pendulum", "torque_max", torque_max, d_max, dt,
+                                 [[0.0], [1.0]], step_fn, interval_fn, drift)
 
-    def input_map(x):
-        return g
 
-    return SystemModel(
-        state_dim=2,
-        control_dim=1,
-        disturbance_dim=n_d,
-        dt=dt,
-        step=step_fn,
-        control_set=Box([-torque_max], [torque_max]),
-        disturbance_set=Box([-d_max], [d_max]) if has_d else Box([], []),
-        interval_step=interval_fn,
-        continuous_affine=(drift, input_map),
-        name="inverted_pendulum",
-    )
+def make_planar_double_integrator(u_max: float, dt: float) -> SystemModel:
+    """Planar point robot: positions (px, py), velocities (vx, vy), per-axis
+    acceleration bounds, no disturbance."""
+
+    def step_fn(x, u, d):
+        x = np.asarray(x, dtype=np.float64)
+        u = np.asarray(u, dtype=np.float64)
+        p = x[..., :2]
+        v = x[..., 2:]
+        v_next = v + u * dt
+        out = np.empty(v_next.shape[:-1] + (4,))
+        np.add(p, v * dt, out=out[..., :2])
+        out[..., 2:] = v_next
+        return out
+
+    def interval_fn(X, U, D):
+        # step_fn is nondecreasing in x and u, so its IEEE operations on the
+        # lower row and on the upper row give the bounds
+        return tuple((px + vx * dt, py + vy * dt, vx + ax * dt, vy + ay * dt)
+                     for (px, py, vx, vy), (ax, ay) in zip(X, U))
+
+    def drift(x):
+        x = np.asarray(x, dtype=np.float64)
+        out = np.empty(x.shape[:-1] + (4,))
+        out[..., :2] = x[..., 2:]
+        out[..., 2:] = 0.0
+        return out
+
+    return _control_affine_model("planar_double_integrator", "u_max", u_max, 0.0, dt,
+                                 [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                                 step_fn, interval_fn, drift)
 
 
 def make_linear_model(

@@ -14,61 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SystemModel, _constant_matrix
+from .dynamics import SystemModel
 from .filters import Monitor, SafetyFilter
-from .intervals import Box
 from .shielding import _REST_EPS, _braking_control
-
-
-def make_planar_double_integrator(u_max: float, dt: float) -> SystemModel:
-    """Planar point robot: positions (px, py), velocities (vx, vy), per-axis
-    acceleration bounds, no disturbance."""
-    if u_max <= 0:
-        raise ValueError("u_max must be positive")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-
-    def step_fn(x, u, d):
-        x = np.asarray(x, dtype=np.float64)
-        u = np.asarray(u, dtype=np.float64)
-        p = x[..., :2]
-        v = x[..., 2:]
-        v_next = v + u * dt
-        out = np.empty(v_next.shape[:-1] + (4,))
-        np.add(p, v * dt, out=out[..., :2])
-        out[..., 2:] = v_next
-        return out
-
-    def interval_fn(X, U, D):
-        # step_fn is nondecreasing in x and u, so its IEEE operations on the
-        # lower row and on the upper row give the bounds
-        return tuple((px + vx * dt, py + vy * dt, vx + ax * dt, vy + ay * dt)
-                     for (px, py, vx, vy), (ax, ay) in zip(X, U))
-
-    def drift(x):
-        x = np.asarray(x, dtype=np.float64)
-        out = np.empty(x.shape[:-1] + (4,))
-        out[..., :2] = x[..., 2:]
-        out[..., 2:] = 0.0
-        return out
-
-    g = _constant_matrix(np.vstack([np.zeros((2, 2)), np.eye(2)]))
-
-    def input_map(x):
-        return g
-
-    return SystemModel(
-        state_dim=4,
-        control_dim=2,
-        disturbance_dim=0,
-        dt=dt,
-        step=step_fn,
-        control_set=Box([-u_max, -u_max], [u_max, u_max]),
-        disturbance_set=Box([], []),
-        interval_step=interval_fn,
-        continuous_affine=(drift, input_map),
-        name="planar_double_integrator",
-    )
 
 
 @dataclass(frozen=True)
@@ -205,7 +153,7 @@ class ExplorationFilter(SafetyFilter):
         self.known: set[tuple[int, int]] = set()
         self._u_max = float(model.control_set.upper[0])
         monitor = Monitor(self._monitor_value, name="brake_in_known_free")
-        super().__init__(monitor, self._braking, name="exploration")
+        super().__init__(monitor, self._braking, "exploration", model.state_dim, model.control_dim)
 
     def reset(self, x0=None) -> None:
         self.last_degraded = False

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -62,6 +62,10 @@ class SafetyFilter:
     MPS and exploration scheme. Filters with another intervention (CBF-QP
     projection, tube MPC replanning) override it.
 
+    ``state_dim`` and ``control_dim`` are the sizes of the states and the
+    controls the filter takes; ``decide`` rejects others. A filter built
+    without them leaves the shapes to its monitor.
+
     Immutable after construction apart from per-episode bookkeeping
     (``last_degraded`` and any state handled by ``reset``/``observe``), which
     follows a single-writer-per-episode contract.
@@ -72,10 +76,13 @@ class SafetyFilter:
         monitor: Monitor,
         fallback: Callable[[np.ndarray], np.ndarray],
         name: str = "",
+        state_dim: Optional[int] = None,
+        control_dim: Optional[int] = None,
     ):
         self.monitor = monitor
         self.fallback = fallback
         self.name = name
+        self._shapes = None if state_dim is None else ((state_dim,), (control_dim,))
         self.last_degraded = False
 
     def intervene(self, eta, u, monitor_value: float) -> np.ndarray:
@@ -118,26 +125,31 @@ def least_restrictive_filter(
         return worst_case_next_value(model, grid, x, u, D)
 
     monitor = Monitor(evaluate, name="worst_case_next_value")
-    return SafetyFilter(monitor, fallback, name="least_restrictive")
+    return SafetyFilter(monitor, fallback, "least_restrictive", model.state_dim, model.control_dim)
 
 
 def passthrough_filter(model: SystemModel, name: str = "passthrough") -> SafetyFilter:
     """Vacuous monitor, so the switch always passes; the unfiltered baseline."""
     u_rest = model.control_set.center
     monitor = Monitor(lambda x, u: 0.0, name="vacuous")
-    return SafetyFilter(monitor, lambda x: u_rest.copy(), name=name)
+    return SafetyFilter(monitor, lambda x: u_rest.copy(), name, model.state_dim, model.control_dim)
 
 
 def decide(flt: SafetyFilter, x, u_task) -> FilterDecision:
     """Evaluate the monitor on the candidate, intervene, and record the event.
 
-    A state with a NaN or infinite coordinate raises ``InputDomainError``
-    before any monitor call. A non-finite candidate is not shown to the
-    monitor: its monitor value is NaN, which certifies nothing, and the
-    filter intervenes.
+    A state or a candidate whose shape is not the filter's ``(state_dim,)``
+    or ``(control_dim,)`` raises ``ValueError`` naming both shapes, and a
+    state with a NaN or infinite coordinate ``InputDomainError``, before any
+    monitor call. A non-finite candidate is not shown to the monitor: its
+    monitor value is NaN, which certifies nothing, and the filter intervenes.
     """
     x = np.asarray(x, dtype=np.float64)
     u_task = np.atleast_1d(np.asarray(u_task, dtype=np.float64))
+    shapes = flt._shapes
+    if shapes is not None and (x.shape != shapes[0] or u_task.shape != shapes[1]):
+        raise ValueError(f"state and candidate have shapes {x.shape} and {u_task.shape}, "
+                         f"the filter's {shapes[0]} and {shapes[1]}")
     if not all_finite(x):
         raise InputDomainError(f"state {x} is not finite")
     monitor_value = flt.monitor(x, u_task) if all_finite(u_task) else math.nan

@@ -335,17 +335,21 @@ def seed_pendulum_interval(dt):
     from safefilter.intervals import sin_interval
 
     def interval_fn(X: SeedBox, u, D: SeedBox) -> SeedBox:
-        wlo, whi = _seed_input_channel(u, D)
+        # the rate forms (sin + u) + d as the pendulum's step does, d = 0.0
+        # without a disturbance
+        ub = seed_as_box(u)
+        ulo, uhi = float(ub.lower[0]), float(ub.upper[0])
+        dlo, dhi = (float(D.lower[0]), float(D.upper[0])) if D.dim else (0.0, 0.0)
         tlo, thi = float(X.lower[0]), float(X.upper[0])
         sl, su = sin_interval(tlo, thi)
         return SeedBox(
             [
                 tlo + X.lower[1] * dt,
-                X.lower[1] + (sl + wlo) * dt,
+                X.lower[1] + ((sl + ulo) + dlo) * dt,
             ],
             [
                 thi + X.upper[1] * dt,
-                X.upper[1] + (su + whi) * dt,
+                X.upper[1] + ((su + uhi) + dhi) * dt,
             ],
         )
 

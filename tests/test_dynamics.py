@@ -14,6 +14,7 @@ from safefilter import (
     make_dubins_car,
     make_inverted_pendulum,
     make_linear_model,
+    make_planar_double_integrator,
     margin_halfspace,
     margin_keepout_ball,
     margin_min,
@@ -69,6 +70,28 @@ def test_constructor_validation():
         make_dubins_car(0.0, 1.0, 0.0, DT)
     with pytest.raises(ValueError):
         make_inverted_pendulum(-1.0, 0.0, DT)
+
+
+PARAMETERS = [
+    (make_double_integrator, (1.0, 0.1, DT), ("u_max", "d_max", "dt")),
+    (make_dubins_car, (1.0, 1.0, 0.1, DT), ("speed", "omega_max", "d_max", "dt")),
+    (make_inverted_pendulum, (1.0, 0.1, DT), ("torque_max", "d_max", "dt")),
+    (make_planar_double_integrator, (1.0, DT), ("u_max", "dt")),
+]
+
+
+@pytest.mark.parametrize("make, args, i, name", [
+    pytest.param(make, args, i, name, id=f"{make.__name__}-{name}")
+    for make, args, names in PARAMETERS for i, name in enumerate(names)
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_model_parameters_reject_nan_and_inf(make, args, i, name, bad):
+    """A NaN or infinite parameter raises ``ValueError`` naming it; a NaN
+    ``d_max`` used to build a model without disturbance, a NaN ``dt`` or
+    speed one whose ``step`` returns NaN."""
+    args = args[:i] + (bad,) + args[i + 1:]
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        make(*args)
 
 
 def test_disturbance_dimension_convention():

@@ -1,5 +1,7 @@
 """The shared filter surface: ``decide`` evaluates the monitor exactly once and
 hands the value to ``intervene``; ``SafetyFilter`` itself is the switch."""
+import re
+
 import numpy as np
 import pytest
 
@@ -74,10 +76,13 @@ def _tube():
     return flt, [([0.0], [0.3]), ([1.95], [1.0])]
 
 
-@pytest.mark.parametrize(
+FAMILIES = pytest.mark.parametrize(
     "build", [_lr, _mps, _passthrough, _exploration, _cbf, _tube],
     ids=["lr", "mps", "passthrough", "exploration", "cbf", "tube"],
 )
+
+
+@FAMILIES
 def test_decide_evaluates_the_monitor_once(build):
     flt, cases = build()
     calls = []
@@ -96,6 +101,24 @@ def test_decide_evaluates_the_monitor_once(build):
         overridden.append(decision.overridden)
     # both branches are exercised (the passthrough has only the passing one)
     assert overridden == [False, True][: len(cases)]
+
+
+@FAMILIES
+def test_decide_rejects_inputs_of_another_dimension(build):
+    """A state or candidate of another size raises ``ValueError`` naming both
+    shapes before any monitor call. Without the check CBF-QP passed a 3-d
+    state's candidate and least-restrictive a 2-entry candidate on its
+    1-control model; MPS and tube MPC failed inside their loops."""
+    flt, cases = build()
+    x, u = cases[0]
+    calls = []
+    object.__setattr__(flt.monitor, "evaluate", lambda x, u: calls.append(1))
+    for bad_x, bad_u in [(x + [7.0], u), (x[:-1], u), (x, u + [0.5]), (x, [u])]:
+        given = np.shape(bad_x), np.shape(bad_u)
+        expected = f"shapes {given[0]} and {given[1]}, the filter's ({len(x)},) and ({len(u)},)"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            decide(flt, bad_x, bad_u)
+    assert not calls
 
 
 def test_switch_intervention_uses_the_given_value():

@@ -133,6 +133,19 @@ def test_interval_step_returns_float_rows_that_contain_successors(name, data, se
     assert bad.size == 0, (X, U, D, out, xs[bad[0]], us[bad[0]], ds[bad[0]], successors[bad[0]])
 
 
+def test_pendulum_interval_step_repeats_steps_association():
+    """``step`` forms the rate as (sin + u) + d. Where ``sin_interval`` gives
+    exactly -1, forming sin + (u + d) instead rounds the lower rate above the
+    true successor's: -0.09999999999999999 against -0.1."""
+    model = make_inverted_pendulum(1.5, 0.1, 0.1)
+    X = ((-math.pi / 2, 0.0), (-math.pi / 2, 0.0))
+    w = ((4e-17,), (4e-17,))
+    (_, rate_lo), (_, rate_hi) = model.interval_step(X, w, w)
+    successor = model.step(np.array(X[0]), np.array(w[0]), np.array(w[0]))
+    assert successor[1] == -0.1
+    assert rate_lo <= successor[1] <= rate_hi
+
+
 entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-10.0, 10.0))
 
 

@@ -1,6 +1,7 @@
 """Each shared job has one copy in the package: one module writes CSV files,
-one module defines the at-rest velocity threshold, and one module writes out
-numpy's NaN rule for a float minimum or maximum."""
+one module defines the at-rest velocity threshold, one module writes out
+numpy's NaN rule for a float minimum or maximum, and one constructor builds
+every built-in control-affine model."""
 import ast
 from pathlib import Path
 
@@ -58,3 +59,17 @@ def _is_nan_wins(node) -> bool:
 def test_one_module_writes_out_the_nan_min_max_rule():
     found = [name for name, tree in _modules() if any(map(_is_nan_wins, ast.walk(tree)))]
     assert found == ["intervals.py"], found
+
+
+def _definitions_calling(tree, name: str) -> list[str]:
+    """The top-level functions and classes of ``tree`` that call ``name``
+    (``<module>`` for a call outside them)."""
+    return [getattr(stmt, "name", "<module>") for stmt in tree.body
+            if any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == name
+                   for n in ast.walk(stmt))]
+
+
+def test_one_module_builds_system_models():
+    found = {name: calls for name, tree in _modules()
+             if (calls := _definitions_calling(tree, "SystemModel"))}
+    assert found == {"dynamics.py": ["_control_affine_model", "make_linear_model"]}, found
