@@ -189,7 +189,8 @@ class CBFQPFilter(SafetyFilter):
         self.model = model
         self.barrier = barrier
         monitor = Monitor(self._monitor_value, name="barrier_decrease")
-        super().__init__(monitor, self._fallback, "cbf_qp", model.state_dim, model.control_dim)
+        super().__init__(monitor, self._fallback, "cbf_qp",
+                         state_dim=model.state_dim, control_dim=model.control_dim)
 
     def _monitor_value(self, x, u) -> float:
         x = np.asarray(x, dtype=np.float64)

@@ -153,7 +153,8 @@ class ExplorationFilter(SafetyFilter):
         self.known: set[tuple[int, int]] = set()
         self._u_max = float(model.control_set.upper[0])
         monitor = Monitor(self._monitor_value, name="brake_in_known_free")
-        super().__init__(monitor, self._braking, "exploration", model.state_dim, model.control_dim)
+        super().__init__(monitor, self._braking, "exploration",
+                         state_dim=model.state_dim, control_dim=model.control_dim)
 
     def reset(self, x0=None) -> None:
         self.last_degraded = False

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -63,8 +63,7 @@ class SafetyFilter:
     projection, tube MPC replanning) override it.
 
     ``state_dim`` and ``control_dim`` are the sizes of the states and the
-    controls the filter takes; ``decide`` rejects others. A filter built
-    without them leaves the shapes to its monitor.
+    controls the filter takes; ``decide`` rejects others.
 
     Immutable after construction apart from per-episode bookkeeping
     (``last_degraded`` and any state handled by ``reset``/``observe``), which
@@ -76,13 +75,14 @@ class SafetyFilter:
         monitor: Monitor,
         fallback: Callable[[np.ndarray], np.ndarray],
         name: str = "",
-        state_dim: Optional[int] = None,
-        control_dim: Optional[int] = None,
+        *,
+        state_dim: int,
+        control_dim: int,
     ):
         self.monitor = monitor
         self.fallback = fallback
         self.name = name
-        self._shapes = None if state_dim is None else ((state_dim,), (control_dim,))
+        self._shapes = ((state_dim,), (control_dim,))
         self.last_degraded = False
 
     def intervene(self, eta, u, monitor_value: float) -> np.ndarray:
@@ -125,14 +125,16 @@ def least_restrictive_filter(
         return worst_case_next_value(model, grid, x, u, D)
 
     monitor = Monitor(evaluate, name="worst_case_next_value")
-    return SafetyFilter(monitor, fallback, "least_restrictive", model.state_dim, model.control_dim)
+    return SafetyFilter(monitor, fallback, "least_restrictive",
+                        state_dim=model.state_dim, control_dim=model.control_dim)
 
 
 def passthrough_filter(model: SystemModel, name: str = "passthrough") -> SafetyFilter:
     """Vacuous monitor, so the switch always passes; the unfiltered baseline."""
     u_rest = model.control_set.center
     monitor = Monitor(lambda x, u: 0.0, name="vacuous")
-    return SafetyFilter(monitor, lambda x: u_rest.copy(), name, model.state_dim, model.control_dim)
+    return SafetyFilter(monitor, lambda x: u_rest.copy(), name,
+                        state_dim=model.state_dim, control_dim=model.control_dim)
 
 
 def decide(flt: SafetyFilter, x, u_task) -> FilterDecision:
@@ -147,7 +149,7 @@ def decide(flt: SafetyFilter, x, u_task) -> FilterDecision:
     x = np.asarray(x, dtype=np.float64)
     u_task = np.atleast_1d(np.asarray(u_task, dtype=np.float64))
     shapes = flt._shapes
-    if shapes is not None and (x.shape != shapes[0] or u_task.shape != shapes[1]):
+    if x.shape != shapes[0] or u_task.shape != shapes[1]:
         raise ValueError(f"state and candidate have shapes {x.shape} and {u_task.shape}, "
                          f"the filter's {shapes[0]} and {shapes[1]}")
     if not all_finite(x):

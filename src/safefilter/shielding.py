@@ -256,7 +256,8 @@ def mps_filter(
         return mps_monitor(model, fb, terminal, failure_margin, x, u, horizon)
 
     monitor = Monitor(evaluate, name="fallback_tube_check")
-    return SafetyFilter(monitor, fb.policy, "mps", model.state_dim, model.control_dim)
+    return SafetyFilter(monitor, fb.policy, "mps",
+                        state_dim=model.state_dim, control_dim=model.control_dim)
 
 
 # --- braking fallback and terminal set for the double integrator ------------

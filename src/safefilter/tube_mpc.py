@@ -183,7 +183,7 @@ class TubeMPCFilter(SafetyFilter):
         self.plan_log_dir: str | None = None
         self._plan_counter = 0
         monitor = Monitor(self._monitor_value, name="plan_feasibility")
-        super().__init__(monitor, self._fallback, "tube_mpc", n, m)
+        super().__init__(monitor, self._fallback, "tube_mpc", state_dim=n, control_dim=m)
 
     # --- constraint assembly -------------------------------------------------
 

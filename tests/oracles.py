@@ -612,7 +612,8 @@ def seed_cbf_qp_filter(model, barrier):
             self.model = model
             self.barrier = barrier
             monitor = Monitor(self._monitor_value, name="barrier_decrease")
-            super().__init__(monitor, self._fallback, name="cbf_qp")
+            super().__init__(monitor, self._fallback, name="cbf_qp",
+                             state_dim=model.state_dim, control_dim=model.control_dim)
 
         def _monitor_value(self, x, u) -> float:
             x = np.asarray(x, dtype=np.float64)
@@ -968,7 +969,7 @@ class SeedTubeMPCFilter(SafetyFilter):
         self.plan_log_dir: str | None = None
         self._plan_counter = 0
         monitor = Monitor(self._monitor_value, name="plan_feasibility")
-        super().__init__(monitor, self._fallback, name="tube_mpc")
+        super().__init__(monitor, self._fallback, name="tube_mpc", state_dim=n, control_dim=m)
 
     # --- constraint assembly -------------------------------------------------
 

@@ -129,7 +129,7 @@ def test_switch_intervention_uses_the_given_value():
         return -1.0
 
     fallback = lambda x: np.array([-0.5])  # noqa: E731
-    flt = SafetyFilter(Monitor(evaluate), fallback)
+    flt = SafetyFilter(Monitor(evaluate), fallback, state_dim=2, control_dim=1)
     x, u = np.array([1.0, 0.0]), np.array([0.25])
     assert flt.intervene(x, u, 0.0) is u
     assert np.array_equal(flt.intervene(x, u, -1e-300), fallback(x))

@@ -171,8 +171,9 @@ def test_soundness_budget_error(wall_setup):
 class _FixedOutput(SafetyFilter):
     """Intervenes with a fixed control, or with the candidate itself."""
 
-    def __init__(self, output=None):
-        super().__init__(Monitor(lambda x, u: 1.0), lambda x: np.zeros(1))
+    def __init__(self, output, control_dim):
+        super().__init__(Monitor(lambda x, u: 1.0), lambda x: np.zeros(1),
+                         state_dim=2, control_dim=control_dim)
         self.output = output
 
     def intervene(self, eta, u, monitor_value):
@@ -196,6 +197,6 @@ class _FixedOutput(SafetyFilter):
 def test_decide_override_flag(candidate, output, overridden):
     """``overridden`` is False only when the applied control equals the
     candidate elementwise, as ``np.array_equal`` decides it."""
-    decision = decide(_FixedOutput(output), np.array([1.0, 0.0]), candidate)
+    decision = decide(_FixedOutput(output, len(candidate)), np.array([1.0, 0.0]), candidate)
     assert decision.overridden is overridden
     assert overridden is not np.array_equal(decision.applied, decision.candidate)

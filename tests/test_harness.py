@@ -213,7 +213,8 @@ def test_decisions_csv(bench, tmp_path):
 def test_nan_deployment_monitor_value_is_rejected(bench):
     # a monitor value that is not >= 0 certifies nothing, NaN included
     model, g, grid, u_cands, d_cands, _ = bench
-    nan_monitor = SafetyFilter(Monitor(lambda x, u: float("nan")), lambda x: np.zeros(1))
+    nan_monitor = SafetyFilter(Monitor(lambda x, u: float("nan")), lambda x: np.zeros(1),
+                               state_dim=2, control_dim=1)
     with pytest.raises(DeploymentRejected):
         run_episode(model, nan_monitor, constant_policy([0.0]), zero_disturbance(model),
                     [1.5, 0.0], 10, 0, g)
