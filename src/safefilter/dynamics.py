@@ -70,13 +70,20 @@ def all_finite(a: np.ndarray) -> bool:
     return all(map(math.isfinite, a.ravel().tolist()))
 
 
+def _float_vector(a) -> np.ndarray:
+    """``np.atleast_1d(np.asarray(a, dtype=np.float64))`` without the cost of
+    its Python call."""
+    a = np.asarray(a, dtype=np.float64)
+    return a.reshape(1) if a.ndim == 0 else a
+
+
 def step(model: SystemModel, x, u, d) -> np.ndarray:
     """Validated single step: raises ``InputDomainError`` for a non-finite state
     and for a control or disturbance outside its box (NaN included), and
     ``ValueError`` for a state, control or disturbance of the wrong shape."""
     x = np.asarray(x, dtype=np.float64)
-    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    d = np.atleast_1d(np.asarray(d, dtype=np.float64))
+    u = _float_vector(u)
+    d = _float_vector(d)
     if x.shape != (model.state_dim,):
         raise ValueError(f"state has shape {x.shape}, the model's states ({model.state_dim},)")
     if not all_finite(x):
@@ -163,6 +170,13 @@ def make_double_integrator(u_max: float, d_max: float, dt: float) -> SystemModel
         x = np.asarray(x, dtype=np.float64)
         u = np.asarray(u, dtype=np.float64)
         d = np.asarray(d, dtype=np.float64)
+        if x.ndim == 1 and u.ndim == 1 and (d.ndim == 1 or not has_d):
+            # one state on Python floats, the numpy path's operations in their
+            # order; a state or an input of another length raises
+            p, v = x.tolist()
+            (uu,) = u.tolist()
+            (dd,) = d.tolist() if has_d else (0.0,)
+            return np.array((p + v * dt, v + (uu + dd) * dt))
         uu, dd = _scalar_inputs(u, d, has_d)
         p, v = x[..., 0], x[..., 1]
         v_next = v + (uu + dd) * dt

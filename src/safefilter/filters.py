@@ -15,7 +15,14 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import InputDomainError, MarginFunction, SystemModel, all_finite, as_lattice
+from .dynamics import (
+    InputDomainError,
+    MarginFunction,
+    SystemModel,
+    _float_vector,
+    all_finite,
+    as_lattice,
+)
 from .reachability import ValueGrid, optimal_safety_policy, worst_case_next_value
 
 
@@ -137,6 +144,16 @@ def passthrough_filter(model: SystemModel, name: str = "passthrough") -> SafetyF
                         state_dim=model.state_dim, control_dim=model.control_dim)
 
 
+def _check_shapes(flt: SafetyFilter, x: np.ndarray, u: np.ndarray) -> None:
+    """Raise ``ValueError`` naming both shapes when the state or the candidate
+    (as ``_float_vector`` gives it) is not of the filter's shape. Each monitor
+    entry point runs it before its first monitor call."""
+    shapes = flt._shapes
+    if x.shape != shapes[0] or u.shape != shapes[1]:
+        raise ValueError(f"state and candidate have shapes {x.shape} and {u.shape}, "
+                         f"the filter's {shapes[0]} and {shapes[1]}")
+
+
 def decide(flt: SafetyFilter, x, u_task) -> FilterDecision:
     """Evaluate the monitor on the candidate, intervene, and record the event.
 
@@ -147,17 +164,12 @@ def decide(flt: SafetyFilter, x, u_task) -> FilterDecision:
     monitor value is NaN, which certifies nothing, and the filter intervenes.
     """
     x = np.asarray(x, dtype=np.float64)
-    u_task = np.atleast_1d(np.asarray(u_task, dtype=np.float64))
-    shapes = flt._shapes
-    if x.shape != shapes[0] or u_task.shape != shapes[1]:
-        raise ValueError(f"state and candidate have shapes {x.shape} and {u_task.shape}, "
-                         f"the filter's {shapes[0]} and {shapes[1]}")
+    u_task = _float_vector(u_task)
+    _check_shapes(flt, x, u_task)
     if not all_finite(x):
         raise InputDomainError(f"state {x} is not finite")
     monitor_value = flt.monitor(x, u_task) if all_finite(u_task) else math.nan
-    applied = np.atleast_1d(
-        np.asarray(flt.intervene(x, u_task, monitor_value), dtype=np.float64)
-    )
+    applied = _float_vector(flt.intervene(x, u_task, monitor_value))
     return FilterDecision(
         candidate=u_task,
         applied=applied,
@@ -220,7 +232,9 @@ def verify_monitor_soundness(
     report = SoundnessReport(checked_states=n_states, certified_states=0)
     for x0 in initial_states:
         x0 = np.asarray(x0, dtype=np.float64)
-        if not flt.monitor(x0, flt.fallback(x0)) >= 0.0:  # NaN certifies nothing
+        u0 = flt.fallback(x0)
+        _check_shapes(flt, x0, _float_vector(u0))
+        if not flt.monitor(x0, u0) >= 0.0:  # NaN certifies nothing
             continue
         report.certified_states += 1
         stack = [(x0, ())]

@@ -12,12 +12,14 @@ from dataclasses import astuple, dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
+from numpy._core.umath import clip as _clip  # np.clip's ufunc, without its dispatch
 
-from .dynamics import MarginFunction, SystemModel, as_lattice, step
+from .dynamics import MarginFunction, SystemModel, _float_vector, as_lattice, step
 from .filters import (
     DeploymentRejected,
     FilterDecision,
     SafetyFilter,
+    _check_shapes,
     decide,
     passthrough_filter,
     write_series_csv,
@@ -84,7 +86,9 @@ def run_episode(
     x0 = np.asarray(x0, dtype=np.float64)
     rng = np.random.default_rng(seed)
     flt.reset(x0)
-    if not flt.monitor(x0, flt.fallback(x0)) >= 0.0:
+    u0 = flt.fallback(x0)
+    _check_shapes(flt, x0, _float_vector(u0))
+    if not flt.monitor(x0, u0) >= 0.0:
         raise DeploymentRejected(f"monitor rejected deployment at {x0}")
 
     states = [x0]
@@ -97,10 +101,11 @@ def run_episode(
         decision = decide(flt, x, u_task)
         # the disturbance is chosen after filtering so adversaries see the
         # applied control; step() validates both inputs against their boxes
-        d = np.atleast_1d(np.asarray(disturbance_policy(x, decision.applied, rng), dtype=np.float64))
-        x_next = step(model, x, decision.applied, d)
+        applied = decision.applied
+        d = _float_vector(disturbance_policy(x, applied, rng))
+        x_next = step(model, x, applied, d)
         states.append(x_next)
-        controls.append(decision.applied)
+        controls.append(applied)
         disturbances.append(d)
         decisions.append(decision)
         flt.observe(x_next)
@@ -133,9 +138,10 @@ def compute_metrics(
         np.zeros(traj.states.shape[1]) if goal is None else np.asarray(goal, dtype=np.float64)
     )
     cost = 0.0
-    for t in range(n_steps):
-        err = traj.states[t] - goal_vec
-        cost += float(err @ err) + control_weight * float(traj.controls[t] @ traj.controls[t])
+    # the subtraction is elementwise, so each row is that state's own error;
+    # the dot products stay one per state, as a matrix product rounds otherwise
+    for err, u in zip(traj.states[:n_steps] - goal_vec, traj.controls):
+        cost += float(err @ err) + control_weight * float(u @ u)
     chatter = int(np.sum(overridden[1:] != overridden[:-1]))
     return EpisodeMetrics(
         violations=violations,
@@ -163,10 +169,10 @@ def proportional_policy(gain, goal, control_set) -> TaskPolicy:
     """u = clip(gain @ (goal - x)) onto the control box."""
     gain = np.asarray(gain, dtype=np.float64)
     goal = np.asarray(goal, dtype=np.float64)
+    lower, upper = control_set.lower, control_set.upper
 
     def policy(x, rng):
-        u = gain @ (goal - np.asarray(x, dtype=np.float64))
-        return np.clip(u, control_set.lower, control_set.upper)
+        return _clip(gain @ (goal - np.asarray(x, dtype=np.float64)), lower, upper)
 
     return policy
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,10 +77,10 @@ class Box:
     def contains(self, x, tol: float = 0.0) -> bool:
         """True if every coordinate of x lies in [lower - tol, upper + tol];
         a NaN coordinate lies in no box."""
-        vals = np.asarray(x, dtype=np.float64).reshape(-1).tolist()
-        if len(vals) != self.dim:
-            raise ValueError(f"point has dimension {len(vals)}, box has {self.dim}")
+        vals = np.asarray(x, dtype=np.float64).ravel().tolist()
         lower, upper = self._float_rows
+        if len(vals) != len(lower):
+            raise ValueError(f"point has dimension {len(vals)}, box has {len(lower)}")
         for v, lo, hi in zip(vals, lower, upper):
             if not lo - tol <= v <= hi + tol:
                 return False
@@ -88,8 +89,15 @@ class Box:
     def sample(self, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
         """Uniform sample(s); shape (dim,) if n is None else (n, dim)."""
         size = (self.dim,) if n is None else (n, self.dim)
-        u = rng.uniform(size=size)
-        return self.lower + u * (self.upper - self.lower)
+        # rng.random draws uniform(size=size)'s stream and bits without its
+        # argument handling
+        return self.lower + rng.random(size) * self._span
+
+    @cached_property
+    def _span(self) -> np.ndarray:
+        # cached on first use: computed for every box, it would warn on bounds
+        # whose difference overflows
+        return self.upper - self.lower
 
 
 def float_rows(bounds) -> tuple:

@@ -14,6 +14,7 @@ from safefilter import (
     braking_terminal_set,
     builtin_barrier_double_integrator,
     cbf_qp_filter,
+    constant_policy,
     decide,
     discretize_box,
     exploration_filter,
@@ -23,8 +24,11 @@ from safefilter import (
     margin_halfspace,
     mps_filter,
     passthrough_filter,
+    run_episode,
     solve,
     tube_mpc_filter,
+    verify_monitor_soundness,
+    zero_disturbance,
 )
 
 DT = 0.1
@@ -76,6 +80,18 @@ def _tube():
     return flt, [([0.0], [0.3]), ([1.95], [1.0])]
 
 
+def _count_monitor_calls(flt):
+    calls = []
+    evaluate = flt.monitor.evaluate
+
+    def counting(x, u):
+        calls.append(1)
+        return evaluate(x, u)
+
+    object.__setattr__(flt.monitor, "evaluate", counting)
+    return calls
+
+
 FAMILIES = pytest.mark.parametrize(
     "build", [_lr, _mps, _passthrough, _exploration, _cbf, _tube],
     ids=["lr", "mps", "passthrough", "exploration", "cbf", "tube"],
@@ -85,14 +101,7 @@ FAMILIES = pytest.mark.parametrize(
 @FAMILIES
 def test_decide_evaluates_the_monitor_once(build):
     flt, cases = build()
-    calls = []
-    evaluate = flt.monitor.evaluate
-
-    def counting(x, u):
-        calls.append(1)
-        return evaluate(x, u)
-
-    object.__setattr__(flt.monitor, "evaluate", counting)
+    calls = _count_monitor_calls(flt)
     overridden = []
     for x, u in cases:
         calls.clear()
@@ -118,6 +127,37 @@ def test_decide_rejects_inputs_of_another_dimension(build):
         expected = f"shapes {given[0]} and {given[1]}, the filter's ({len(x)},) and ({len(u)},)"
         with pytest.raises(ValueError, match=re.escape(expected)):
             decide(flt, bad_x, bad_u)
+    assert not calls
+
+
+STATE_2D = pytest.mark.parametrize("build", [_mps, _passthrough, _cbf],
+                                   ids=["mps", "passthrough", "cbf"])
+BAD_STATE = re.escape("shapes (3,) and (1,), the filter's (2,) and (1,)")
+
+
+@STATE_2D
+def test_run_episode_rejects_a_state_of_another_dimension(build):
+    """The deployment check runs ``decide``'s shape check before its monitor
+    call; without it CBF-QP certified the 3-d state [2, 0, 7]."""
+    flt, cases = build()
+    calls = _count_monitor_calls(flt)
+    model = make_double_integrator(1.0, 0.0, DT)
+    with pytest.raises(ValueError, match=BAD_STATE):
+        run_episode(model, flt, constant_policy([0.0]), zero_disturbance(model),
+                    cases[0][0] + [7.0], 5, 0, WALL)
+    assert not calls
+
+
+@STATE_2D
+def test_soundness_check_rejects_a_state_of_another_dimension(build):
+    """Without the shape check the monitor certified the 3-d state and the
+    rollout then failed in a numpy matmul."""
+    flt, cases = build()
+    calls = _count_monitor_calls(flt)
+    model = make_double_integrator(1.0, 0.0, DT)
+    with pytest.raises(ValueError, match=BAD_STATE):
+        verify_monitor_soundness(model, flt, [np.array(cases[0][0] + [7.0])], 2,
+                                 discretize_box(model.disturbance_set, []), WALL)
     assert not calls
 
 
