@@ -28,7 +28,7 @@ import numpy as np
 
 from .dynamics import SystemModel
 from .filters import Monitor, SafetyFilter
-from .intervals import minimum
+from .intervals import _float_vector, minimum
 
 _FEAS_TOL = 1e-9
 _ALPHA_SAMPLES = np.linspace(-5.0, 5.0, 101)
@@ -79,7 +79,7 @@ def cbf_constraint(model: SystemModel, b: BarrierFunction, x, u) -> float:
     """Value of grad_h(x).(f(x) + g(x)u) + alpha(h(x)); >= 0 means u satisfies
     the barrier decrease condition at x."""
     x = np.asarray(x, dtype=np.float64)
-    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    u = _float_vector(u)
     drift_term, a = _affine_terms(model, b, x)
     return drift_term + float(a @ u) + float(b.alpha(float(b.h(x))))
 
@@ -193,8 +193,6 @@ class CBFQPFilter(SafetyFilter):
                          state_dim=model.state_dim, control_dim=model.control_dim)
 
     def _monitor_value(self, x, u) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        u = np.atleast_1d(np.asarray(u, dtype=np.float64))
         drift_term, a = _affine_terms(self.model, self.barrier, x)
         h = float(self.barrier.h(x))
         return minimum(drift_term + float(a @ u) + float(self.barrier.alpha(h)), h)
@@ -207,7 +205,7 @@ class CBFQPFilter(SafetyFilter):
 
     def _fallback(self, x) -> np.ndarray:
         """Decrease-maximizing control at x."""
-        _, a = _affine_terms(self.model, self.barrier, np.asarray(x, dtype=np.float64))
+        _, a = _affine_terms(self.model, self.barrier, x)
         return self._max_decrease(a)
 
     def intervene(self, x, u_task, monitor_value: float) -> np.ndarray:
@@ -218,8 +216,6 @@ class CBFQPFilter(SafetyFilter):
         nonnegative monitor value is returned as it is, with no evaluation of
         the barrier."""
         self.last_degraded = False
-        x = np.asarray(x, dtype=np.float64)
-        u_task = np.atleast_1d(np.asarray(u_task, dtype=np.float64))
         if monitor_value >= 0.0 and self.model.control_set.contains(u_task):
             return u_task
         drift_term, a = _affine_terms(self.model, self.barrier, x)
@@ -254,13 +250,11 @@ def builtin_barrier_double_integrator(
         raise ValueError("kappa must be positive")
 
     def h(x):
-        x = np.asarray(x, dtype=np.float64)
         p, v = x[..., 0], x[..., 1]
         braking = np.maximum(0.0, -v)
         return (p - wall) - braking * braking / (2.0 * u_max)
 
     def grad_h(x):
-        x = np.asarray(x, dtype=np.float64)
         out = np.empty(x.shape[:-1] + (2,))
         out[..., 0] = 1.0
         np.divide(np.maximum(0.0, -x[..., 1]), u_max, out=out[..., 1])

@@ -15,7 +15,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .intervals import Box, amin, cos_interval, float_rows, linear_image, minimum, sin_interval
+from .intervals import (Box, _float_vector, amin, cos_interval, float_rows, linear_image,
+                        minimum, sin_interval)
 
 
 class InputDomainError(ValueError):
@@ -45,6 +46,10 @@ class SystemModel:
     for control-affine models; when present, ``step`` is the forward-Euler
     discretization of f(x) + g(x) u with the disturbance entering additively
     on the highest-order derivative.
+
+    ``step`` and the drift take float64 arrays as given, unchecked: the entry
+    points, such as the validated ``step`` below, ``decide`` and
+    ``run_episode``, convert what a caller hands them.
     """
 
     state_dim: int
@@ -68,13 +73,6 @@ def all_finite(a: np.ndarray) -> bool:
     times cheaper than ``np.isfinite(a).all()`` on the short vectors of one
     closed-loop step."""
     return all(map(math.isfinite, a.ravel().tolist()))
-
-
-def _float_vector(a) -> np.ndarray:
-    """``np.atleast_1d(np.asarray(a, dtype=np.float64))`` without the cost of
-    its Python call."""
-    a = np.asarray(a, dtype=np.float64)
-    return a.reshape(1) if a.ndim == 0 else a
 
 
 def step(model: SystemModel, x, u, d) -> np.ndarray:
@@ -167,9 +165,6 @@ def make_double_integrator(u_max: float, d_max: float, dt: float) -> SystemModel
     has_d = d_max > 0
 
     def step_fn(x, u, d):
-        x = np.asarray(x, dtype=np.float64)
-        u = np.asarray(u, dtype=np.float64)
-        d = np.asarray(d, dtype=np.float64)
         if x.ndim == 1 and u.ndim == 1 and (d.ndim == 1 or not has_d):
             # one state on Python floats, the numpy path's operations in their
             # order; a state or an input of another length raises
@@ -193,7 +188,6 @@ def make_double_integrator(u_max: float, d_max: float, dt: float) -> SystemModel
         return (pl + vl * dt, vl + wl * dt), (ph + vh * dt, vh + wh * dt)
 
     def drift(x):
-        x = np.asarray(x, dtype=np.float64)
         out = np.empty(x.shape[:-1] + (2,))
         out[..., 0] = x[..., 1]
         out[..., 1] = 0.0
@@ -209,9 +203,6 @@ def make_dubins_car(speed: float, omega_max: float, d_max: float, dt: float) -> 
     has_d = d_max > 0
 
     def step_fn(x, u, d):
-        x = np.asarray(x, dtype=np.float64)
-        u = np.asarray(u, dtype=np.float64)
-        d = np.asarray(d, dtype=np.float64)
         uu, dd = _scalar_inputs(u, d, has_d)
         px, py, th = x[..., 0], x[..., 1], x[..., 2]
         th_next = th + (uu + dd) * dt
@@ -232,7 +223,6 @@ def make_dubins_car(speed: float, omega_max: float, d_max: float, dt: float) -> 
         )
 
     def drift(x):
-        x = np.asarray(x, dtype=np.float64)
         th = x[..., 2]
         out = np.empty(th.shape + (3,))
         np.multiply(speed, np.cos(th), out=out[..., 0])
@@ -249,9 +239,6 @@ def make_inverted_pendulum(torque_max: float, d_max: float, dt: float) -> System
     has_d = d_max > 0
 
     def step_fn(x, u, d):
-        x = np.asarray(x, dtype=np.float64)
-        u = np.asarray(u, dtype=np.float64)
-        d = np.asarray(d, dtype=np.float64)
         uu, dd = _scalar_inputs(u, d, has_d)
         th, om = x[..., 0], x[..., 1]
         om_next = om + (np.sin(th) + uu + dd) * dt
@@ -271,7 +258,6 @@ def make_inverted_pendulum(torque_max: float, d_max: float, dt: float) -> System
                 (ah + rh * dt, rh + ((su + uh) + dh) * dt))
 
     def drift(x):
-        x = np.asarray(x, dtype=np.float64)
         out = np.empty(x.shape[:-1] + (2,))
         out[..., 0] = x[..., 1]
         np.sin(x[..., 0], out=out[..., 1])
@@ -286,8 +272,6 @@ def make_planar_double_integrator(u_max: float, dt: float) -> SystemModel:
     acceleration bounds, no disturbance."""
 
     def step_fn(x, u, d):
-        x = np.asarray(x, dtype=np.float64)
-        u = np.asarray(u, dtype=np.float64)
         p = x[..., :2]
         v = x[..., 2:]
         v_next = v + u * dt
@@ -303,7 +287,6 @@ def make_planar_double_integrator(u_max: float, dt: float) -> SystemModel:
                      for (px, py, vx, vy), (ax, ay) in zip(X, U))
 
     def drift(x):
-        x = np.asarray(x, dtype=np.float64)
         out = np.empty(x.shape[:-1] + (4,))
         out[..., :2] = x[..., 2:]
         out[..., 2:] = 0.0
@@ -334,9 +317,6 @@ def make_linear_model(
         raise ValueError("disturbance box must be 0-d or state-dimensional")
 
     def step_fn(x, u, d):
-        x = np.asarray(x, dtype=np.float64)
-        u = np.asarray(u, dtype=np.float64)
-        d = np.asarray(d, dtype=np.float64)
         out = x @ A.T + u @ B.T
         if dist_box.dim:
             out = out + d
@@ -520,4 +500,4 @@ def as_lattice(candidates) -> np.ndarray:
     """
     if isinstance(candidates, np.ndarray) and candidates.ndim == 2:
         return candidates.astype(np.float64, copy=False)
-    return np.stack([np.atleast_1d(np.asarray(c, dtype=np.float64)) for c in candidates])
+    return np.stack([_float_vector(c) for c in candidates])

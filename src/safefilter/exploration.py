@@ -163,7 +163,7 @@ class ExplorationFilter(SafetyFilter):
             self.observe(x0)
 
     def observe(self, x) -> None:
-        pos = np.asarray(x, dtype=np.float64)[:2]
+        pos = x[:2]
         c = self.world.cell_size
         r = self.sensor_radius
         ix_lo = math.floor((pos[0] - r) / c)
@@ -182,15 +182,13 @@ class ExplorationFilter(SafetyFilter):
         """The exact-stop brake on each velocity axis: the braking law with
         no band limit."""
         u_max, dt = self._u_max, self.model.dt
-        v = np.asarray(x, dtype=np.float64)[2:].tolist()
+        v = x[2:].tolist()
         return np.array([_braking_control(vi, u_max, dt, math.inf) for vi in v])
 
     def _segment_known(self, p0, p1) -> bool:
         return segment_cells(p0, p1, self.world.cell_size) <= self.known
 
     def _monitor_value(self, x, u) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        u = np.asarray(u, dtype=np.float64)
         d0 = self.model.zero_disturbance()
         nxt = self.model.step(x, u, d0)
         if not self._segment_known(x[:2], nxt[:2]):

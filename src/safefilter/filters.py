@@ -19,10 +19,10 @@ from .dynamics import (
     InputDomainError,
     MarginFunction,
     SystemModel,
-    _float_vector,
     all_finite,
     as_lattice,
 )
+from .intervals import _float_vector
 from .reachability import ValueGrid, optimal_safety_policy, worst_case_next_value
 
 
@@ -70,7 +70,9 @@ class SafetyFilter:
     projection, tube MPC replanning) override it.
 
     ``state_dim`` and ``control_dim`` are the sizes of the states and the
-    controls the filter takes; ``decide`` rejects others.
+    controls the filter takes; ``decide`` rejects others. Its methods take
+    float64 arrays of those shapes as given: ``decide``, ``run_episode`` and
+    ``verify_monitor_soundness`` convert and check what a caller hands them.
 
     Immutable after construction apart from per-episode bookkeeping
     (``last_degraded`` and any state handled by ``reset``/``observe``), which
@@ -144,13 +146,15 @@ def passthrough_filter(model: SystemModel, name: str = "passthrough") -> SafetyF
                         state_dim=model.state_dim, control_dim=model.control_dim)
 
 
-def _check_shapes(flt: SafetyFilter, x: np.ndarray, u: np.ndarray) -> None:
+def _check_shapes(flt: SafetyFilter, x: np.ndarray, u: np.ndarray | None = None) -> None:
     """Raise ``ValueError`` naming both shapes when the state or the candidate
-    (as ``_float_vector`` gives it) is not of the filter's shape. Each monitor
-    entry point runs it before its first monitor call."""
+    (as ``_float_vector`` gives it) is not of the filter's shape; without one,
+    the state alone is checked. Each entry point checks the state before its
+    first fallback or monitor call."""
     shapes = flt._shapes
-    if x.shape != shapes[0] or u.shape != shapes[1]:
-        raise ValueError(f"state and candidate have shapes {x.shape} and {u.shape}, "
+    u_shape = shapes[1] if u is None else u.shape
+    if x.shape != shapes[0] or u_shape != shapes[1]:
+        raise ValueError(f"state and candidate have shapes {x.shape} and {u_shape}, "
                          f"the filter's {shapes[0]} and {shapes[1]}")
 
 
@@ -232,8 +236,9 @@ def verify_monitor_soundness(
     report = SoundnessReport(checked_states=n_states, certified_states=0)
     for x0 in initial_states:
         x0 = np.asarray(x0, dtype=np.float64)
-        u0 = flt.fallback(x0)
-        _check_shapes(flt, x0, _float_vector(u0))
+        _check_shapes(flt, x0)
+        u0 = _float_vector(flt.fallback(x0))
+        _check_shapes(flt, x0, u0)
         if not flt.monitor(x0, u0) >= 0.0:  # NaN certifies nothing
             continue
         report.certified_states += 1
@@ -246,7 +251,7 @@ def verify_monitor_soundness(
                 continue
             if len(d_seq) == horizon:
                 continue
-            u = flt.fallback(x)
+            u = _float_vector(flt.fallback(x))
             for i, d in enumerate(D):
                 stack.append((model.step(x, u, d), d_seq + (i,)))
     return report

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 from numpy._core.umath import clip as _clip  # np.clip's ufunc, without its dispatch
 
-from .dynamics import MarginFunction, SystemModel, _float_vector, as_lattice, step
+from .dynamics import MarginFunction, SystemModel, as_lattice, step
 from .filters import (
     DeploymentRejected,
     FilterDecision,
@@ -24,7 +24,7 @@ from .filters import (
     passthrough_filter,
     write_series_csv,
 )
-from .intervals import first_min
+from .intervals import _float_vector, first_min
 from .reachability import ValueGrid, _eval_on_nodes, successor_states
 
 TaskPolicy = Callable[[np.ndarray, np.random.Generator], np.ndarray]
@@ -84,10 +84,11 @@ def run_episode(
     not certify the fallback at the initial state: a value that is not
     ``>= 0``, NaN included, rejects it."""
     x0 = np.asarray(x0, dtype=np.float64)
+    _check_shapes(flt, x0)
     rng = np.random.default_rng(seed)
     flt.reset(x0)
-    u0 = flt.fallback(x0)
-    _check_shapes(flt, x0, _float_vector(u0))
+    u0 = _float_vector(flt.fallback(x0))
+    _check_shapes(flt, x0, u0)
     if not flt.monitor(x0, u0) >= 0.0:
         raise DeploymentRejected(f"monitor rejected deployment at {x0}")
 
@@ -172,7 +173,7 @@ def proportional_policy(gain, goal, control_set) -> TaskPolicy:
     lower, upper = control_set.lower, control_set.upper
 
     def policy(x, rng):
-        return _clip(gain @ (goal - np.asarray(x, dtype=np.float64)), lower, upper)
+        return _clip(gain @ (goal - x), lower, upper)
 
     return policy
 
@@ -185,7 +186,7 @@ def random_policy(control_set) -> TaskPolicy:
 
 
 def constant_policy(u) -> TaskPolicy:
-    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    u = _float_vector(u)
 
     def policy(x, rng):
         return u.copy()
@@ -215,8 +216,7 @@ def _worst_disturbance(model: SystemModel, score: Callable, d_candidates) -> Dis
     D = as_lattice(d_candidates)
 
     def policy(x, u, rng):
-        U = np.atleast_1d(np.asarray(u, dtype=np.float64))[None]
-        return D[first_min(score(successor_states(model, x, U, D)).tolist())].copy()
+        return D[first_min(score(successor_states(model, x, u[None], D)).tolist())].copy()
 
     return policy
 
@@ -246,7 +246,7 @@ def random_disturbance(model: SystemModel) -> DisturbancePolicy:
 
 
 def constant_disturbance(d) -> DisturbancePolicy:
-    d = np.atleast_1d(np.asarray(d, dtype=np.float64))
+    d = _float_vector(d)
 
     def policy(x, u, rng):
         return d.copy()

@@ -29,6 +29,13 @@ import numpy as np
 _TRIG_GUARD = 1e-12
 
 
+def _float_vector(a) -> np.ndarray:
+    """``np.atleast_1d(np.asarray(a, dtype=np.float64))`` without the cost of
+    its Python call; the package's one spelling of that conversion."""
+    a = np.asarray(a, dtype=np.float64)
+    return a.reshape(1) if a.ndim == 0 else a
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box {x : lower <= x <= upper}.
@@ -43,8 +50,8 @@ class Box:
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=np.float64))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=np.float64))
+        lo = _float_vector(self.lower)
+        hi = _float_vector(self.upper)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("box bounds must be 1-d arrays of equal length")
         if not (lo <= hi).all():

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dynamics import MarginFunction, SystemModel, _cartesian, as_lattice, discretize_box
-from .intervals import Box, amin, float_rows
+from .intervals import Box, _float_vector, amin, float_rows
 
 _EXACT_BOX_MIN_CAP = 65536  # above this many corner evaluations, use the node bound
 # batches of at most this many points on a 2-D grid are interpolated on Python
@@ -653,7 +653,7 @@ def worst_case_next_value(
     d_candidates: np.ndarray,
 ) -> float:
     """min over disturbance candidates of the interpolated value at f(x, u, d)."""
-    U = np.atleast_1d(np.asarray(u, dtype=np.float64))[None]
+    U = _float_vector(u)[None]
     return amin(grid.values_at(successor_states(model, x, U, as_lattice(d_candidates))).tolist())
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .dynamics import MarginFunction, SystemModel, discretize_box
 from .filters import BudgetExceededError, Monitor, SafetyFilter, write_series_csv
-from .intervals import Box, float_rows, maximum, minimum
+from .intervals import Box, _float_vector, float_rows, maximum, minimum
 from .reachability import ValueGrid, _grid_box_nonnegative, optimal_safety_policy, safe_membership
 from .reachability import grid_box_min  # noqa: F401 (bench/tracing.py rebinds it here)
 
@@ -174,7 +174,7 @@ def _control_enclosure(fb: FallbackPolicy, X, U) -> tuple:
         )
     lo, hi = X
     center = np.array([0.5 * (l + h) for l, h in zip(lo, hi)])
-    u = tuple(np.atleast_1d(np.asarray(fb.policy(center), dtype=np.float64)).tolist())
+    u = tuple(_float_vector(fb.policy(center)).tolist())
     if point:
         return u, u
     inflation = fb.lipschitz * functools.reduce(maximum, [0.5 * (h - l) for l, h in zip(lo, hi)])
@@ -296,7 +296,7 @@ def braking_fallback(model: SystemModel, v_tol: float) -> FallbackPolicy:
     u_max, dt = hi, model.dt
 
     def policy(x) -> np.ndarray:
-        v = float(np.asarray(x, dtype=np.float64)[1])
+        v = float(x[1])
         return np.array([_braking_control(v, u_max, dt, v_tol)])
 
     def control_box(X) -> tuple:
@@ -358,7 +358,6 @@ def braking_terminal_set(model: SystemModel, v_tol: float, safe_box: Box) -> Ter
         return _braking_excursion(u_max, dt, v_tol, v)
 
     def membership(x) -> bool:
-        x = np.asarray(x, dtype=np.float64)
         p, v = float(x[0]), float(x[1])
         if not abs(v) <= v_tol:  # a NaN velocity is no member
             return False

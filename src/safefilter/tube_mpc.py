@@ -276,8 +276,6 @@ class TubeMPCFilter(SafetyFilter):
     # --- filter surface -------------------------------------------------------
 
     def _monitor_value(self, x, u) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        u = np.atleast_1d(np.asarray(u, dtype=np.float64))
         plan = self._solve_plan(x, u, pin_first=True)
         self._last_query = (x.tobytes(), u.tobytes(), plan)
         return 0.5 if plan is not None else -0.5
@@ -306,7 +304,6 @@ class TubeMPCFilter(SafetyFilter):
         return np.clip(u, self.control_set.lower, self.control_set.upper)
 
     def _fallback(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
         if self._plan is not None:
             return self._shifted_control(x, advance=False)
         plan = self._solve_plan(x, np.zeros(self.m), pin_first=False)
@@ -321,8 +318,6 @@ class TubeMPCFilter(SafetyFilter):
         first control of the plan closest to it (to the zero control for a
         non-finite candidate), else follow the shifted last plan."""
         self.last_degraded = False
-        x = np.asarray(x, dtype=np.float64)
-        u_task = np.atleast_1d(np.asarray(u_task, dtype=np.float64))
         plan = self._pinned_plan(x, u_task) if monitor_value >= 0.0 else None
         if plan is not None:
             plan.age = 1

@@ -1207,16 +1207,19 @@ def seed_margin_descent_policy(model, margin, u_candidates):
     return policy
 
 
-def seed_margin_descent_disturbance(model, margin, d_candidates):
+def seed_margin_descent_disturbance(model, margin, d_candidates, next_states=None):
     """Adversarial disturbance for models without a solved value function:
-    picks the candidate that minimizes the next-state failure margin."""
+    picks the candidate that minimizes the next-state failure margin.
+    ``next_states(x, u)``, when given, returns the candidates' next states in
+    their order, in place of one ``model.step`` per candidate."""
     cands = [np.atleast_1d(np.asarray(d, dtype=np.float64)) for d in d_candidates]
 
     def policy(x, u, rng):
         best = cands[0]
         best_val = math.inf
-        for d in cands:
-            val = float(margin(model.step(x, u, d)))
+        nexts = next_states(x, u) if next_states else (model.step(x, u, d) for d in cands)
+        for d, y in zip(cands, nexts):
+            val = float(margin(y))
             if val < best_val:
                 best_val = val
                 best = d

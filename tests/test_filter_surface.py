@@ -1,5 +1,7 @@
 """The shared filter surface: ``decide`` evaluates the monitor exactly once and
-hands the value to ``intervene``; ``SafetyFilter`` itself is the switch."""
+hands the value to ``intervene``; ``SafetyFilter`` itself is the switch. The
+entry points convert and check their inputs, and the filters take float64
+arrays as given."""
 import re
 
 import numpy as np
@@ -20,6 +22,7 @@ from safefilter import (
     exploration_filter,
     least_restrictive_filter,
     make_double_integrator,
+    make_linear_model,
     make_planar_double_integrator,
     margin_halfspace,
     mps_filter,
@@ -92,6 +95,32 @@ def _count_monitor_calls(flt):
     return calls
 
 
+def _count_fallback_calls(flt):
+    calls = []
+    fallback = flt.fallback
+
+    def counting(x):
+        calls.append(1)
+        return fallback(x)
+
+    flt.fallback = counting
+    return calls
+
+
+# the model, failure margin, initial state and task control of each family's
+# episodes, by filter name; integer entries are exact in every dtype
+EPISODES = {
+    "least_restrictive": (make_double_integrator(1.0, 0.1, DT), WALL, [2, 0], [-1]),
+    "mps": (make_double_integrator(1.0, 0.0, DT), WALL, [2, 0], [-1]),
+    "passthrough": (make_double_integrator(1.0, 0.0, DT), WALL, [1, 1], [-1]),
+    "exploration": (make_planar_double_integrator(1.0, DT),
+                    margin_halfspace([1.0, 0.0, 0.0, 0.0], 0.0), [1, 1, 0, 0], [1, 0]),
+    "cbf_qp": (make_double_integrator(1.0, 0.0, DT), WALL, [2, 0], [-1]),
+    "tube_mpc": (make_linear_model([[1.0]], [[1.0]], Box([-1.0], [1.0]), Box([-0.1], [0.1])),
+                 margin_halfspace([-1.0], -2.0), [0], [1]),
+}
+
+
 FAMILIES = pytest.mark.parametrize(
     "build", [_lr, _mps, _passthrough, _exploration, _cbf, _tube],
     ids=["lr", "mps", "passthrough", "exploration", "cbf", "tube"],
@@ -159,6 +188,57 @@ def test_soundness_check_rejects_a_state_of_another_dimension(build):
         verify_monitor_soundness(model, flt, [np.array(cases[0][0] + [7.0])], 2,
                                  discretize_box(model.disturbance_set, []), WALL)
     assert not calls
+
+
+@FAMILIES
+@pytest.mark.parametrize("resize", [lambda x: [], lambda x: x[:-1], lambda x: x + [7.0]],
+                         ids=["empty", "short", "long"])
+def test_entry_points_check_the_state_before_the_fallback(build, resize):
+    """``run_episode`` and ``verify_monitor_soundness`` reject a state of
+    another size with the named-shape error before any fallback call. The
+    fallback used to run first: from a 1-entry state the least-restrictive,
+    MPS and CBF-QP fallbacks raised ``IndexError``, and from a 0- or 2-entry
+    state tube MPC's a matmul ``ValueError``."""
+    flt, _ = build()
+    model, margin, x0, u = EPISODES[flt.name]
+    bad = resize([float(v) for v in x0])
+    calls = _count_fallback_calls(flt)
+    expected = re.escape(f"shapes ({len(bad)},) and ({len(u)},), "
+                         f"the filter's ({len(x0)},) and ({len(u)},)")
+    with pytest.raises(ValueError, match=expected):
+        run_episode(model, flt, constant_policy(u), zero_disturbance(model), bad, 5, 0, margin)
+    D = discretize_box(model.disturbance_set, [1] * model.disturbance_dim)
+    with pytest.raises(ValueError, match=expected):
+        verify_monitor_soundness(model, flt, [np.array(bad)], 2, D, margin)
+    assert not calls
+
+
+def _record(decision):
+    return (decision.candidate.tobytes(), decision.applied.tobytes(),
+            np.float64(decision.monitor_value).tobytes(), decision.overridden,
+            decision.degraded)
+
+
+@FAMILIES
+def test_entry_points_convert_their_inputs(build):
+    """``decide`` and ``run_episode`` fed lists, int64 or float32 arrays give
+    the bytes of float64 input: the conversion happens where inputs enter,
+    not in the filters."""
+    forms = [lambda v: np.array(v, dtype=np.float64), list,
+             lambda v: np.array(v, dtype=np.int64), lambda v: np.array(v, dtype=np.float32)]
+    results = []
+    for form in forms:
+        flt, _ = build()
+        model, margin, x0, u = EPISODES[flt.name]
+        decision = decide(flt, form(x0), form(u))
+        traj, metrics = run_episode(model, flt, constant_policy(form(u)),
+                                    zero_disturbance(model), form(x0), 20, 0, margin)
+        results.append((_record(decision), traj.states.tobytes(), traj.controls.tobytes(),
+                        traj.disturbances.tobytes(), [_record(d) for d in traj.decisions],
+                        metrics))
+    # every switch is exercised (the passthrough has only the passing one)
+    assert any(r[3] for r in results[0][4]) == (flt.name != "passthrough")
+    assert all(r == results[0] for r in results[1:])
 
 
 def test_switch_intervention_uses_the_given_value():

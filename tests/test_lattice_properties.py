@@ -6,20 +6,25 @@ exactly the candidate that the per-candidate loops in ``oracles`` pick.
 
 The loops score one successor state at a time; the batched adversaries score
 all successors in one margin call. For the table margins below, each value
-depends only on its own row, so the two agree bit for bit, and the property
-covers every NaN, +-inf and exact-tie rule. A halfspace margin's dot product
-can round differently on a batch than on one state (a matrix-vector product
-against a dot product). Candidates whose margins are equal only in exact
-arithmetic may then break the other way. So the built-in margins run on
-inputs that each enter one state coordinate, with normal components that are
-0 or at least 0.25 in magnitude: there, candidate margins either tie exactly
-or lie many ulps apart.
+depends only on its own row, so the two agree bit for bit on the same
+successors, and the property covers every NaN, +-inf and exact-tie rule. The
+successors themselves agree bit for bit for every model but
+``linear_coupled``, which steps the (|D|, n) disturbance block as a matrix
+product: that rounds otherwise than one state's vector product, so for it the
+disturbance loop scores the rows of that block, whose bits
+``test_successor_states_step_the_lattice_block`` pins. A halfspace margin's
+dot product can round differently on a batch than on one state (a
+matrix-vector product against a dot product). Candidates whose margins are
+equal only in exact arithmetic may then break the other way. So the built-in
+margins run on inputs that each enter one state coordinate, with normal
+components that are 0 or at least 0.25 in magnitude: there, candidate margins
+either tie exactly or lie many ulps apart.
 """
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -158,10 +163,16 @@ def _policies_agree(case):
     assert got.tobytes() == want.tobytes()
 
 
+def _block_rows(model, D):
+    """The next states of the (|D|, n) block that ``successor_states`` steps."""
+    return lambda x, u: model.step(np.tile(x, (len(D), 1)), u[None], D)
+
+
 def _disturbances_agree(case):
     model, margin, lattice, x, u = case
     got = margin_descent_disturbance(model, margin, lattice)(x, u, None)
-    want = seed_margin_descent_disturbance(model, margin, list(lattice))(x, u, None)
+    rows = _block_rows(model, lattice) if model is MODELS["linear_coupled"] else None
+    want = seed_margin_descent_disturbance(model, margin, list(lattice), rows)(x, u, None)
     assert got.tobytes() == want.tobytes()
 
 
@@ -171,6 +182,11 @@ def test_policy_matches_loop_on_special_margins(case):
     _policies_agree(case)
 
 
+# a linear_coupled case whose successors differ between the block and one
+# state per candidate, and whose table buckets then pick another candidate
+@example((MODELS["linear_coupled"], table_margin([math.nan, math.nan, -1.0], 1, 100.0),
+          discretize_box(MODELS["linear_coupled"].disturbance_set, [5, 7]),
+          np.array([26.0 / 3.0, 2.0 / 3.0]), np.array([-0.5, 0.0])))
 @given(cases(list(MODELS), table_margins, disturbance=True))
 @PROPERTY
 def test_disturbance_matches_loop_on_special_margins(case):

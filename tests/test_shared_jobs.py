@@ -73,3 +73,35 @@ def test_one_module_builds_system_models():
     found = {name: calls for name, tree in _modules()
              if (calls := _definitions_calling(tree, "SystemModel"))}
     assert found == {"dynamics.py": ["_control_affine_model", "make_linear_model"]}, found
+
+
+def test_one_function_converts_inputs_to_float_vectors():
+    """``_float_vector`` is the package's one spelling of
+    ``np.atleast_1d(np.asarray(a, dtype=np.float64))``."""
+    spelled = "np.atleast_1d(np.asarray("
+    found = {name: count for name, _ in _modules()
+             if (count := (SRC / name).read_text().count(spelled))}
+    docs = [ast.get_docstring(node) for _, tree in _modules() for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_float_vector"]
+    assert len(docs) == 1 and spelled in docs[0], docs
+    assert sum(found.values()) == 1, found
+
+
+_CONVERSIONS = {"array", "asarray", "asanyarray", "atleast_1d", "_float_vector"}
+
+
+def test_builtin_steps_and_drifts_take_float_arrays_as_given():
+    """The five built-in ``step_fn``s and four drifts convert none of their
+    arguments: the entry points in front of them have."""
+    tree = ast.parse((SRC / "dynamics.py").read_text())
+    checked = 0
+    for fn in ast.walk(tree):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in ("step_fn", "drift")):
+            continue
+        checked += 1
+        params = {a.arg for a in fn.args.args}
+        converted = [ast.unparse(node) for node in ast.walk(fn) if isinstance(node, ast.Call)
+                     and getattr(node.func, "attr", getattr(node.func, "id", None)) in _CONVERSIONS
+                     and any(isinstance(a, ast.Name) and a.id in params for a in node.args)]
+        assert not converted, (fn.name, fn.lineno, converted)
+    assert checked == 9
