@@ -6,14 +6,16 @@ program
 
     min 0.5 ||u - u_task||^2   s.t.  a . u >= rhs,  u in control box
 
-has one halfspace row. After a support check for infeasibility and a
-pass-through for candidates that already satisfy every row, it is solved in
-closed form: the step u_task + lam a onto the halfspace when that stays in the
-box, which is the first and only iteration the dual active-set QP of ``qp.py``
-makes there, bit for bit; otherwise a breakpoint search on the
-one-dimensional dual lam (a continuous quadratic knapsack, Kiwiel 2008), whose
-answer may differ from that QP's in the last bits. No stock configuration
-reaches the search.
+has one halfspace row. The filter evaluates the barrier's affine terms, h and
+alpha(h) once per state and keeps them until the next state: the monitor, the
+intervention and the fallback at that state all read the one evaluation.
+After a support check for infeasibility and a pass-through for candidates
+that already satisfy every row, the program is solved in closed form: the
+step u_task + lam a onto the halfspace when that stays in the box, which is
+the first and only iteration the dual active-set QP of ``qp.py`` makes there,
+bit for bit; otherwise a breakpoint search on the one-dimensional dual lam (a
+continuous quadratic knapsack, Kiwiel 2008), whose answer may differ from
+that QP's in the last bits. No stock configuration reaches the search.
 
 The condition is enforced at discrete control cycles; the integration error of
 h between cycles is not compensated, only bounded: see euler_slack_bound.
@@ -28,7 +30,7 @@ import numpy as np
 
 from .dynamics import SystemModel
 from .filters import Monitor, SafetyFilter
-from .intervals import _float_vector, minimum
+from .intervals import _float_vector, float_rows, minimum
 
 _FEAS_TOL = 1e-9
 _ALPHA_SAMPLES = np.linspace(-5.0, 5.0, 101)
@@ -102,7 +104,7 @@ def _project_halfspace_box(u_task, a, rhs, lo, hi):
     So does a gain with |a|^2 at most _STEP_TOL, which is projected where the
     QP's pivot test declared the program infeasible.
     """
-    support = float(np.sum(np.where(a >= 0, a * hi, a * lo)))
+    support = _support(a, lo, hi)
     if support < rhs - _FEAS_TOL:
         return None
     a_u = float(a @ u_task)
@@ -136,10 +138,35 @@ def _project_halfspace_box(u_task, a, rhs, lo, hi):
     return _breakpoint_projection(u_task, a, b, lo, hi)
 
 
+def _support(a, lo, hi) -> float:
+    """max of a . u over the box lo <= u <= hi, with the bits of
+    ``float(np.sum(np.where(a >= 0, a * hi, a * lo)))``: below 8 terms numpy
+    sums in order from 0.0, which a Python loop repeats on floats (a lone
+    -0.0 term sums to 0.0); from 8 on it sums pairwise, so numpy is kept.
+    Either way an overflow or a NaN (an infinite gain against a zero bound)
+    comes without a warning, as on floats."""
+    if a.size >= 8:
+        with np.errstate(invalid="ignore", over="ignore"):
+            return float(np.sum(np.where(a >= 0, a * hi, a * lo)))
+    total = 0.0
+    for g, l, h in zip(a.tolist(), lo.tolist(), hi.tolist()):
+        total += g * h if g >= 0 else g * l
+    return total
+
+
 def _box_slack(v, lo, hi) -> float:
     """The least slack of the rows lo <= v <= hi, v - lo and hi - v, which
     ``qp.solve_qp`` computes to the same bits."""
     return min(min(p - l, h - p) for p, l, h in zip(v.tolist(), lo.tolist(), hi.tolist()))
+
+
+def _max_decrease(a, box) -> np.ndarray:
+    """argmax_u a . u over the box; zero-gain coordinates (NaN ones too) take
+    the box center. The bits of ``np.where(a > 0, box.upper, np.where(a < 0,
+    box.lower, box.center))``, chosen on floats."""
+    lower, upper = float_rows(box)
+    return np.array([hi if g > 0 else lo if g < 0 else 0.5 * (lo + hi)
+                     for g, lo, hi in zip(a.tolist(), lower, upper)])
 
 
 def _breakpoint_projection(u_task, a, b, lo, hi):
@@ -180,6 +207,11 @@ class CBFQPFilter(SafetyFilter):
     Monitor: min(h(x), hdot(x, u) + alpha(h(x))). When the program is
     infeasible the intervention degrades to the decrease-maximizing control
     argmax_u hdot(x, u) and flags the decision.
+
+    The barrier terms at a state (the affine split, h and alpha(h)) are
+    evaluated once and kept under the state's bytes until another state is
+    asked for, as tube MPC keeps its plan offsets: a decision and the
+    fallback at one state evaluate the barrier once.
     """
 
     def __init__(self, model: SystemModel, barrier: BarrierFunction):
@@ -188,46 +220,51 @@ class CBFQPFilter(SafetyFilter):
         validate_alpha(barrier.alpha, model.dt)
         self.model = model
         self.barrier = barrier
+        self._last_state = None  # (x.tobytes(), barrier terms at x)
         monitor = Monitor(self._monitor_value, name="barrier_decrease")
         super().__init__(monitor, self._fallback, "cbf_qp",
                          state_dim=model.state_dim, control_dim=model.control_dim)
 
-    def _monitor_value(self, x, u) -> float:
-        drift_term, a = _affine_terms(self.model, self.barrier, x)
-        h = float(self.barrier.h(x))
-        return minimum(drift_term + float(a @ u) + float(self.barrier.alpha(h)), h)
+    def _terms(self, x: np.ndarray):
+        """(drift_term, a, h, alpha(h)) at x, with a read-only; evaluated once
+        per state and kept until the next state."""
+        key = x.tobytes()
+        entry = self._last_state
+        if entry is None or entry[0] != key:
+            drift_term, a = _affine_terms(self.model, self.barrier, x)
+            a.flags.writeable = False
+            h = float(self.barrier.h(x))
+            entry = (key, (drift_term, a, h, float(self.barrier.alpha(h))))
+            self._last_state = entry
+        return entry[1]
 
-    def _max_decrease(self, a: np.ndarray) -> np.ndarray:
-        """argmax_u a . u over the control box; zero-gain coordinates take the
-        box center."""
-        box = self.model.control_set
-        return np.where(a > 0, box.upper, np.where(a < 0, box.lower, box.center))
+    def _monitor_value(self, x, u) -> float:
+        drift_term, a, h, alpha_h = self._terms(x)
+        return minimum(drift_term + float(a @ u) + alpha_h, h)
 
     def _fallback(self, x) -> np.ndarray:
         """Decrease-maximizing control at x."""
-        _, a = _affine_terms(self.model, self.barrier, x)
-        return self._max_decrease(a)
+        return _max_decrease(self._terms(x)[1], self.model.control_set)
 
     def intervene(self, x, u_task, monitor_value: float) -> np.ndarray:
-        """Project u_task onto the decrease condition, from one evaluation of
-        the affine terms and of h; an infeasible program, or a NaN monitor
-        value (a non-finite candidate), takes the decrease-maximizing control
-        from the same terms. A candidate in the control box with a
-        nonnegative monitor value is returned as it is, with no evaluation of
-        the barrier."""
+        """Project u_task onto the decrease condition, from the barrier terms
+        at x (the monitor's evaluation, when the monitor has seen x); an
+        infeasible program, or a NaN monitor value (a non-finite candidate),
+        takes the decrease-maximizing control from the same terms. A
+        candidate in the control box with a nonnegative monitor value is
+        returned as it is, with no look at the terms."""
         self.last_degraded = False
         if monitor_value >= 0.0 and self.model.control_set.contains(u_task):
             return u_task
-        drift_term, a = _affine_terms(self.model, self.barrier, x)
+        drift_term, a, _, alpha_h = self._terms(x)
+        box = self.model.control_set
         if math.isnan(monitor_value):
             self.last_degraded = True
-            return self._max_decrease(a)
-        rhs = -(drift_term + float(self.barrier.alpha(float(self.barrier.h(x)))))
-        box = self.model.control_set
-        u = _project_halfspace_box(u_task, a, rhs, box.lower, box.upper)
+            return _max_decrease(a, box)
+        u = _project_halfspace_box(u_task, a, -(drift_term + alpha_h), box.lower, box.upper)
         if u is None:
             self.last_degraded = True
-            return self._max_decrease(a)
+            return _max_decrease(a, box)
         return u
 
 

@@ -166,9 +166,11 @@ def decide(flt: SafetyFilter, x, u_task) -> FilterDecision:
     state with a NaN or infinite coordinate ``InputDomainError``, before any
     monitor call. A non-finite candidate is not shown to the monitor: its
     monitor value is NaN, which certifies nothing, and the filter intervenes.
+    The record keeps its own copy of the candidate, so a policy may reuse one
+    output buffer from step to step.
     """
     x = np.asarray(x, dtype=np.float64)
-    u_task = _float_vector(u_task)
+    u_task = _float_vector(u_task).copy()
     _check_shapes(flt, x, u_task)
     if not all_finite(x):
         raise InputDomainError(f"state {x} is not finite")

@@ -103,7 +103,9 @@ def run_episode(
         # the disturbance is chosen after filtering so adversaries see the
         # applied control; step() validates both inputs against their boxes
         applied = decision.applied
-        d = _float_vector(disturbance_policy(x, applied, rng))
+        # a copy, as decide keeps of the candidate: the log must not share a
+        # buffer that the policy reuses
+        d = _float_vector(disturbance_policy(x, applied, rng)).copy()
         x_next = step(model, x, applied, d)
         states.append(x_next)
         controls.append(applied)

@@ -43,15 +43,17 @@ class Box:
     Zero-width boxes (points) and 0-dimensional boxes are valid; a NaN bound
     or a lower bound above its upper one raises ``ValueError``.
     ``np.asarray(box)`` gives its (2, dim) bounds and ``float_rows(box)`` its
-    float rows.
+    float rows. ``lower`` and ``upper`` are read-only copies of the bounds
+    given.
     """
 
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = _float_vector(self.lower)
-        hi = _float_vector(self.upper)
+        # copies: the bounds are frozen below, and the caller's arrays stay theirs
+        lo = _float_vector(self.lower).copy()
+        hi = _float_vector(self.upper).copy()
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("box bounds must be 1-d arrays of equal length")
         if not (lo <= hi).all():

@@ -14,12 +14,14 @@ scale of G or of the row; it is kept apart from ``_TOL``, which bounds slacks.
 
 Memo: everything an inner step computes apart from the point and the
 multipliers (z, the multiplier update r and the pivot verdict) is a function
-of G, A, the active set and the entering row alone. It is kept per program in
-a bounded process-wide memo keyed by the bytes and shapes of G and A; each
-entry is computed on first use by the same linear solves that
-recomputation would make, so every result is bit-identical to solving from
-scratch. A repeated program makes one linear solve per QP, for the
-unconstrained start.
+of G, A, the active set and the entering row alone, and the unconstrained
+start G^-1 (-a) is one of G and a. Both are kept per program in a bounded
+process-wide memo keyed by the bytes and shapes of G and A, the starts under
+the bytes and shape of a; each entry is computed on first use by the same
+linear solve that recomputation would make, so every result is
+bit-identical to solving from scratch. A repeated program with a repeated
+linear term makes no linear solve at all. Memo entries are read-only and
+never returned: a start that is already the answer is returned as a copy.
 
 Verified return: before it returns, the solver checks every non-constant row
 of the final point, active rows included, against _TOL * max(1, |row|), and
@@ -40,6 +42,7 @@ import numpy as np
 _TOL = 1e-10        # slack tolerance of a row; rows of norm at most _TOL are constant
 _MAX_PROGRAMS = 32   # distinct (G, A) programs kept, oldest evicted first
 _MAX_STEPS = 4096    # memoized (active set, entering row) steps per program
+_MAX_STARTS = 256    # memoized unconstrained starts (linear terms a) per program
 _DEPENDENT = 1e-13   # z'n / n'G^-1 n at or below which a row is dependent
 
 
@@ -50,9 +53,10 @@ class InfeasibleQP(RuntimeError):
 
 
 class _Program:
-    """Memo record of one (G, A): row data and the inner steps."""
+    """Memo record of one (G, A): row data, the unconstrained starts and the
+    inner steps."""
 
-    __slots__ = ("row_floor", "constant_rows", "varying_rows", "steps")
+    __slots__ = ("row_floor", "constant_rows", "varying_rows", "starts", "steps")
 
     def __init__(self, A: np.ndarray):
         row_norms = np.linalg.norm(A, axis=1) if A.shape[0] else np.zeros(0)
@@ -62,6 +66,7 @@ class _Program:
         self.varying_rows = np.flatnonzero(~constant)
         # the slack a row must reach: -_TOL * max(1, |row|)
         self.row_floor = -_TOL * np.maximum(1.0, row_norms)
+        self.starts: dict = {}
         self.steps: dict = {}
 
 
@@ -79,6 +84,21 @@ def _program(G: np.ndarray, A: np.ndarray) -> _Program:
             while len(_programs) > _MAX_PROGRAMS:
                 _programs.popitem(last=False)
     return prog
+
+
+def _start(G, a: np.ndarray, starts: dict) -> np.ndarray:
+    """The unconstrained optimum G^-1 (-a), read-only, from the program's
+    memo of starts."""
+    key = (a.shape, a.tobytes())
+    x = starts.get(key)
+    if x is None:
+        x = np.linalg.solve(G, -a)
+        if len(starts) < _MAX_STARTS:  # a miss on a full memo skips flag and lock
+            x.flags.writeable = False
+            with _insert_lock:
+                if len(starts) < _MAX_STARTS:
+                    starts[key] = x
+    return x
 
 
 def _step(G, A, active: list[int], worst: int):
@@ -122,9 +142,9 @@ def solve_qp(G, a, A, b) -> np.ndarray:
     if constant_rows is not None and np.any(b[constant_rows] > _TOL):
         raise InfeasibleQP("constant constraint row 0 >= b with b > 0")
 
-    x = np.linalg.solve(G, -a)
+    start = x = _start(G, a, prog.starts)
     if p == 0:
-        return x
+        return start.copy()
     active: list[int] = []
     multipliers: list[float] = []
 
@@ -140,7 +160,7 @@ def solve_qp(G, a, A, b) -> np.ndarray:
         worst = int(slack.argmin())
         if slack[worst] >= row_floor[worst]:
             _verify(residual, prog)
-            return x
+            return start.copy() if x is start else x
         b_p = b[worst]
         u_p = 0.0
 

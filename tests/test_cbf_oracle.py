@@ -84,9 +84,9 @@ def test_decide_matches_three_evaluation_oracle(wall):
     assert all(count > 100 for count in outcomes.values()), outcomes
 
 
-def test_degraded_decide_evaluates_grad_h_twice():
-    # once in the monitor and once in the intervention, which takes the
-    # fallback from the affine terms it already holds
+def test_degraded_decide_evaluates_grad_h_once():
+    # in the monitor; the intervention reads the filter's terms at the same
+    # state and takes the fallback from them
     model = make_double_integrator(U_MAX, 0.0, DT)
     barrier = builtin_barrier_double_integrator(U_MAX, KAPPA)
     calls = []
@@ -98,7 +98,7 @@ def test_degraded_decide_evaluates_grad_h_twice():
     flt = cbf_qp_filter(model, dataclasses.replace(barrier, grad_h=grad_h))
     decision = decide(flt, np.array([-0.5, -1.0]), np.array([0.0]))
     assert decision.degraded and decision.applied[0] == 1.0
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 
@@ -124,12 +124,13 @@ def test_passing_decide_evaluates_grad_h_once():
     assert len(calls) == 1
 
 
-def test_projected_decide_evaluates_grad_h_twice():
+def test_projected_decide_evaluates_grad_h_once():
+    # the projection reads the terms the monitor evaluated at the same state
     calls = []
     decision = decide(_counting_filter(calls), np.array([0.2, -0.5]), np.array([-1.0]))
     assert decision.overridden and not decision.degraded
     assert decision.applied[0] == pytest.approx(0.25)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_decide_needs_no_qp_solver(monkeypatch):
@@ -229,3 +230,33 @@ def test_barrier_matches_oracle(wall):
         for fn, ref_fn in ((b.h, ref.h), (b.grad_h, ref.grad_h)):
             got, want = np.asarray(fn(xs)), np.asarray(ref_fn(xs))
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_barrier_terms_are_reused_only_at_the_same_state_bytes():
+    """The monitor at one state, then the intervention or the fallback at
+    another (a fresh array, or the same array written in place), gives what a
+    fresh filter gives at the second state."""
+    model = make_double_integrator(U_MAX, 0.0, DT)
+    barrier = builtin_barrier_double_integrator(U_MAX, KAPPA)
+    passing, projected, degraded = [2.0, 0.0], [0.2, -0.5], [-0.5, -1.0]
+    pairs = [(passing, projected), (passing, degraded), (projected, degraded),
+             (degraded, projected), ([0.3, 0.0], [0.3, -0.0])]
+    u = np.array([-1.0])
+    for first, second in pairs:
+        fresh = cbf_qp_filter(model, barrier)
+        value = fresh.monitor(np.array(second), u)
+        want = fresh.intervene(np.array(second), u, value)
+        want_fallback = cbf_qp_filter(model, barrier).fallback(np.array(second))
+        for in_place in (False, True):
+            flt = cbf_qp_filter(model, barrier)
+            x = np.array(first)
+            flt.monitor(x, u)
+            if in_place:
+                x[:] = second
+            else:
+                x = np.array(second)
+            got = flt.intervene(x, u, value)
+            assert got.tobytes() == want.tobytes(), (first, second, in_place)
+            assert flt.last_degraded == fresh.last_degraded
+            flt.monitor(np.array(first), u)
+            assert flt.fallback(x).tobytes() == want_fallback.tobytes()

@@ -10,7 +10,9 @@ the exact optimum, found in rational arithmetic, nor than the QP's answer
 where that meets the halfspace. (The QP stops once every row is violated by
 at most its 1e-10 tolerance, so its answer can undercut the optimum.) The
 halfspace offset is min(rhs, box support): a right-hand side up to 1e-9 above
-the support asks for the supporting corner.
+the support asks for the supporting corner. The box support and the
+decrease-maximizing control, computed on Python floats, must have the bits of
+their numpy expressions.
 
 Gain components are signed zeros or at least 0.1 in magnitude. On a smaller
 gain the optimum moves by ulp(rhs) / |a_i| when rhs moves by one ulp, so no
@@ -19,15 +21,17 @@ programs whose |a|^2 is at most its 1e-10 pivot tolerance infeasible;
 ``test_cbf.py`` covers small gains.
 """
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import seed_project_halfspace_box
-from safefilter.cbf import _project_halfspace_box
+from safefilter import Box
+from safefilter.cbf import _max_decrease, _project_halfspace_box, _support
 
 PROPERTY = settings(max_examples=400, deadline=None)
 
@@ -140,3 +144,52 @@ def test_clipped_candidate_within_row_tolerance_is_the_qps_answer():
     got = _project_halfspace_box(*args)
     assert got.tobytes() == seed_project_halfspace_box(*args).tobytes()
     assert got.tolist() == [1.0, 0.0]
+
+
+# --- the float support and decrease-maximizing control ------------------------
+# numpy's expressions, with ±0.0, ±inf and NaN among gains and bounds; under
+# 8 terms the support sums floats in order, from 8 on it is numpy's own sum
+
+SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -2.5])
+
+
+@st.composite
+def _gains_and_bounds(draw):
+    m = draw(st.integers(1, 10))
+    a = np.array(draw(st.lists(SPECIAL | st.floats(), min_size=m, max_size=m)))
+    ends = [sorted(draw(st.lists(SPECIAL.filter(lambda v: v == v) | st.floats(allow_nan=False),
+                                 min_size=2, max_size=2)))
+            for _ in range(m)]
+    return a, Box([lo for lo, _ in ends], [hi for _, hi in ends])
+
+
+def _same_bits(got, want):
+    assert np.asarray(got, dtype=np.float64).tobytes() == np.asarray(want).tobytes()
+
+
+# a lone -0.0 term sums to 0.0, which a sum started from its first term misses
+@example((np.array([-0.0]), Box([-1.0], [1.0])))
+@PROPERTY
+@given(_gains_and_bounds())
+def test_support_has_numpys_bits(program):
+    a, box = program
+    lo, hi = box.lower, box.upper
+    with np.errstate(all="ignore"):
+        want = float(np.sum(np.where(a >= 0, a * hi, a * lo)))
+    got = _support(a, lo, hi)
+    assert type(got) is float
+    _same_bits(got, want)
+
+
+# centers whose bounds' sum overflows or is subnormal: 0.5 * (lo + hi) alone
+# has numpy's bits there
+@example((np.array([0.0, math.nan]), Box([1.5e308, 5e-324], [1.7e308, 5e-324])))
+@PROPERTY
+@given(_gains_and_bounds())
+def test_max_decrease_has_numpys_bits(program):
+    a, box = program
+    with np.errstate(all="ignore"):
+        want = np.where(a > 0, box.upper, np.where(a < 0, box.lower, box.center))
+    got = _max_decrease(a, box)
+    assert got.dtype == np.float64 and got.shape == a.shape
+    _same_bits(got, want)

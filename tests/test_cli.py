@@ -335,6 +335,17 @@ def test_verify_stock_benchmark(tmp_path, capsys, wall_cfg):
     assert summary["checks"]["interval_step_containment"]["violations"] == 0
 
 
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.yaml")))
+def test_stock_config_passes_verify_as_shipped(tmp_path, capsys, config):
+    code, summary = run_cli(capsys, "verify", "--config", str(CONFIG_DIR / config),
+                            "--out", str(tmp_path / "v"))
+    assert code == EXIT_OK
+    assert summary["ok"] is True
+    checks = summary["checks"]
+    assert checks.get("monitor_soundness", {}).get("counterexamples", 0) == 0
+    assert all(check.get("violations", 0) == 0 for check in checks.values())
+
+
 def test_verify_tube_mpc(tmp_path, capsys):
     import yaml
 

@@ -220,3 +220,31 @@ def test_nan_deployment_monitor_value_is_rejected(bench):
                     [1.5, 0.0], 10, 0, g)
     report = verify_monitor_soundness(model, nan_monitor, [np.array([1.5, 0.0])], 2, d_cands, g)
     assert report.certified_states == 0 and report.nodes_expanded == 0
+
+
+def test_logs_do_not_alias_policy_buffers():
+    """Task and disturbance policies that write into one reused buffer each
+    step: the trajectory logs each step's values, and replaying it gives its
+    states bit for bit."""
+    model = make_double_integrator(1.0, 0.1, DT)
+    u_buf, d_buf = np.zeros(1), np.zeros(1)
+    tasks, disturbances = [], []
+
+    def task(x, rng):
+        u_buf[0] = min(1.0, max(-1.0, -0.5 * x[1] - 0.35))
+        tasks.append(u_buf.copy())
+        return u_buf
+
+    def disturbance(x, u, rng):
+        d_buf[0] = rng.uniform(-0.1, 0.1)
+        disturbances.append(d_buf.copy())
+        return d_buf
+
+    flt = passthrough_filter(model)
+    traj, _ = run_episode(model, flt, task, disturbance, [2.0, 0.5], 6, 3,
+                          margin_halfspace([1.0, 0.0], 0.0))
+    assert len({u.tobytes() for u in tasks}) == 6
+    assert traj.controls.tobytes() == np.concatenate(tasks).tobytes()
+    assert [d.candidate.tobytes() for d in traj.decisions] == [u.tobytes() for u in tasks]
+    assert traj.disturbances.tobytes() == np.concatenate(disturbances).tobytes()
+    assert replay_states(model, traj).tobytes() == traj.states.tobytes()

@@ -48,6 +48,18 @@ def test_box_rejects_nan_bounds(lower, upper):
         Box(np.array(lower), np.array(upper))
 
 
+def test_box_copies_its_bounds():
+    lower, upper = np.zeros(2), np.ones(2)
+    box = Box(lower, upper)
+    lower[0] = 5.0  # the caller's arrays stay writable
+    upper[1] = 7.0
+    assert box.lower.tolist() == [0.0, 0.0] and box.upper.tolist() == [1.0, 1.0]
+    assert float_rows(box) == ((0.0, 0.0), (1.0, 1.0))
+    for bound in (box.lower, box.upper):
+        with pytest.raises(ValueError, match="read-only"):
+            bound[0] = 3.0
+
+
 def test_box_membership_and_corners():
     b = Box([-1.0, 0.0], [1.0, 2.0])
     assert b.contains([0.0, 1.0])

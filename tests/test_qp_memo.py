@@ -2,7 +2,7 @@
 (``oracles.seed_solve_qp``): the same bytes or ``InfeasibleQP`` too wherever
 the original returns a verified point or raises ``InfeasibleQP``, off the
 rare paths where the two pivot tests disagree; a raise instead of an
-unverified point; one linear solve per warm QP; and a memo that stays within
+unverified point; no linear solve in a warm QP; and a memo that stays within
 its caps."""
 import sys
 import threading
@@ -249,6 +249,24 @@ def test_returned_points_do_not_alias_the_memo():
             assert not z.flags.writeable
 
 
+def test_mutating_a_returned_point_leaves_the_next_solve_unchanged():
+    # the start returned as it is (no rows, or every row holds there) and the
+    # start moved by a step: each answer is the caller's own array
+    G, a = np.diag([2.0, 1.0]), np.array([-2.0, 1.0])
+    programs = [
+        (np.zeros((0, 2)), np.zeros(0)),
+        (np.array([[1.0, 0.0]]), np.array([0.5])),
+        (np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([2.0, 0.0])),
+    ]
+    for A, b in programs:
+        first = solve_qp(G, a, A, b)
+        want = first.tobytes()
+        first[:] = 99.0
+        assert solve_qp(G, a, A, b).tobytes() == want
+    for prog in qp._programs.values():
+        assert all(not x.flags.writeable for x in prog.starts.values())
+
+
 # --- work counts ------------------------------------------------------------------
 
 def _count(monkeypatch, module, name):
@@ -268,7 +286,7 @@ def _count(monkeypatch, module, name):
 TUBE_CASES = [([0.0], [0.3]), ([1.95], [1.0]), ([1.2], [0.9]), ([-0.4], [-1.0])]
 
 
-def test_warm_tube_qp_makes_one_linear_solve(monkeypatch):
+def test_warm_tube_qp_makes_no_linear_solve(monkeypatch):
     flt = stock_scalar_tube()
     for x, u in TUBE_CASES:  # warm-up
         flt.reset()
@@ -282,7 +300,7 @@ def test_warm_tube_qp_makes_one_linear_solve(monkeypatch):
         outcomes.add(rec.overridden)
     assert outcomes == {False, True}
     assert len(qps) >= len(TUBE_CASES)
-    assert len(solves) == len(qps)
+    assert len(solves) == 0
 
 
 @pytest.mark.parametrize("x, u", TUBE_CASES)
@@ -317,15 +335,18 @@ def test_memo_stays_within_its_program_cap():
 
 
 def test_memo_stays_within_its_step_cap(monkeypatch):
+    # and within its cap of starts: each of the 40 programs has its own a
     monkeypatch.setattr(qp, "_MAX_STEPS", 3)
+    monkeypatch.setattr(qp, "_MAX_STARTS", 3)
     rng = np.random.default_rng(4)
     G, A = np.eye(3) * 2.0, rng.normal(size=(12, 3))
     for _ in range(40):
         a = rng.normal(size=3) * 3.0
         b = A @ rng.normal(size=3) - rng.exponential(size=12) * 0.2
         check_against_seed(G, a, A, b)
-    steps = qp._programs[(G.shape, A.shape, G.tobytes(), A.tobytes())].steps
-    assert len(steps) == 3
+    prog = qp._programs[(G.shape, A.shape, G.tobytes(), A.tobytes())]
+    assert len(prog.steps) == 3
+    assert len(prog.starts) == 3
 
 
 def test_memo_shared_between_threads_gives_serial_results(monkeypatch):
